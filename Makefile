@@ -20,16 +20,17 @@ test:
 # Race-detector pass over the concurrent packages: the evaluation
 # engine, the serving layer, the row-band-parallel field stencil, the
 # tiled LLG solver and its worker pool, the frequency-parallel gates,
-# the metrics registry and the fleet observability plane.
+# the metrics registry, the fleet observability plane and the durable
+# file primitives every store shares.
 test-race:
-	$(GO) test -race ./internal/engine/ ./internal/mag/ ./internal/llg/ ./internal/tile/ ./internal/parallel/ ./internal/obs/ ./internal/journal/ ./internal/probe/ ./internal/health/ ./internal/fleet/ ./internal/fleet/faults/ ./internal/checkpoint/ ./internal/obsplane/ ./internal/runhistory/ ./cmd/swserve/ ./cmd/swworker/
+	$(GO) test -race ./internal/durable/ ./internal/engine/ ./internal/mag/ ./internal/llg/ ./internal/tile/ ./internal/parallel/ ./internal/obs/ ./internal/journal/ ./internal/probe/ ./internal/health/ ./internal/fleet/ ./internal/fleet/faults/ ./internal/checkpoint/ ./internal/obsplane/ ./internal/runhistory/ ./cmd/swserve/ ./cmd/swworker/
 
 # Godoc coverage gate (ISSUE 3): every exported identifier in the LLG
 # core, the field evaluator, the gate backends, the flight-recorder
-# packages, the checkpoint/fleet layers, the worker entrypoint and the
-# root package must carry a doc comment.
+# packages, the checkpoint/fleet layers, the durable file primitives,
+# the worker entrypoint and the root package must carry a doc comment.
 docs-lint:
-	$(GO) run ./tools/docslint . ./internal/llg ./internal/mag ./internal/core ./internal/probe ./internal/journal ./internal/health ./internal/fleet ./internal/fleet/faults ./internal/checkpoint ./internal/obsplane ./internal/runhistory ./cmd/swworker
+	$(GO) run ./tools/docslint . ./internal/durable ./internal/llg ./internal/mag ./internal/core ./internal/probe ./internal/journal ./internal/health ./internal/fleet ./internal/fleet/faults ./internal/checkpoint ./internal/obsplane ./internal/runhistory ./cmd/swworker
 
 # Flight-recorder smoke (ISSUE 4): a short probed XOR case writing the
 # JSONL journal and Chrome trace, then schema-validating the journal.
@@ -120,12 +121,14 @@ history-smoke:
 	@grep -q '"event":"retention.gc"' history-fleet.jsonl || { echo "FAIL: no retention.gc in history-fleet.jsonl"; exit 1; }
 	@grep -q '"event":"history.indexed"' history-fleet.jsonl || { echo "FAIL: no history.indexed in history-fleet.jsonl"; exit 1; }
 
-# Fuzz the OVF parser, the fleet job-file parser and the checkpoint
-# manifest parser beyond their checked-in seeds.
+# Fuzz the OVF parser, the fleet job-file parser, the checkpoint
+# manifest parser and the shared JSONL log's torn-tail recovery beyond
+# their checked-in seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOVFRead -fuzztime 30s ./internal/ovf/
 	$(GO) test -run '^$$' -fuzz FuzzJobFile -fuzztime 30s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzManifest -fuzztime 30s ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz FuzzLogRecover -fuzztime 30s ./internal/durable/
 
 # Quick benchmark set; the serial-vs-engine micromagnetic comparison is
 # BenchmarkXORTableMicromag_{Serial,Engine8,EngineWarm}.

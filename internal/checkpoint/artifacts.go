@@ -7,13 +7,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"spinwave/internal/durable"
 )
 
 // ArtifactStore is the durable run-artifact store: one directory per run
 // ID under a root, each holding named artifacts — checkpoint pairs,
-// probe CSVs, journal tails, health verdicts. Files are committed with
-// the same atomic-rename idiom as checkpoints and the fleet queue, so
-// readers (swserve's GET /v1/runs/{id}/artifacts) never observe a torn
+// probe CSVs, journal tails, health verdicts. Files are committed by
+// durable.AtomicWrite, like checkpoints and the fleet queue, so readers
+// (swserve's GET /v1/runs/{id}/artifacts) never observe a torn
 // artifact. An ArtifactStore is safe for concurrent use; concurrent Puts
 // of the same name last-write-win atomically.
 type ArtifactStore struct {
@@ -60,23 +62,13 @@ func (a *ArtifactStore) Put(run, name string, r io.Reader) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("checkpoint: artifact store: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".put-*.tmp")
+	var n int64
+	err := durable.AtomicWrite(filepath.Join(dir, name), func(w io.Writer) (err error) {
+		n, err = io.Copy(w, r)
+		return err
+	})
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: artifact store: %w", err)
-	}
-	n, err := io.Copy(tmp, r)
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("checkpoint: artifact write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("checkpoint: artifact close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("checkpoint: artifact rename: %w", err)
 	}
 	return n, nil
 }
@@ -158,11 +150,8 @@ func (a *ArtifactStore) Runs() ([]string, error) {
 // WritableProbe verifies the store root still accepts writes — surfaced
 // by swserve's deep health check, like the fleet queue's probe.
 func (a *ArtifactStore) WritableProbe() error {
-	tmp, err := os.CreateTemp(a.root, ".probe-*.tmp")
-	if err != nil {
+	if err := durable.Probe(a.root); err != nil {
 		return fmt.Errorf("checkpoint: artifact store not writable: %w", err)
 	}
-	name := tmp.Name()
-	tmp.Close()
-	return os.Remove(name)
+	return nil
 }

@@ -6,14 +6,13 @@
 // the journal sequence, and the backend fingerprint that guards a resume
 // against configuration drift.
 //
-// Every file is committed with the DiskStore atomic-rename idiom (temp
-// file + os.Rename), OVF first and manifest second, so the manifest is
-// the commit record: a crash between the two writes leaves an
-// unreferenced OVF file, never a manifest pointing at a torn field. On
-// load, corrupt or truncated files are quarantined — renamed aside with
-// a ".quarantined" suffix and reported with a journal alert, mirroring
-// the fleet queue's corruption handling — and the loader falls back to
-// the next-newest snapshot instead of crashing the resume.
+// Every file is committed by durable.AtomicWrite, OVF first and
+// manifest second, so the manifest is the commit record: a crash between
+// the two writes leaves an unreferenced OVF file, never a manifest
+// pointing at a torn field. On load, corrupt or truncated files are
+// quarantined (durable.Quarantine, as the fleet queue does) and the
+// loader falls back to the next-newest snapshot instead of crashing the
+// resume.
 //
 // The same package hosts the run-artifact store (artifacts.go): a
 // directory tree addressed by run ID holding checkpoints, probe CSVs,
@@ -33,6 +32,7 @@ import (
 	"sort"
 	"time"
 
+	"spinwave/internal/durable"
 	"spinwave/internal/grid"
 	"spinwave/internal/journal"
 	"spinwave/internal/ovf"
@@ -255,40 +255,18 @@ func Save(dir string, man Manifest, mesh grid.Mesh, m vec.Field, keep int) (Snap
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("checkpoint: manifest marshal: %w", err)
 	}
-	if err := writeAtomic(dir, man.MagFile, buf.Bytes()); err != nil {
-		return Snapshot{}, err
+	if err := durable.WriteFile(filepath.Join(dir, man.MagFile), buf.Bytes()); err != nil {
+		return Snapshot{}, fmt.Errorf("checkpoint: %w", err)
 	}
 	name := stem(man.Step) + ".json"
-	if err := writeAtomic(dir, name, mb); err != nil {
-		return Snapshot{}, err
+	if err := durable.WriteFile(filepath.Join(dir, name), mb); err != nil {
+		return Snapshot{}, fmt.Errorf("checkpoint: %w", err)
 	}
 	if keep < 1 {
 		keep = 1
 	}
 	prune(dir, keep)
 	return Snapshot{Manifest: man, ManifestFile: name}, nil
-}
-
-// writeAtomic commits data under dir/name via temp file + rename.
-func writeAtomic(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, ".ck-*.tmp")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	return nil
 }
 
 // prune deletes all but the newest keep snapshot pairs (by step number

@@ -7,10 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
+	"spinwave/internal/durable"
 	"spinwave/internal/grid"
-	"spinwave/internal/journal"
 	"spinwave/internal/obs"
 	"spinwave/internal/ovf"
 	"spinwave/internal/vec"
@@ -52,9 +53,9 @@ func readOVF(data []byte) (*ovf.File, error) {
 }
 
 // Latest loads the newest valid checkpoint in dir. Corrupt, truncated
-// or inconsistent files are quarantined (renamed with a ".quarantined"
-// suffix plus a journaled checkpoint.quarantine alert — the fleet
-// queue's corruption discipline) and the next-newest snapshot is tried
+// or inconsistent files are quarantined (set aside with a journaled
+// checkpoint.quarantine alert — the fleet queue's corruption
+// discipline) and the next-newest snapshot is tried
 // instead; resume never crashes on a bad file. A missing directory or
 // no surviving snapshot returns (nil, nil): start from t = 0.
 func Latest(dir string) (*State, error) {
@@ -101,28 +102,15 @@ func load(dir, manifestPath string) (*State, error) {
 	return &State{Manifest: *man, Mesh: f.Mesh, M: f.M}, nil
 }
 
-// quarantine renames a bad checkpoint file (and its OVF sidecar, when
-// the manifest still names one) aside and journals an alert; loading
-// carries on with older snapshots. The renamed files keep their bytes
-// for post-mortems and are ignored by every future scan.
+// quarantine sets a bad checkpoint manifest and its OVF sidecar aside
+// and journals an alert; loading carries on with older snapshots. The
+// renamed files keep their bytes for post-mortems and are ignored by
+// every future scan.
 func quarantine(manifestPath string, cause error) {
-	dst := manifestPath + ".quarantined"
-	if err := os.Rename(manifestPath, dst); err != nil {
-		dst = manifestPath
-	}
 	// The OVF sidecar shares the stem; move it too so a later save at
 	// the same step cannot pair a fresh manifest with stale field bytes.
-	ovfPath := manifestPath[:len(manifestPath)-len(".json")] + ".ovf"
-	if _, err := os.Stat(ovfPath); err == nil {
-		os.Rename(ovfPath, ovfPath+".quarantined")
-	}
+	durable.SetAside(strings.TrimSuffix(manifestPath, ".json") + ".ovf")
+	durable.Quarantine(manifestPath, "checkpoint.quarantine", cause)
 	initMetrics()
 	mQuarantined.Inc()
-	if j := journal.Default(); j.Enabled() {
-		j.Emit("", "alert",
-			journal.F("rule", "checkpoint.quarantine"),
-			journal.F("severity", "warn"),
-			journal.F("file", dst),
-			journal.F("error", cause.Error()))
-	}
 }

@@ -11,15 +11,16 @@ import (
 	"time"
 
 	"spinwave/internal/detect"
+	"spinwave/internal/durable"
 )
 
 // DiskStore is the persistent tier of the result store: one JSON file
 // per cached case, named by the hash of the eval key (canonical backend
 // fingerprint + input bits). It is corruption-tolerant by construction —
 // a truncated, garbled or foreign file is a miss, never an error that
-// takes the serving path down — and writes are atomic (temp file +
-// rename), so a crash mid-write can never leave a half-entry that a
-// later Get would trust.
+// takes the serving path down — and writes are atomic
+// (durable.AtomicWrite), so a crash mid-write can never leave a
+// half-entry that a later Get would trust.
 //
 // The store deliberately holds no in-memory state beyond its directory:
 // the engine's LRU is the fast tier, the disk is the durable one, and
@@ -83,9 +84,8 @@ func (d *DiskStore) Get(key string) (map[string]detect.Readout, bool) {
 	return e.Readouts, true
 }
 
-// Put persists the readouts for key atomically: the entry is written to
-// a temp file in the same directory and renamed into place, so readers
-// only ever observe complete entries.
+// Put persists the readouts for key atomically (durable.WriteFile), so
+// readers only ever observe complete entries.
 func (d *DiskStore) Put(key string, out map[string]detect.Readout) error {
 	e := diskEntry{
 		Version:     diskEntryVersion,
@@ -97,22 +97,8 @@ func (d *DiskStore) Put(key string, out map[string]detect.Readout) error {
 	if err != nil {
 		return fmt.Errorf("engine: disk store marshal: %w", err)
 	}
-	tmp, err := os.CreateTemp(d.dir, ".put-*.tmp")
-	if err != nil {
+	if err := durable.WriteFile(d.fileFor(key), buf); err != nil {
 		return fmt.Errorf("engine: disk store: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: disk store write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: disk store close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), d.fileFor(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: disk store rename: %w", err)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"spinwave/internal/durable"
 	"spinwave/internal/journal"
 )
 
@@ -55,12 +56,12 @@ type QueueStats struct {
 }
 
 // Queue is the durable job queue: one JSON file per job in a directory,
-// every state transition persisted by atomic rename (temp file + rename,
-// the DiskStore idiom), so a crash at any point leaves either the old or
-// the new state on disk — never a torn file a restart would trust.
-// Corrupt or conflicting files found at Open are quarantined: renamed
-// aside with a ".quarantined" suffix and reported with a journal alert,
-// so one bad hand-written file can never crash-loop the coordinator.
+// every state transition persisted by durable.AtomicWrite, so a crash at
+// any point leaves either the old or the new state on disk — never a
+// torn file a restart would trust. Corrupt or conflicting files found at
+// Open are quarantined (durable.Quarantine: renamed aside and reported
+// with a journal alert), so one bad hand-written file can never
+// crash-loop the coordinator.
 // A Queue is safe for concurrent use.
 type Queue struct {
 	dir         string
@@ -190,34 +191,22 @@ func corrFields(fields []journal.Field, request, trace string) []journal.Field {
 	return fields
 }
 
-// quarantine renames a defective queue file aside and raises a journal
+// quarantine sets a defective queue file aside with a fleet.quarantine
 // alert; the queue keeps serving. The renamed file keeps its content
 // for post-mortems and is ignored by every future scan. When the file
 // parsed far enough to name its job, j carries it so the alert stays
 // joinable to the parent request and trace; nil when unparseable.
 func (q *Queue) quarantine(path string, j *Job, cause error) {
-	dst := path + ".quarantined"
-	if err := os.Rename(path, dst); err != nil {
-		// Renaming failed (e.g. read-only dir): leave the file, still alert.
-		dst = path
+	var fields []journal.Field
+	if j != nil {
+		if j.ID != "" {
+			fields = append(fields, journal.F("job", j.ID))
+		}
+		fields = corrFields(fields, j.Request, j.Trace)
 	}
+	durable.Quarantine(path, "fleet.quarantine", cause, fields...)
 	q.quarantined++
 	mQuarantined.Inc()
-	if jd := journal.Default(); jd.Enabled() {
-		fields := []journal.Field{
-			journal.F("rule", "fleet.quarantine"),
-			journal.F("severity", "warn"),
-			journal.F("file", dst),
-			journal.F("error", cause.Error()),
-		}
-		if j != nil {
-			if j.ID != "" {
-				fields = append(fields, journal.F("job", j.ID))
-			}
-			fields = corrFields(fields, j.Request, j.Trace)
-		}
-		jd.Emit("", "alert", fields...)
-	}
 }
 
 // partialJob leniently recovers the correlation identity (id, request,
@@ -250,28 +239,14 @@ func (q *Queue) fileFor(id string) string {
 	return filepath.Join(q.dir, id+".json")
 }
 
-// persist writes the job file atomically (temp + rename).
+// persist writes the job file atomically.
 func (q *Queue) persist(j *Job) error {
 	buf, err := json.Marshal(j)
 	if err != nil {
 		return fmt.Errorf("fleet: queue marshal %s: %w", j.ID, err)
 	}
-	tmp, err := os.CreateTemp(q.dir, ".job-*.tmp")
-	if err != nil {
-		return fmt.Errorf("fleet: queue: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: queue write %s: %w", j.ID, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: queue close %s: %w", j.ID, err)
-	}
-	if err := os.Rename(tmp.Name(), q.fileFor(j.ID)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: queue rename %s: %w", j.ID, err)
+	if err := durable.WriteFile(q.fileFor(j.ID), buf); err != nil {
+		return fmt.Errorf("fleet: queue persist %s: %w", j.ID, err)
 	}
 	return nil
 }
@@ -570,13 +545,10 @@ func (q *Queue) Stats() QueueStats {
 // writes — the durability the whole fleet leans on. Surfaced by
 // swserve's deep health check.
 func (q *Queue) WritableProbe() error {
-	tmp, err := os.CreateTemp(q.dir, ".probe-*.tmp")
-	if err != nil {
+	if err := durable.Probe(q.dir); err != nil {
 		return fmt.Errorf("fleet: queue dir not writable: %w", err)
 	}
-	name := tmp.Name()
-	tmp.Close()
-	return os.Remove(name)
+	return nil
 }
 
 // randomHex returns n random bytes hex-encoded (crypto/rand backed,

@@ -22,8 +22,6 @@ type ChromeTraceSink struct {
 
 	mu      sync.Mutex
 	spans   []FinishedSpan
-	rows    map[string]int // span name → tid, by first appearance
-	order   []string
 	dropped int64
 }
 
@@ -38,13 +36,6 @@ func (c *ChromeTraceSink) Finish(name string, start time.Time, d time.Duration, 
 	if len(c.spans) >= max {
 		c.dropped++
 		return
-	}
-	if c.rows == nil {
-		c.rows = make(map[string]int)
-	}
-	if _, ok := c.rows[name]; !ok {
-		c.rows[name] = len(c.order) + 1
-		c.order = append(c.order, name)
 	}
 	c.spans = append(c.spans, FinishedSpan{Name: name, Start: start, Duration: d, Labels: labels})
 }
@@ -63,92 +54,100 @@ func (c *ChromeTraceSink) Dropped() int64 {
 	return c.dropped
 }
 
-// TraceEvent is one Chrome trace event: a "complete" span (Ph "X",
-// with Dur) or an instant marker (Ph "i", with S scope). Timestamps
-// are microseconds relative to the trace epoch. Exported so the fleet
-// observability plane (internal/obsplane) renders its merged
-// multi-node timelines in the identical format this sink writes.
-type TraceEvent struct {
+// Export renders the retained spans as a Chrome trace JSON document
+// (WriteChromeTrace): each span name gets its own row, and span labels
+// become event args.
+func (c *ChromeTraceSink) Export(w io.Writer) error {
+	c.mu.Lock()
+	events := make([]ChromeEvent, len(c.spans))
+	for i, s := range c.spans {
+		events[i] = ChromeEvent{Row: s.Name, Name: s.Name, Start: s.Start, Dur: s.Duration}
+		if len(s.Labels) > 0 {
+			events[i].Args = make(map[string]string, len(s.Labels))
+			for _, l := range s.Labels {
+				events[i].Args[l.Key] = l.Value
+			}
+		}
+	}
+	c.mu.Unlock()
+	return WriteChromeTrace(w, events)
+}
+
+// ChromeEvent is one event for WriteChromeTrace: a complete span or an
+// instant marker on a named timeline row.
+type ChromeEvent struct {
+	// Row names the timeline row (Chrome thread) the event sits on.
+	Row string
 	// Name labels the event in the timeline.
-	Name string `json:"name"`
-	// Ph is the Chrome phase: "X" complete, "i" instant, "M" metadata.
-	Ph string `json:"ph"`
-	// Ts is the start timestamp in µs relative to the trace epoch.
-	Ts float64 `json:"ts"`
-	// Dur is the span duration in µs (complete events only).
-	Dur float64 `json:"dur,omitempty"`
-	// Pid and Tid place the event on a process/thread row.
-	Pid int `json:"pid"`
-	Tid int `json:"tid"`
-	// S is the instant-event scope ("t" thread, "p" process, "g" global).
-	S string `json:"s,omitempty"`
+	Name string
+	// Start is the span start, or the instant.
+	Start time.Time
+	// Dur is the span duration; a negative one renders as zero.
+	Dur time.Duration
+	// Instant renders a thread-scoped instant marker instead of a span.
+	Instant bool
 	// Args carries the event's key/value payload.
+	Args map[string]string
+}
+
+// traceEvent is the wire form of one Chrome trace event: a "complete"
+// span (Ph "X", with Dur) or an instant marker (Ph "i", with S scope),
+// timed in microseconds relative to the trace epoch.
+type traceEvent struct {
+	Name string            `json:"name"`
+	Ph   string            `json:"ph"`
+	Ts   float64           `json:"ts"`
+	Dur  float64           `json:"dur,omitempty"`
+	Pid  int               `json:"pid"`
+	Tid  int               `json:"tid"`
+	S    string            `json:"s,omitempty"`
 	Args map[string]string `json:"args,omitempty"`
 }
 
-// ThreadName is the Chrome metadata event labeling a tid row.
-type ThreadName struct {
-	// Name is always "thread_name" (the Chrome metadata event name).
-	Name string `json:"name"`
-	// Ph is always "M".
-	Ph string `json:"ph"`
-	// Pid and Tid identify the row being labeled.
-	Pid int `json:"pid"`
-	Tid int `json:"tid"`
-	// Args carries the row's display name under the "name" key.
+// threadName is the Chrome metadata event labeling a tid row.
+type threadName struct {
+	Name string            `json:"name"`
+	Ph   string            `json:"ph"`
+	Pid  int               `json:"pid"`
+	Tid  int               `json:"tid"`
 	Args map[string]string `json:"args"`
 }
 
-// NewThreadName builds the metadata event naming a tid row.
-func NewThreadName(tid int, name string) ThreadName {
-	return ThreadName{Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
-		Args: map[string]string{"name": name}}
-}
-
-// Export renders the retained spans as a Chrome trace JSON document.
-// Timestamps are microseconds relative to the earliest retained span,
-// each span name gets its own row (tid), and span labels become event
-// args.
-func (c *ChromeTraceSink) Export(w io.Writer) error {
-	c.mu.Lock()
-	spans := make([]FinishedSpan, len(c.spans))
-	copy(spans, c.spans)
-	rows := make(map[string]int, len(c.rows))
-	for k, v := range c.rows {
-		rows[k] = v
-	}
-	order := append([]string(nil), c.order...)
-	c.mu.Unlock()
-
+// WriteChromeTrace renders events as one Chrome trace-event JSON
+// document (`{"traceEvents":[...]}`, loadable in chrome://tracing and
+// Perfetto) — the writer behind both ChromeTraceSink and the fleet
+// observability plane's merged multi-node timelines. Each distinct Row
+// becomes a thread row, numbered by first appearance and labeled by a
+// thread_name metadata event; timestamps are microseconds relative to
+// the earliest event.
+func WriteChromeTrace(w io.Writer, events []ChromeEvent) error {
 	var epoch time.Time
-	for _, s := range spans {
-		if epoch.IsZero() || s.Start.Before(epoch) {
-			epoch = s.Start
+	for _, e := range events {
+		if epoch.IsZero() || e.Start.Before(epoch) {
+			epoch = e.Start
 		}
 	}
-	events := make([]any, 0, len(spans)+len(order))
-	for _, name := range order {
-		events = append(events, NewThreadName(rows[name], name))
-	}
-	for _, s := range spans {
-		ev := TraceEvent{
-			Name: s.Name,
-			Ph:   "X",
-			Ts:   float64(s.Start.Sub(epoch).Nanoseconds()) / 1e3,
-			Dur:  float64(s.Duration.Nanoseconds()) / 1e3,
-			Pid:  1,
-			Tid:  rows[s.Name],
+	tids := make(map[string]int)
+	rows := []any{} // never nil: an empty trace encodes "traceEvents":[]
+	body := make([]any, 0, len(events))
+	for _, e := range events {
+		tid, ok := tids[e.Row]
+		if !ok {
+			tid = len(tids) + 1
+			tids[e.Row] = tid
+			rows = append(rows, threadName{Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
+				Args: map[string]string{"name": e.Row}})
 		}
-		if len(s.Labels) > 0 {
-			ev.Args = make(map[string]string, len(s.Labels))
-			for _, l := range s.Labels {
-				ev.Args[l.Key] = l.Value
-			}
+		ev := traceEvent{Name: e.Name, Ph: "X", Ts: float64(e.Start.Sub(epoch).Nanoseconds()) / 1e3,
+			Pid: 1, Tid: tid, Args: e.Args}
+		if e.Instant {
+			ev.Ph, ev.S = "i", "t"
+		} else {
+			ev.Dur = float64(max(e.Dur, 0).Nanoseconds()) / 1e3
 		}
-		events = append(events, ev)
+		body = append(body, ev)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
+	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": append(rows, body...)})
 }
 
 // TeeSink delivers every finished span to all of its sinks — used when

@@ -23,9 +23,9 @@
 //     subscriptions for the NDJSON tail, and renders the merged
 //     multi-node timeline as a Chrome trace (trace.go).
 //
-// The package depends only on internal/journal, internal/obs and the
-// standard library, so both sides of the fleet (and the tools) can
-// import it without cycles.
+// The package depends only on internal/journal, internal/obs,
+// internal/durable and the standard library, so both sides of the fleet
+// (and the tools) can import it without cycles.
 package obsplane
 
 import (

@@ -1,7 +1,6 @@
 package obsplane
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"spinwave/internal/durable"
 	"spinwave/internal/journal"
 )
 
@@ -34,7 +34,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	lastSeq map[string]map[string]uint64 // trace → node → highest stored seq
-	loaded  map[string]bool              // trace files already scanned
+	logs    map[string]*durable.Log      // trace files already scanned
 	subs    map[int]*storeSub
 	nextSub int
 	shipped int64 // events accepted since open
@@ -70,7 +70,7 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{
 		dir:     dir,
 		lastSeq: make(map[string]map[string]uint64),
-		loaded:  make(map[string]bool),
+		logs:    make(map[string]*durable.Log),
 		subs:    make(map[int]*storeSub),
 	}, nil
 }
@@ -86,8 +86,9 @@ func (s *Store) fileFor(trace string) string {
 // Append merges one node's events into the trace's journal file,
 // dropping events whose sequence number is not beyond the node's stored
 // watermark (idempotent re-ship) and fanning the accepted ones out to
-// live subscribers. The write is a single buffered append, so a crash
-// tears at most the final line — which Events tolerates on read.
+// live subscribers. The write is one durable.Log append, so a crash
+// tears at most the final line — which Events tolerates on read and the
+// next Append steps past.
 func (s *Store) Append(trace, node string, events []journal.Event) (accepted int, err error) {
 	if !ValidID(trace) {
 		return 0, fmt.Errorf("obsplane: bad trace id %q", trace)
@@ -97,7 +98,8 @@ func (s *Store) Append(trace, node string, events []journal.Event) (accepted int
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensureLoadedLocked(trace); err != nil {
+	log, err := s.logLocked(trace)
+	if err != nil {
 		return 0, err
 	}
 	nodes := s.lastSeq[trace]
@@ -121,16 +123,8 @@ func (s *Store) Append(trace, node string, events []journal.Event) (accepted int
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	f, err := os.OpenFile(s.fileFor(trace), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("obsplane: store append: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("obsplane: store write: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("obsplane: store close: %w", err)
+	if err := log.Append(buf); err != nil {
+		return 0, fmt.Errorf("obsplane: store: %w", err)
 	}
 	nodes[node] = last
 	s.shipped += int64(len(fresh))
@@ -149,15 +143,16 @@ func (s *Store) Append(trace, node string, events []journal.Event) (accepted int
 	return len(fresh), nil
 }
 
-// ensureLoadedLocked rebuilds a trace's per-node sequence watermarks
-// from its file on the first touch after a restart.
-func (s *Store) ensureLoadedLocked(trace string) error {
-	if s.loaded[trace] {
-		return nil
+// logLocked returns a trace's log, rebuilding its per-node sequence
+// watermarks from the file on the first touch after a restart.
+func (s *Store) logLocked(trace string) (*durable.Log, error) {
+	if log := s.logs[trace]; log != nil {
+		return log, nil
 	}
-	events, err := readTraceFile(s.fileFor(trace))
+	log := durable.NewLog(s.fileFor(trace))
+	events, err := scanEvents(log)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	nodes := make(map[string]uint64)
 	for _, e := range events {
@@ -166,8 +161,8 @@ func (s *Store) ensureLoadedLocked(trace string) error {
 		}
 	}
 	s.lastSeq[trace] = nodes
-	s.loaded[trace] = true
-	return nil
+	s.logs[trace] = log
+	return log, nil
 }
 
 // Events returns the trace's merged multi-node journal in the
@@ -179,40 +174,28 @@ func (s *Store) Events(trace string) ([]ShippedEvent, error) {
 	if !ValidID(trace) {
 		return nil, fmt.Errorf("obsplane: bad trace id %q", trace)
 	}
-	raw, err := readTraceFile(s.fileFor(trace))
+	// A private Log: reads run without the store lock, so they must not
+	// touch the torn-tail state Append relies on.
+	raw, err := scanEvents(durable.NewLog(s.fileFor(trace)))
 	if err != nil {
 		return nil, err
 	}
 	return MergeEvents(raw), nil
 }
 
-// readTraceFile parses one trace journal file, tolerating a torn final
-// line (a crash mid-append). A missing file is an empty trace.
-func readTraceFile(path string) ([]ShippedEvent, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("obsplane: store read: %w", err)
-	}
-	defer f.Close()
+// scanEvents parses one trace journal file, skipping a torn final line
+// (a crash mid-append) and foreign lines. A missing file is an empty
+// trace.
+func scanEvents(log *durable.Log) ([]ShippedEvent, error) {
 	var out []ShippedEvent
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	err := log.Scan(func(line []byte) {
 		var se ShippedEvent
-		if err := json.Unmarshal(line, &se); err != nil {
-			continue // torn tail or foreign line: skip, never fail the read
+		if json.Unmarshal(line, &se) == nil {
+			out = append(out, se)
 		}
-		out = append(out, se)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obsplane: store scan: %w", err)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("obsplane: store: %w", err)
 	}
 	return out, nil
 }
@@ -309,7 +292,7 @@ func (s *Store) Remove(trace string) (int64, error) {
 	defer s.mu.Unlock()
 	// Load the watermarks before deleting so the terminal event's
 	// sequence number lands beyond everything a subscriber has seen.
-	if err := s.ensureLoadedLocked(trace); err != nil {
+	if _, err := s.logLocked(trace); err != nil {
 		return 0, err
 	}
 	var maxSeq uint64
@@ -327,7 +310,7 @@ func (s *Store) Remove(trace string) (int64, error) {
 		return 0, fmt.Errorf("obsplane: store remove: %w", err)
 	}
 	delete(s.lastSeq, trace)
-	delete(s.loaded, trace)
+	delete(s.logs, trace)
 	term := ShippedEvent{Node: CoordinatorNode, Trace: trace, Event: journal.Event{
 		Seq:    maxSeq + 1,
 		TimeNS: time.Now().UnixNano(),
@@ -383,11 +366,8 @@ func (s *Store) Subscribers() int {
 // WritableProbe verifies the journal directory still accepts writes —
 // surfaced by swserve's deep health check beside the queue's probe.
 func (s *Store) WritableProbe() error {
-	tmp, err := os.CreateTemp(s.dir, ".probe-*.tmp")
-	if err != nil {
+	if err := durable.Probe(s.dir); err != nil {
 		return fmt.Errorf("obsplane: journal dir not writable: %w", err)
 	}
-	name := tmp.Name()
-	tmp.Close()
-	return os.Remove(name)
+	return nil
 }

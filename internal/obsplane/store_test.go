@@ -161,6 +161,26 @@ func TestStoreTornTailTolerated(t *testing.T) {
 	if n, _ := s2.Append("t1", "w1", []journal.Event{ev(2, 20, "b")}); n != 1 {
 		t.Fatal("event after torn tail refused")
 	}
+	// The landed event must be readable on a line of its own — from this
+	// store and from one reopened after a restart.
+	for _, st := range []*Store{s2, mustOpenStore(t, dir)} {
+		events, err := st.Events("t1")
+		if err != nil || len(events) != 2 || events[1].Seq != 2 || events[1].Name != "b" {
+			t.Fatalf("Events after re-ship = %+v, %v; want seqs 1 and 2", events, err)
+		}
+	}
+	if n, _ := mustOpenStore(t, dir).Append("t1", "w1", []journal.Event{ev(2, 20, "b")}); n != 0 {
+		t.Fatal("reopened store re-accepted seq 2")
+	}
+}
+
+func mustOpenStore(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestStoreRejectsBadIDs(t *testing.T) {

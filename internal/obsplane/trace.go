@@ -1,18 +1,17 @@
 package obsplane
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"spinwave/internal/obs"
 )
 
 // Fleet trace assembly: the merged multi-node journal of one trace
-// rendered as a Chrome trace-event JSON document (loadable in
-// chrome://tracing / Perfetto, the same format obs.ChromeTraceSink
-// writes for single-process runs). Each node gets its own thread row;
+// rendered as a Chrome trace-event JSON document by obs.WriteChromeTrace,
+// the writer single-process runs use too. Each node gets its own row;
 // every journal event becomes an instant marker on its node's row, and
 // job ownership windows — claim to completion, failure or requeue —
 // become duration spans on the claiming worker's row, so a SIGKILLed
@@ -21,36 +20,9 @@ import (
 
 // WriteChromeTrace renders the merged events (as returned by
 // Store.Events — per-node sequence order is assumed) as a Chrome trace
-// JSON document.
+// JSON document through obs.WriteChromeTrace.
 func WriteChromeTrace(w io.Writer, trace string, events []ShippedEvent) error {
-	rows := make(map[string]int)
-	var order []string
-	row := func(node string) int {
-		if id, ok := rows[node]; ok {
-			return id
-		}
-		rows[node] = len(order) + 1
-		order = append(order, node)
-		return rows[node]
-	}
-	// Deterministic row order: nodes by first appearance in the merged
-	// timeline, which is itself deterministic.
-	for _, e := range events {
-		row(e.Node)
-	}
-
-	var epoch int64
-	for _, e := range events {
-		if epoch == 0 || e.TimeNS < epoch {
-			epoch = e.TimeNS
-		}
-	}
-	ts := func(ns int64) float64 { return float64(ns-epoch) / 1e3 }
-
-	out := make([]any, 0, len(events)+len(order))
-	for _, node := range order {
-		out = append(out, obs.NewThreadName(rows[node], node))
-	}
+	out := make([]obs.ChromeEvent, 0, len(events))
 
 	// Open job-ownership spans keyed by job ID: a fleet.claim opens one
 	// on the claiming worker's row; the matching terminal event (done,
@@ -63,14 +35,9 @@ func WriteChromeTrace(w io.Writer, trace string, events []ShippedEvent) error {
 	}
 	open := make(map[string]*openSpan)
 	closeSpan := func(sp *openSpan, endNS int64, status string) {
-		dur := float64(endNS-sp.startNS) / 1e3
-		if dur < 0 {
-			dur = 0
-		}
-		out = append(out, obs.TraceEvent{
-			Name: "job " + sp.job, Ph: "X",
-			Ts: ts(sp.startNS), Dur: dur,
-			Pid: 1, Tid: row(sp.worker),
+		out = append(out, obs.ChromeEvent{
+			Row: sp.worker, Name: "job " + sp.job,
+			Start: time.Unix(0, sp.startNS), Dur: time.Duration(endNS - sp.startNS),
 			Args: map[string]string{
 				"job": sp.job, "worker": sp.worker,
 				"attempt": sp.attempt, "status": status, "trace": trace,
@@ -83,10 +50,7 @@ func WriteChromeTrace(w io.Writer, trace string, events []ShippedEvent) error {
 		if e.TimeNS > lastNS {
 			lastNS = e.TimeNS
 		}
-		ev := obs.TraceEvent{
-			Name: e.Name, Ph: "i", S: "t",
-			Ts: ts(e.TimeNS), Pid: 1, Tid: rows[e.Node],
-		}
+		ev := obs.ChromeEvent{Row: e.Node, Name: e.Name, Start: time.Unix(0, e.TimeNS), Instant: true}
 		if len(e.Fields) > 0 || e.Run != "" {
 			ev.Args = make(map[string]string, len(e.Fields)+1)
 			for k, v := range e.Fields {
@@ -137,8 +101,7 @@ func WriteChromeTrace(w io.Writer, trace string, events []ShippedEvent) error {
 	for _, job := range dangling {
 		closeSpan(open[job], lastNS, "open")
 	}
-
-	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": out})
+	return obs.WriteChromeTrace(w, out)
 }
 
 // TraceSummary is swdoctor -fleet's per-trace accounting of a merged

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"spinwave/internal/durable"
 	"spinwave/internal/journal"
 )
 
@@ -18,13 +20,13 @@ import (
 const CatalogFile = "catalog.jsonl"
 
 // Catalog is the durable run-history index: an append-only JSONL file
-// of Records, idempotent per record ID, tolerant of a torn final line
-// after a crash. All methods are safe for concurrent use.
+// (durable.Log) of Records, idempotent per record ID, tolerant of a torn
+// final line after a crash. All methods are safe for concurrent use.
 type Catalog struct {
-	dir  string
-	path string
+	dir string
 
 	mu   sync.Mutex
+	log  *durable.Log
 	seen map[string]bool
 	dups int64
 }
@@ -42,7 +44,7 @@ func Open(dir string) (*Catalog, error) {
 	initMetrics()
 	c := &Catalog{
 		dir:  dir,
-		path: filepath.Join(dir, CatalogFile),
+		log:  durable.NewLog(filepath.Join(dir, CatalogFile)),
 		seen: make(map[string]bool),
 	}
 	recs, err := c.load()
@@ -59,7 +61,7 @@ func Open(dir string) (*Catalog, error) {
 func (c *Catalog) Dir() string { return c.dir }
 
 // Path returns the catalog file path.
-func (c *Catalog) Path() string { return c.path }
+func (c *Catalog) Path() string { return c.log.Path() }
 
 // Len returns the number of distinct records indexed.
 func (c *Catalog) Len() int {
@@ -77,8 +79,8 @@ func (c *Catalog) Duplicates() int64 {
 
 // Append indexes the given records, dropping any whose ID was already
 // indexed (counted, not an error), stamping IndexedNS when unset, and
-// writing all accepted records in one buffered O_APPEND write so a
-// crash tears at most the final line. Each accepted record is
+// writing all accepted records in one durable.Log append so a crash
+// tears at most the final line. Each accepted record is
 // journaled as a history.indexed event. Returns how many records were
 // accepted.
 func (c *Catalog) Append(recs ...Record) (int, error) {
@@ -114,7 +116,7 @@ func (c *Catalog) Append(recs ...Record) (int, error) {
 		c.mu.Unlock()
 		return 0, nil
 	}
-	err := c.appendLocked(buf.Bytes())
+	err := c.log.Append(buf.Bytes())
 	if err != nil {
 		// Roll the dedup set back so a retry after a transient disk
 		// error is not silently swallowed as a duplicate.
@@ -125,7 +127,7 @@ func (c *Catalog) Append(recs ...Record) (int, error) {
 	c.mu.Unlock()
 	if err != nil {
 		mErrors.Inc()
-		return 0, err
+		return 0, fmt.Errorf("runhistory: %w", err)
 	}
 
 	for _, r := range accepted {
@@ -158,48 +160,18 @@ func (c *Catalog) Append(recs ...Record) (int, error) {
 	return len(accepted), nil
 }
 
-func (c *Catalog) appendLocked(data []byte) error {
-	f, err := os.OpenFile(c.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("runhistory: append: %w", err)
-	}
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("runhistory: append: %w", werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("runhistory: append: %w", cerr)
-	}
-	return nil
-}
-
 // load reads every parseable record from the catalog file. Unparseable
-// lines (a torn tail, a partial write) are skipped.
+// lines (a torn tail, a partial write) are skipped. Callers hold c.mu,
+// or own c exclusively as Open does.
 func (c *Catalog) load() ([]Record, error) {
-	f, err := os.Open(c.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("runhistory: read catalog: %w", err)
-	}
-	defer f.Close()
 	var recs []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	err := c.log.Scan(func(line []byte) {
 		var r Record
-		if err := json.Unmarshal(line, &r); err != nil || r.ID == "" {
-			continue
+		if json.Unmarshal(line, &r) == nil && r.ID != "" {
+			recs = append(recs, r)
 		}
-		recs = append(recs, r)
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		return nil, fmt.Errorf("runhistory: read catalog: %w", err)
 	}
 	return recs, nil
@@ -281,10 +253,10 @@ func (c *Catalog) Query(f Filter) ([]Record, error) {
 }
 
 // Compact rewrites the catalog keeping only the newest maxRecords
-// records (by IndexedNS), using a same-directory temp file committed by
-// atomic rename so readers never observe a partial catalog. Returns how
-// many records were dropped and how many bytes the file shrank by. A
-// maxRecords of zero or a catalog already within the cap is a no-op.
+// records (by IndexedNS), by durable.Log.Rewrite so readers never
+// observe a partial catalog. Returns how many records were dropped and
+// how many bytes the file shrank by. A maxRecords of zero or a catalog
+// already within the cap is a no-op.
 func (c *Catalog) Compact(maxRecords int) (removed int, bytes int64, err error) {
 	if maxRecords <= 0 {
 		return 0, 0, nil
@@ -299,7 +271,7 @@ func (c *Catalog) Compact(maxRecords int) (removed int, bytes int64, err error) 
 		return 0, 0, nil
 	}
 	var before int64
-	if fi, err := os.Stat(c.path); err == nil {
+	if fi, err := os.Stat(c.Path()); err == nil {
 		before = fi.Size()
 	}
 	sort.SliceStable(recs, func(i, j int) bool {
@@ -308,34 +280,20 @@ func (c *Catalog) Compact(maxRecords int) (removed int, bytes int64, err error) 
 	keep := recs[:maxRecords]
 	removed = len(recs) - maxRecords
 
-	tmp, err := os.CreateTemp(c.dir, ".compact-*.tmp")
-	if err != nil {
-		return 0, 0, fmt.Errorf("runhistory: compact: %w", err)
-	}
-	tmpName := tmp.Name()
-	w := bufio.NewWriter(tmp)
-	// Rewrite oldest-first so the on-disk order stays append order.
-	for i := len(keep) - 1; i >= 0; i-- {
-		line, merr := json.Marshal(keep[i])
-		if merr != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-			return 0, 0, fmt.Errorf("runhistory: compact: %w", merr)
+	err = c.log.Rewrite(func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		// Rewrite oldest-first so the on-disk order stays append order.
+		for i := len(keep) - 1; i >= 0; i-- {
+			line, err := json.Marshal(keep[i])
+			if err != nil {
+				return err
+			}
+			bw.Write(line)
+			bw.WriteByte('\n')
 		}
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return 0, 0, fmt.Errorf("runhistory: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return 0, 0, fmt.Errorf("runhistory: compact: %w", err)
-	}
-	if err := os.Rename(tmpName, c.path); err != nil {
-		os.Remove(tmpName)
+		return bw.Flush()
+	})
+	if err != nil {
 		return 0, 0, fmt.Errorf("runhistory: compact: %w", err)
 	}
 
@@ -344,7 +302,7 @@ func (c *Catalog) Compact(maxRecords int) (removed int, bytes int64, err error) 
 		c.seen[r.ID] = true
 	}
 	var after int64
-	if fi, err := os.Stat(c.path); err == nil {
+	if fi, err := os.Stat(c.Path()); err == nil {
 		after = fi.Size()
 	}
 	if bytes = before - after; bytes < 0 {
@@ -357,19 +315,8 @@ func (c *Catalog) Compact(maxRecords int) (removed int, bytes int64, err error) 
 // deep-healthz check backing the "catalog unwritable → 503" rule. It
 // creates and removes a probe file without touching the catalog.
 func (c *Catalog) WritableProbe() error {
-	f, err := os.CreateTemp(c.dir, ".probe-*.tmp")
-	if err != nil {
+	if err := durable.Probe(c.dir); err != nil {
 		return fmt.Errorf("runhistory: catalog not writable: %w", err)
-	}
-	name := f.Name()
-	_, werr := f.WriteString("probe")
-	cerr := f.Close()
-	os.Remove(name)
-	if werr != nil {
-		return fmt.Errorf("runhistory: catalog not writable: %w", werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("runhistory: catalog not writable: %w", cerr)
 	}
 	return nil
 }

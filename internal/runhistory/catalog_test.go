@@ -115,6 +115,21 @@ func TestCatalogTornTailTolerated(t *testing.T) {
 	if n, _ := c2.Append(Record{ID: "r3", Kind: "eval"}); n != 1 {
 		t.Fatal("torn record could not be re-indexed")
 	}
+	// The re-indexed record must land on a line of its own, not glued to
+	// the torn one: readable now and after a reopen.
+	c3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Catalog{c2, c3} {
+		recs, err := c.Records()
+		if err != nil || len(recs) != 3 {
+			t.Fatalf("after re-index: %d records, %v; want 3 (r3 lost to the torn line)", len(recs), err)
+		}
+	}
+	if n, _ := c3.Append(Record{ID: "r3", Kind: "eval"}); n != 0 {
+		t.Fatal("reopened catalog forgot the re-indexed r3")
+	}
 }
 
 func TestCatalogCompact(t *testing.T) {

@@ -11,14 +11,9 @@ import (
 	"sync"
 	"time"
 
+	"spinwave/internal/durable"
 	"spinwave/internal/journal"
 )
-
-// quarantineSuffix marks files set aside by the durable stores after a
-// corruption alert. Retention never deletes them, and never deletes a
-// directory containing one — an operator put them there to be looked
-// at.
-const quarantineSuffix = ".quarantined"
 
 // ClassPolicy caps one retention class. Zero-valued fields disable
 // their cap; a fully zero policy disables the class entirely.
@@ -326,7 +321,7 @@ func (g *GC) sweepTraces(now time.Time, protected map[string]bool) (ClassResult,
 		if e.IsDir() || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if strings.HasSuffix(name, quarantineSuffix) {
+		if strings.HasSuffix(name, durable.QuarantineSuffix) {
 			cr.SkippedQuarantined++
 			mSkippedQ.Inc()
 			continue
@@ -442,7 +437,7 @@ func runFiles(dir, run, suffix string, cr *ClassResult) []item {
 		if e.IsDir() || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if strings.HasSuffix(name, quarantineSuffix) {
+		if strings.HasSuffix(name, durable.QuarantineSuffix) {
 			cr.SkippedQuarantined++
 			mSkippedQ.Inc()
 			continue
@@ -486,7 +481,7 @@ func checkpointPairs(dir, run string, cr *ClassResult) []item {
 		if e.IsDir() || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if strings.HasSuffix(name, quarantineSuffix) {
+		if strings.HasSuffix(name, durable.QuarantineSuffix) {
 			cr.SkippedQuarantined++
 			mSkippedQ.Inc()
 			continue
@@ -577,7 +572,7 @@ func dirStats(dir string) (size int64, mod time.Time, quarantined bool) {
 		if err != nil || d.IsDir() {
 			return nil
 		}
-		if strings.HasSuffix(d.Name(), quarantineSuffix) {
+		if strings.HasSuffix(d.Name(), durable.QuarantineSuffix) {
 			quarantined = true
 		}
 		if fi, err := d.Info(); err == nil {

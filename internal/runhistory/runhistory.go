@@ -6,17 +6,17 @@
 // fingerprint, inputs label, source tier, health verdict, wall-clock
 // and step counts, and pointers (with sizes) to the files the run left
 // behind — fleet-journal traces, checkpoints, run artifacts, probe
-// CSVs. Appends are single buffered writes to an append-only file, so
-// a crash tears at most the final line, which reads tolerate; records
+// CSVs. The file is a durable.Log: a crash tears at most the final
+// line, which reads tolerate and the next append steps past; records
 // are idempotent per ID, so a retried indexing call never duplicates.
 //
 // The retention engine sweeps the observability data those records
 // point at under per-class age/count/byte policies, deleting (or, for
-// the catalog itself, compacting in the DiskStore atomic-rename idiom)
-// expired data. Every deletion is journaled as a `retention.gc` event
-// with the bytes reclaimed; dry-run mode journals without deleting;
-// quarantined files (".quarantined" suffix) are never silently dropped
-// — they block deletion and are counted for the operator. The paired
+// the catalog itself, compacting by atomic rewrite) expired data. Every
+// deletion is journaled as a `retention.gc` event with the bytes
+// reclaimed; dry-run mode journals without deleting; quarantined files
+// (durable.QuarantineSuffix) are never silently dropped — they block
+// deletion and are counted for the operator. The paired
 // `history.indexed` event records every catalog append, so the journal
 // itself tells the story of what was remembered and what was let go.
 package runhistory
