@@ -11,8 +11,12 @@ all: build vet test docs-lint
 build:
 	$(GO) build ./...
 
+# go vet, then a formatting gate: any file gofmt would change fails the
+# target (the benchmark's build output under .bench_build/ is exempt).
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$out" ]; then echo "FAIL: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -101,23 +101,14 @@ func (s *server) handleFleetSubmit(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err)
 		return
 	}
-	kind, err := parseGate(breq.Gate)
+	// Validate the whole vocabulary eagerly, so a typo fails the
+	// submission instead of burning worker attempts.
+	bk, err := resolveBackend(breq)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	// Validate the rest of the vocabulary eagerly, so a typo fails the
-	// submission instead of burning worker attempts.
-	if _, err := parseSpec(breq.Spec, spinwave.PaperSpec()); err != nil {
-		s.fail(w, err)
-		return
-	}
-	if breq.Material != "" {
-		if _, err := spinwave.MaterialByName(breq.Material); err != nil {
-			s.fail(w, fmt.Errorf("%w: material %q", spinwave.ErrUnknownComponent, breq.Material))
-			return
-		}
-	}
+	kind := bk.kind
 	cases := req.Cases
 	if req.Table {
 		if len(cases) > 0 {

@@ -349,8 +349,14 @@ func TestFleetDroppedResultResponseDeduped(t *testing.T) {
 	if len(st.Results) != st.CasesTotal {
 		t.Fatalf("%d results for %d cases", len(st.Results), st.CasesTotal)
 	}
-	if dup := srv.fleet.Snapshot().DuplicateResults; dup == 0 {
-		t.Fatal("retried post after a dropped response was not counted as a duplicate")
+	// The request completes on the first (dropped-response) post; the
+	// worker's retry lands after that, so wait for it to be counted.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.fleet.Snapshot().DuplicateResults == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("retried post after a dropped response was not counted as a duplicate")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if st.Table == nil {
 		t.Fatal("no decoded table")
@@ -387,6 +393,12 @@ func TestFleetEnvelopeAndValidation(t *testing.T) {
 	resp2, raw2 = postJSON(t, ts.URL+"/v1/fleet/jobs", map[string]any{"gate": "xor"})
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty submission: %d %s", resp2.StatusCode, raw2)
+	}
+
+	// The backend is validated at submission too, not by a worker later.
+	resp2, raw2 = postJSON(t, ts.URL+"/v1/fleet/jobs", map[string]any{"gate": "xor", "backend": "analog", "table": true})
+	if resp2.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown backend: %d %s", resp2.StatusCode, raw2)
 	}
 
 	// A heartbeat for a job the worker does not hold answers 409.

@@ -236,6 +236,11 @@ type server struct {
 	pprofOn        bool
 	draining       atomic.Bool
 
+	// backends memoizes the backend of every resolved request, so eval
+	// and table requests skip construction (rasterization) after the
+	// first. Per server, not per process, so test servers do not share.
+	backends backendMemo
+
 	// Flight-recorder plumbing (runs.go): recent-event replay ring, live
 	// streaming hub, NDJSON heartbeat cadence, and the journal detach
 	// hook released by close().
@@ -445,7 +450,7 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err)
 		return
 	}
-	b, err := buildBackend(breq)
+	b, err := s.backend(breq)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -494,7 +499,7 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err)
 		return
 	}
-	b, err := buildBackend(breq)
+	b, err := s.backend(breq)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -526,10 +531,11 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.tables.Add(1)
-	s.indexTable(gateName(b.Kind()), b.Name(), backendFingerprint(b), string(src),
+	fp := backendFingerprint(b)
+	s.indexTable(gateName(b.Kind()), b.Name(), fp, string(src),
 		len(tt.Cases), time.Since(tableStart))
 	s.reply(w, tableResponse{TruthTable: tt, Mode: modeLabel,
-		Source: string(src), Fingerprint: backendFingerprint(b)})
+		Source: string(src), Fingerprint: fp})
 }
 
 func (s *server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
@@ -653,41 +659,100 @@ var probeOn bool
 // into the journal (tailable at /v1/runs/{id}/events) and /metrics.
 var healthOn bool
 
-func buildBackend(req backendRequest) (spinwave.Backend, error) {
+// backendKey is a backend request resolved onto the canonical
+// vocabulary: aliases, letter case and omitted fields are gone, so two
+// requests for the same backend have equal keys.
+type backendKey struct {
+	kind     spinwave.GateKind
+	micromag bool
+	spec     string // paper, paper-micromag or reduced
+	material string // a spinwave.MaterialByName preset
+}
+
+// resolveBackend validates a backend request and resolves it to its key.
+func resolveBackend(req backendRequest) (backendKey, error) {
 	kind, err := parseGate(req.Gate)
+	if err != nil {
+		return backendKey{}, err
+	}
+	k := backendKey{kind: kind, material: "fecob"}
+	if req.Material != "" {
+		if _, err := spinwave.MaterialByName(req.Material); err != nil {
+			return backendKey{}, fmt.Errorf("%w: material %q", spinwave.ErrUnknownComponent, req.Material)
+		}
+		k.material = req.Material
+	}
+	defaultSpec := "paper"
+	switch strings.ToLower(req.Backend) {
+	case "", "behavioral":
+	case "micromag", "micromagnetic":
+		k.micromag = true
+		defaultSpec = "reduced"
+	default:
+		return backendKey{}, fmt.Errorf("%w: backend %q (want behavioral or micromag)", spinwave.ErrUnknownComponent, req.Backend)
+	}
+	if k.spec, _, err = parseSpec(req.Spec, defaultSpec); err != nil {
+		return backendKey{}, err
+	}
+	return k, nil
+}
+
+// build constructs the backend the key names.
+func (k backendKey) build() (spinwave.Backend, error) {
+	mat, err := spinwave.MaterialByName(k.material)
 	if err != nil {
 		return nil, err
 	}
-	mat := spinwave.FeCoB()
-	if req.Material != "" {
-		if mat, err = spinwave.MaterialByName(req.Material); err != nil {
-			return nil, fmt.Errorf("%w: material %q", spinwave.ErrUnknownComponent, req.Material)
-		}
+	_, spec, err := parseSpec(k.spec, "")
+	if err != nil {
+		return nil, err
 	}
-	switch strings.ToLower(req.Backend) {
-	case "", "behavioral":
-		spec, err := parseSpec(req.Spec, spinwave.PaperSpec())
-		if err != nil {
-			return nil, err
-		}
-		return spinwave.NewBehavioral(kind, spec, mat)
-	case "micromag", "micromagnetic":
-		spec, err := parseSpec(req.Spec, spinwave.ReducedSpec())
-		if err != nil {
-			return nil, err
-		}
-		mopts := []spinwave.MicromagOption{spinwave.WithSpec(spec), spinwave.WithMaterial(mat),
-			spinwave.WithWorkers(stepWorkers)}
-		if probeOn {
-			mopts = append(mopts, spinwave.WithProbes(spinwave.ProbeConfig{Enabled: true}))
-		}
-		if healthOn {
-			mopts = append(mopts, spinwave.WithHealth(spinwave.HealthConfig{Enabled: true}))
-		}
-		return spinwave.NewMicromagnetic(kind, mopts...)
-	default:
-		return nil, fmt.Errorf("%w: backend %q (want behavioral or micromag)", spinwave.ErrUnknownComponent, req.Backend)
+	if !k.micromag {
+		return spinwave.NewBehavioral(k.kind, spec, mat)
 	}
+	mopts := []spinwave.MicromagOption{spinwave.WithSpec(spec), spinwave.WithMaterial(mat),
+		spinwave.WithWorkers(stepWorkers)}
+	if probeOn {
+		mopts = append(mopts, spinwave.WithProbes(spinwave.ProbeConfig{Enabled: true}))
+	}
+	if healthOn {
+		mopts = append(mopts, spinwave.WithHealth(spinwave.HealthConfig{Enabled: true}))
+	}
+	return spinwave.NewMicromagnetic(k.kind, mopts...)
+}
+
+// backendMemo holds every backend a server has built, by resolved key
+// (DESIGN.md §13). Each key field comes from a closed vocabulary and
+// only successful builds are stored, so the memo is bounded by
+// construction. Sharing one backend across requests is safe: table cases
+// already run concurrently on one backend, and the server never calls
+// the only mutator, Micromagnetic.CalibrateI3.
+type backendMemo struct {
+	mu sync.Mutex
+	m  map[backendKey]spinwave.Backend
+}
+
+// backend returns the memoized backend for req, building it on first
+// use. The build runs under the lock, so each key is built once.
+func (s *server) backend(req backendRequest) (spinwave.Backend, error) {
+	k, err := resolveBackend(req)
+	if err != nil {
+		return nil, err
+	}
+	s.backends.mu.Lock()
+	defer s.backends.mu.Unlock()
+	if b, ok := s.backends.m[k]; ok {
+		return b, nil
+	}
+	b, err := k.build()
+	if err != nil {
+		return nil, err
+	}
+	if s.backends.m == nil {
+		s.backends.m = make(map[backendKey]spinwave.Backend)
+	}
+	s.backends.m[k] = b
+	return b, nil
 }
 
 func parseGate(name string) (spinwave.GateKind, error) {
@@ -705,18 +770,22 @@ func parseGate(name string) (spinwave.GateKind, error) {
 	}
 }
 
-func parseSpec(name string, fallback spinwave.Spec) (spinwave.Spec, error) {
-	switch strings.ToLower(name) {
-	case "":
-		return fallback, nil
+// parseSpec resolves a spec name, or fallback when name is empty, to
+// its canonical name and geometry.
+func parseSpec(name, fallback string) (string, spinwave.Spec, error) {
+	canon := strings.ToLower(name)
+	if canon == "" {
+		canon = fallback
+	}
+	switch canon {
 	case "paper":
-		return spinwave.PaperSpec(), nil
+		return canon, spinwave.PaperSpec(), nil
 	case "paper-micromag":
-		return spinwave.PaperMicromagSpec(), nil
+		return canon, spinwave.PaperMicromagSpec(), nil
 	case "reduced":
-		return spinwave.ReducedSpec(), nil
+		return canon, spinwave.ReducedSpec(), nil
 	default:
-		return spinwave.Spec{}, fmt.Errorf("%w: spec %q (want paper, paper-micromag or reduced)", spinwave.ErrUnknownComponent, name)
+		return "", spinwave.Spec{}, fmt.Errorf("%w: spec %q (want paper, paper-micromag or reduced)", spinwave.ErrUnknownComponent, name)
 	}
 }
 

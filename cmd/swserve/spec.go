@@ -85,8 +85,8 @@ func (s *server) handleSpec(w http.ResponseWriter, r *http.Request) {
 		GoVersion:   goVersion,
 		VCSRevision: revision,
 		Endpoints:   endpoints,
-		Gates: []string{"maj3", "maj3single", "xor", "maj5"},
-		Modes: []string{"auto", "surrogate", "micromag", "behavioral"},
+		Gates:       []string{"maj3", "maj3single", "xor", "maj5"},
+		Modes:       []string{"auto", "surrogate", "micromag", "behavioral"},
 		// The materials list mirrors spinwave.MaterialByName's presets.
 		Backends:  []string{"behavioral", "micromag"},
 		Specs:     []string{"paper", "paper-micromag", "reduced"},

@@ -45,8 +45,6 @@ type surrogateLedger struct {
 	entries []surrogateEntry
 }
 
-var surrogateGaugesOnce sync.Once
-
 // initSurrogates builds and admission-gates one surrogate per gate in
 // the comma-separated list, from the named backend. Every verdict is
 // recorded in the ledger (and journaled by the engine); the returned
@@ -80,7 +78,7 @@ func (s *server) initSurrogates(ctx context.Context, gateList, backendName strin
 // surrogate, returning the ledger entry either way.
 func (s *server) buildSurrogate(ctx context.Context, gateName, backendName string) surrogateEntry {
 	entry := surrogateEntry{Gate: gateName, Backend: backendName}
-	b, err := buildBackend(backendRequest{Gate: gateName, Backend: backendName})
+	b, err := s.backend(backendRequest{Gate: gateName, Backend: backendName})
 	if err != nil {
 		entry.State = surrogateError
 		entry.Error = err.Error()
@@ -140,23 +138,22 @@ func (s *server) surrogateHealthy() bool {
 }
 
 // registerSurrogateGauges exposes the ledger in /metrics alongside the
-// SLO burn rates: counts of serving and degraded surrogate models.
+// SLO burn rates: counts of serving and degraded surrogate models. The
+// series are process-wide; the newest server to register owns them.
 func (s *server) registerSurrogateGauges() {
-	surrogateGaugesOnce.Do(func() {
-		r := obs.Default()
-		r.Describe("swserve_surrogate_models", "startup surrogate models by serving state")
-		count := func(healthy bool) float64 {
-			n := 0.0
-			for _, e := range s.surrogateSnapshot() {
-				if (e.State == surrogateAdmitted) == healthy {
-					n++
-				}
+	r := obs.Default()
+	r.Describe("swserve_surrogate_models", "startup surrogate models by serving state")
+	count := func(healthy bool) float64 {
+		n := 0.0
+		for _, e := range s.surrogateSnapshot() {
+			if (e.State == surrogateAdmitted) == healthy {
+				n++
 			}
-			return n
 		}
-		r.GaugeFunc("swserve_surrogate_models", func() float64 { return count(true) },
-			obs.L("state", "serving"))
-		r.GaugeFunc("swserve_surrogate_models", func() float64 { return count(false) },
-			obs.L("state", "degraded"))
-	})
+		return n
+	}
+	r.GaugeFunc("swserve_surrogate_models", func() float64 { return count(true) },
+		obs.L("state", "serving"))
+	r.GaugeFunc("swserve_surrogate_models", func() float64 { return count(false) },
+		obs.L("state", "degraded"))
 }

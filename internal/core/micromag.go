@@ -156,6 +156,12 @@ type Micromagnetic struct {
 
 	dt       float64
 	duration float64
+
+	// fp and fpOK cache Fingerprint, a pure function of kind and cfg.
+	// Whatever changes cfg after construction (CalibrateI3) goes through
+	// setI3PhaseTrim, which recomputes them.
+	fp   string
+	fpOK bool
 }
 
 // NewMicromagnetic prepares the backend (mesh, region, timing). It does
@@ -218,7 +224,7 @@ func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, er
 	travel := (b.Width() + b.Height()) / vg
 	duration := cfg.RampPeriods*period + cfg.SettleFactor*travel + float64(cfg.MeasurePeriods+1)*period
 
-	return &Micromagnetic{
+	m := &Micromagnetic{
 		kind:     kind,
 		cfg:      cfg,
 		L:        l,
@@ -228,7 +234,9 @@ func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, er
 		Vg:       vg,
 		dt:       dt,
 		duration: duration,
-	}, nil
+	}
+	m.fp, m.fpOK = m.computeFingerprint()
+	return m, nil
 }
 
 // Name implements Backend.
@@ -356,8 +364,11 @@ func (m *Micromagnetic) RunContext(ctx context.Context, inputs []bool) (map[stri
 // hook has no canonical identity and reports ok = false (uncacheable).
 // The stepping worker count is excluded — trajectories are bit-identical
 // for any value; the reference-stepper flag is included because the
-// fused and reference cores differ at floating-point round-off.
-func (m *Micromagnetic) Fingerprint() (string, bool) {
+// fused and reference cores differ at floating-point round-off. It is
+// computed once at construction and again on every CalibrateI3 trim.
+func (m *Micromagnetic) Fingerprint() (string, bool) { return m.fp, m.fpOK }
+
+func (m *Micromagnetic) computeFingerprint() (string, bool) {
 	if m.cfg.RegionMutator != nil {
 		return "", false
 	}
@@ -420,20 +431,26 @@ func (m *Micromagnetic) CalibrateI3() (float64, error) {
 		return 0, fmt.Errorf("core: %s has no I3 to calibrate", m.kind)
 	}
 	prev := m.cfg.I3PhaseTrim
-	m.cfg.I3PhaseTrim = 0
+	m.setI3PhaseTrim(0)
 	r1, err := m.RunSingle("I1")
 	if err != nil {
-		m.cfg.I3PhaseTrim = prev
+		m.setI3PhaseTrim(prev)
 		return 0, err
 	}
 	r3, err := m.RunSingle("I3")
 	if err != nil {
-		m.cfg.I3PhaseTrim = prev
+		m.setI3PhaseTrim(prev)
 		return 0, err
 	}
 	trim := dsp.PhaseDiff(r1["O1"].Phase, r3["O1"].Phase)
-	m.cfg.I3PhaseTrim = trim
+	m.setI3PhaseTrim(trim)
 	return trim, nil
+}
+
+// setI3PhaseTrim changes the I3 trim and the fingerprint that hashes it.
+func (m *Micromagnetic) setI3PhaseTrim(rad float64) {
+	m.cfg.I3PhaseTrim = rad
+	m.fp, m.fpOK = m.computeFingerprint()
 }
 
 // inputString renders a logic-input vector as the paper's "10"-style

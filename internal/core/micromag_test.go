@@ -144,6 +144,35 @@ func TestMicromagneticMajorityTruthTable(t *testing.T) {
 	}
 }
 
+// TestCalibrateI3RefreshesFingerprint pins the cached fingerprint: after
+// CalibrateI3 changes the trim, the backend must key the cache exactly
+// like a fresh backend built with that trim, not like its untrimmed self.
+func TestCalibrateI3RefreshesFingerprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	m := reducedMicromag(t, MAJ3)
+	before, _ := m.Fingerprint()
+	trim, err := m.CalibrateI3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewMicromagnetic(MAJ3, MicromagConfig{
+		Spec: layout.ReducedSpec(), Mat: material.FeCoB(), I3PhaseTrim: trim,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := m.Fingerprint()
+	want, _ := fresh.Fingerprint()
+	if !ok || got != want {
+		t.Fatalf("calibrated fingerprint %q (ok=%v), fresh backend with trim %g: %q", got, ok, trim, want)
+	}
+	if trim != 0 && got == before {
+		t.Fatal("fingerprint did not change with the trim")
+	}
+}
+
 func TestMicromagneticSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micromagnetic integration test")

@@ -335,7 +335,7 @@ func (c *Coordinator) SubmitTransient(spec JobSpec, inputs []bool, segments, eve
 		return nil, err
 	}
 	r := &request{id: reqID, spec: spec, run: runID, trace: trace,
-		cases: [][]bool{inputs},
+		cases:  [][]bool{inputs},
 		jobIDs: []string{job.ID}, merged: make(map[string]CaseOutcome),
 		submittedNS: c.clock.Now().UnixNano()}
 	c.mu.Lock()

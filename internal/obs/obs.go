@@ -66,7 +66,9 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // instead.
 type Gauge struct {
 	bits atomic.Uint64
-	fn   func() float64 // non-nil for GaugeFunc-registered gauges
+	// fn is set for GaugeFunc-registered gauges. Atomic because a
+	// re-registration may replace it while a scrape reads it.
+	fn atomic.Pointer[func() float64]
 }
 
 // Set stores v.
@@ -85,8 +87,8 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current gauge value (calling the callback for
 // function gauges).
 func (g *Gauge) Value() float64 {
-	if g.fn != nil {
-		return g.fn()
+	if fn := g.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return math.Float64frombits(g.bits.Load())
 }
@@ -234,12 +236,7 @@ func (r *Registry) Gauge(family string, labels ...Label) *Gauge {
 // time (e.g. current cache entries). Re-registering the same name
 // replaces the callback.
 func (r *Registry) GaugeFunc(family string, fn func() float64, labels ...Label) {
-	m := r.lookup(family, labels, "gauge", func() *metric {
-		return &metric{family: family, labels: labels, g: &Gauge{}}
-	})
-	r.mu.Lock()
-	m.g.fn = fn
-	r.mu.Unlock()
+	r.Gauge(family, labels...).fn.Store(&fn)
 }
 
 // Histogram returns the histogram named family with the given bucket

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"io"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -30,6 +33,32 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r.GaugeFunc("cache_entries", func() float64 { return 42 })
 	if got := r.Gauge("cache_entries").Value(); got != 42 {
 		t.Errorf("gauge func = %g, want 42", got)
+	}
+}
+
+// TestGaugeFuncReplacedWhileScraped: a new server re-registering a
+// process-wide gauge func while an older one's /metrics scrape reads it
+// must not race (run under -race).
+func TestGaugeFuncReplacedWhileScraped(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("burn_rate", func() float64 { return -1 })
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			r.WritePrometheus(io.Discard)
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		v := float64(i)
+		r.GaugeFunc("burn_rate", func() float64 { return v })
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	<-done
+	if got := r.Gauge("burn_rate").Value(); got != 1999 {
+		t.Fatalf("gauge func = %g, want the last registration's 1999", got)
 	}
 }
 

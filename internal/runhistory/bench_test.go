@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
 
 // BenchmarkCatalogAppend measures the per-record indexing cost on the
-// serving path (one durable JSONL append + the in-memory index).
+// serving path (one durable JSONL append + the in-memory index), and
+// the live heap the catalog retains per record (heap-B/record).
 func BenchmarkCatalogAppend(b *testing.B) {
 	cat, err := Open(b.TempDir())
 	if err != nil {
@@ -19,6 +21,7 @@ func BenchmarkCatalogAppend(b *testing.B) {
 		Kind: "eval", Gate: "xor", Backend: "behavioral",
 		Inputs: "10", Tier: "micromag", Verdict: "healthy", Cases: 1,
 	}
+	before := liveHeap()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec.ID = fmt.Sprintf("r%08d", i)
@@ -26,6 +29,43 @@ func BenchmarkCatalogAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(liveHeap()-before)/float64(b.N), "heap-B/record")
+	runtime.KeepAlive(cat)
+}
+
+// catalogHeapPerRecord indexes n records into a fresh catalog and
+// returns the live heap the catalog retains per record.
+func catalogHeapPerRecord(tb testing.TB, n int) float64 {
+	cat, err := Open(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batch := make([]Record, 0, 500)
+	before := liveHeap()
+	for i := 0; i < n; i++ {
+		batch = append(batch, Record{ID: fmt.Sprintf("r%08d", i), Kind: "eval"})
+		if len(batch) == cap(batch) || i == n-1 {
+			if _, err := cat.Append(batch...); err != nil {
+				tb.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(cat)
+	if after < before {
+		return 0
+	}
+	return float64(after-before) / float64(n)
+}
+
+// liveHeap returns the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // BenchmarkSweepSteadyState measures one GC sweep over an artifact

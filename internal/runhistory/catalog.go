@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,9 +26,16 @@ const CatalogFile = "catalog.jsonl"
 type Catalog struct {
 	dir string
 
-	mu   sync.Mutex
-	log  *durable.Log
-	seen map[string]bool
+	mu  sync.Mutex
+	log *durable.Log
+	// seen holds a 64-bit hash of every indexed ID rather than the ID
+	// itself, so the dedup set costs a few bytes per record however long
+	// the IDs are. A hit is only a candidate duplicate: the exact ID is
+	// confirmed in the pending batch or in the log before a record is
+	// dropped, so a hash collision never loses a record (DESIGN.md §17).
+	seen hashSet
+	seed maphash.Seed
+	n    int // distinct records indexed
 	dups int64
 }
 
@@ -45,16 +53,59 @@ func Open(dir string) (*Catalog, error) {
 	c := &Catalog{
 		dir:  dir,
 		log:  durable.NewLog(filepath.Join(dir, CatalogFile)),
-		seen: make(map[string]bool),
+		seed: maphash.MakeSeed(),
 	}
 	recs, err := c.load()
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range recs {
-		c.seen[r.ID] = true
-	}
+	c.index(recs)
 	return c, nil
+}
+
+func (c *Catalog) hash(id string) uint64 { return maphash.String(c.seed, id) }
+
+// index rebuilds the dedup set from recs, the catalog's whole content.
+func (c *Catalog) index(recs []Record) {
+	c.seen = hashSet{}
+	c.n = 0
+	for i, r := range recs {
+		h := c.hash(r.ID)
+		if !c.seen.has(h) {
+			c.seen.add(h)
+		} else if hasID(recs[:i], r.ID) {
+			continue
+		}
+		c.n++
+	}
+}
+
+func hasID(recs []Record, id string) bool {
+	for _, r := range recs {
+		if r.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// logged reports whether the catalog file holds a record with this ID,
+// by the same parse rule as load. Only called on a hash hit. Callers
+// hold c.mu.
+func (c *Catalog) logged(id string) (bool, error) {
+	quoted, _ := json.Marshal(id)
+	found := false
+	err := c.log.Scan(func(line []byte) {
+		if found || !bytes.Contains(line, quoted) {
+			return
+		}
+		var r Record
+		found = json.Unmarshal(line, &r) == nil && r.ID == id
+	})
+	if err != nil {
+		return false, fmt.Errorf("runhistory: read catalog: %w", err)
+	}
+	return found, nil
 }
 
 // Dir returns the catalog directory.
@@ -67,7 +118,7 @@ func (c *Catalog) Path() string { return c.log.Path() }
 func (c *Catalog) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.seen)
+	return c.n
 }
 
 // Duplicates returns how many appends were dropped as duplicate IDs.
@@ -89,46 +140,62 @@ func (c *Catalog) Append(recs ...Record) (int, error) {
 	accepted := make([]Record, 0, len(recs))
 
 	c.mu.Lock()
+	// added lists the hashes this call put into the dedup set; a failed
+	// call takes them out again, so a retry is not swallowed as a
+	// duplicate of records that never reached the disk.
+	var added []uint64
+	fail := func(err error) (int, error) {
+		for _, h := range added {
+			c.seen.remove(h)
+		}
+		c.mu.Unlock()
+		return 0, err
+	}
 	for _, r := range recs {
 		if r.ID == "" || r.Kind == "" {
-			c.mu.Unlock()
-			return 0, fmt.Errorf("runhistory: record needs id and kind")
+			return fail(fmt.Errorf("runhistory: record needs id and kind"))
 		}
-		if c.seen[r.ID] {
-			c.dups++
-			mDuplicates.Inc()
-			continue
+		h := c.hash(r.ID)
+		hit := c.seen.has(h)
+		if hit {
+			dup := hasID(accepted, r.ID)
+			if !dup {
+				var err error
+				if dup, err = c.logged(r.ID); err != nil {
+					return fail(err)
+				}
+			}
+			if dup {
+				c.dups++
+				mDuplicates.Inc()
+				continue
+			}
 		}
 		if r.IndexedNS == 0 {
 			r.IndexedNS = now
 		}
 		line, err := json.Marshal(r)
 		if err != nil {
-			c.mu.Unlock()
-			return 0, fmt.Errorf("runhistory: marshal record: %w", err)
+			return fail(fmt.Errorf("runhistory: marshal record: %w", err))
 		}
 		buf.Write(line)
 		buf.WriteByte('\n')
-		c.seen[r.ID] = true
+		if !hit {
+			c.seen.add(h)
+			added = append(added, h)
+		}
 		accepted = append(accepted, r)
 	}
 	if len(accepted) == 0 {
 		c.mu.Unlock()
 		return 0, nil
 	}
-	err := c.log.Append(buf.Bytes())
-	if err != nil {
-		// Roll the dedup set back so a retry after a transient disk
-		// error is not silently swallowed as a duplicate.
-		for _, r := range accepted {
-			delete(c.seen, r.ID)
-		}
-	}
-	c.mu.Unlock()
-	if err != nil {
+	if err := c.log.Append(buf.Bytes()); err != nil {
 		mErrors.Inc()
-		return 0, fmt.Errorf("runhistory: %w", err)
+		return fail(fmt.Errorf("runhistory: %w", err))
 	}
+	c.n += len(accepted)
+	c.mu.Unlock()
 
 	for _, r := range accepted {
 		mIndexed(r.Kind).Inc()
@@ -297,10 +364,7 @@ func (c *Catalog) Compact(maxRecords int) (removed int, bytes int64, err error) 
 		return 0, 0, fmt.Errorf("runhistory: compact: %w", err)
 	}
 
-	c.seen = make(map[string]bool, len(keep))
-	for _, r := range keep {
-		c.seen[r.ID] = true
-	}
+	c.index(keep)
 	var after int64
 	if fi, err := os.Stat(c.Path()); err == nil {
 		after = fi.Size()

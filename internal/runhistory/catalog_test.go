@@ -231,6 +231,57 @@ func TestInputsLabel(t *testing.T) {
 	}
 }
 
+// TestCatalogHashCollision: a hash hit is confirmed against the exact
+// ID, so an unseen ID whose hash is already in the set is still indexed
+// while a true duplicate is still dropped — in the log and in the batch.
+func TestCatalogHashCollision(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := c.Append(Record{ID: "r1", Kind: "eval"}); n != 1 {
+		t.Fatal("first append rejected")
+	}
+	// Inject collisions: r2 and r3 now hash onto a set entry without
+	// ever having been indexed.
+	c.seen.add(c.hash("r2"))
+	c.seen.add(c.hash("r3"))
+	if n, err := c.Append(Record{ID: "r2", Kind: "eval"}); err != nil || n != 1 {
+		t.Fatalf("colliding unseen ID: Append = %d, %v; want 1, nil", n, err)
+	}
+	if n, _ := c.Append(Record{ID: "r1", Kind: "eval"}); n != 0 {
+		t.Fatal("true duplicate accepted")
+	}
+	// Within one batch the first r3 is new and the second a duplicate.
+	if n, _ := c.Append(Record{ID: "r3", Kind: "eval"}, Record{ID: "r3", Kind: "eval"}); n != 1 {
+		t.Fatalf("batch with a colliding ID twice accepted %d, want 1", n)
+	}
+	if c.Len() != 3 || c.Duplicates() != 2 {
+		t.Fatalf("Len = %d, Duplicates = %d; want 3, 2", c.Len(), c.Duplicates())
+	}
+	recs, err := c.Records()
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("Records = %d, %v; want 3", len(recs), err)
+	}
+	c2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2.Len() != 3 {
+		t.Fatalf("reopened Len = %d, want 3", c2.Len())
+	}
+}
+
+// TestCatalogHeapPerRecord pins the dedup set's memory: the catalog
+// keeps a few bytes per indexed record in memory, not the ID itself.
+func TestCatalogHeapPerRecord(t *testing.T) {
+	const n = 50000
+	if per := catalogHeapPerRecord(t, n); per > 32 {
+		t.Fatalf("catalog holds %.1f B of live heap per record, want <= 32", per)
+	}
+}
+
 func TestCatalogAppendRollbackOnDiskError(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)
