@@ -150,6 +150,10 @@ func TestErrorCodes(t *testing.T) {
 		{"surrogate unavailable", "/v1/eval",
 			map[string]any{"gate": "xor", "mode": "surrogate", "backend": "behavioral", "inputs": []bool{true, false}},
 			http.StatusServiceUnavailable, codeSurrogateUnavailable, true},
+		{"surrogate unavailable batch", "/v1/eval",
+			map[string]any{"gate": "xor", "mode": "surrogate", "backend": "behavioral",
+				"cases": [][]bool{{true, false}, {false, true}}},
+			http.StatusServiceUnavailable, codeSurrogateUnavailable, true},
 		{"surrogate unavailable table", "/v1/table",
 			map[string]any{"gate": "xor", "mode": "surrogate", "backend": "behavioral"},
 			http.StatusServiceUnavailable, codeSurrogateUnavailable, true},

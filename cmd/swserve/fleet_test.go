@@ -52,15 +52,15 @@ func testEvaluator(eng *spinwave.Engine) fleet.Evaluator {
 		if err != nil {
 			return "", nil, err
 		}
+		res, err := eng.EvalBatch(ctx, b, cases, mode, nil)
+		if err != nil {
+			return "", nil, err
+		}
 		out := make([]fleet.CaseOutcome, len(cases))
 		var fp string
-		for i, c := range cases {
-			res, err := eng.EvalTiered(ctx, b, c, mode)
-			if err != nil {
-				return "", nil, err
-			}
-			out[i] = fleet.CaseOutcome{Inputs: c, Outputs: res.Readouts, Source: string(res.Source)}
-			fp = res.Fingerprint
+		for i, r := range res {
+			out[i] = fleet.CaseOutcome{Inputs: cases[i], Outputs: r.Readouts, Source: string(r.Source)}
+			fp = r.Fingerprint
 		}
 		return fp, out, nil
 	})

@@ -459,25 +459,24 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp := evalResponse{Gate: b.Kind().String(), Backend: b.Name(), Mode: modeLabel,
 		Results: make([]caseResponse, len(cases))}
-	fps := make([]string, len(cases))
+	// Mint the run IDs here (rather than letting the engine do it) so
+	// the response can tell the client which ID to tail or fetch probes
+	// for.
+	runIDs := make([]string, len(cases))
+	for i := range runIDs {
+		runIDs[i] = spinwave.NewRunID()
+	}
 	evalStart := time.Now()
-	err = s.eng.Map(ctx, len(cases), func(ctx context.Context, i int) error {
-		// Mint the run ID here (rather than letting the engine do it) so
-		// the response can tell the client which ID to tail or fetch
-		// probes for.
-		runID := spinwave.NewRunID()
-		res, err := s.eng.EvalTiered(spinwave.WithRunID(ctx, runID), b, cases[i], engMode)
-		if err != nil {
-			return err
-		}
-		resp.Results[i] = caseResponse{Inputs: cases[i], Outputs: res.Readouts,
-			Source: string(res.Source), Run: runID}
-		fps[i] = res.Fingerprint
-		return nil
-	})
+	results, err := s.eng.EvalBatch(ctx, b, cases, engMode, runIDs)
 	if err != nil {
 		s.fail(w, err)
 		return
+	}
+	fps := make([]string, len(cases))
+	for i, res := range results {
+		resp.Results[i] = caseResponse{Inputs: cases[i], Outputs: res.Readouts,
+			Source: string(res.Source), Run: runIDs[i]}
+		fps[i] = res.Fingerprint
 	}
 	resp.Fingerprint = fps[0]
 	s.evalCases.Add(int64(len(cases)))
@@ -579,9 +578,7 @@ func (s *server) deadline(ctx context.Context, timeoutMS int64) (context.Context
 
 func (s *server) reply(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.errors.Add(1)
 	}
 }

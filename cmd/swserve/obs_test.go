@@ -43,6 +43,8 @@ func TestRequestValidation(t *testing.T) {
 		{"zero timeout runs", "/v1/table", `{"gate": "xor", "timeout_ms": 0}`, http.StatusOK, "", ""},
 		{"tiny timeout expires", "/v1/table", `{"gate": "xor", "backend": "micromag", "timeout_ms": 1}`,
 			http.StatusGatewayTimeout, codeDeadline, ""},
+		{"tiny timeout expires eval", "/v1/eval", `{"gate": "xor", "backend": "micromag", "cases": [[true, false], [false, true]], "timeout_ms": 1}`,
+			http.StatusGatewayTimeout, codeDeadline, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))

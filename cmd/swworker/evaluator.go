@@ -11,11 +11,12 @@ import (
 
 // newEvaluator adapts the tiered engine to the fleet.Evaluator
 // interface: each job's spec is resolved to a backend + serving mode
-// with the same vocabulary as the swserve /v1 API, and every case runs
-// through the engine so the node's cache/disk/surrogate tiers answer
-// before its solver does. Transient segment jobs (spec.Transient set)
-// instead take the checkpointed path in transient.go, against the
-// coordinator's artifact store.
+// with the same vocabulary as the swserve /v1 API, and the job's cases
+// run as one engine batch: the node's cache/disk/surrogate tiers answer
+// before its solver does, and the cases they miss recompute
+// concurrently, up to the node's -workers. Transient segment jobs
+// (spec.Transient set) instead take the checkpointed path in
+// transient.go, against the coordinator's artifact store.
 func newEvaluator(eng *spinwave.Engine, coordinator string) fleet.Evaluator {
 	return fleet.EvaluatorFunc(func(ctx context.Context, spec fleet.JobSpec, cases [][]bool) (string, []fleet.CaseOutcome, error) {
 		if spec.Transient != nil {
@@ -25,15 +26,15 @@ func newEvaluator(eng *spinwave.Engine, coordinator string) fleet.Evaluator {
 		if err != nil {
 			return "", nil, err
 		}
+		res, err := eng.EvalBatch(ctx, b, cases, mode, nil)
+		if err != nil {
+			return "", nil, err
+		}
 		out := make([]fleet.CaseOutcome, len(cases))
 		var fp string
-		for i, c := range cases {
-			res, err := eng.EvalTiered(ctx, b, c, mode)
-			if err != nil {
-				return "", nil, err
-			}
-			out[i] = fleet.CaseOutcome{Inputs: c, Outputs: res.Readouts, Source: string(res.Source)}
-			fp = res.Fingerprint
+		for i, r := range res {
+			out[i] = fleet.CaseOutcome{Inputs: cases[i], Outputs: r.Readouts, Source: string(r.Source)}
+			fp = r.Fingerprint
 		}
 		return fp, out, nil
 	})

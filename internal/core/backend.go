@@ -92,7 +92,9 @@ func hashKey(canonical string) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// Behavioral is the fast phasor-network backend.
+// Behavioral is the fast phasor-network backend. Net must not be
+// mutated after construction: its junction loss and attenuation length
+// are hashed into the fingerprint once, by NewBehavioral.
 type Behavioral struct {
 	kind GateKind
 	L    *layout.Layout
@@ -100,6 +102,7 @@ type Behavioral struct {
 
 	spec layout.Spec
 	mat  material.Params
+	fp   string // Fingerprint, computed once by NewBehavioral
 }
 
 // NewBehavioral builds a behavioral backend for the gate. The wave number
@@ -134,7 +137,10 @@ func NewBehavioral(kind GateKind, spec layout.Spec, mat material.Params, opts ..
 		return nil, err
 	}
 	net.JunctionLoss = cfg.junctionLoss
-	return &Behavioral{kind: kind, L: l, Net: net, spec: spec, mat: mat}, nil
+	b := &Behavioral{kind: kind, L: l, Net: net, spec: spec, mat: mat}
+	b.fp = hashKey(fmt.Sprintf("behavioral/v1|%d|%+v|%+v|loss=%g|att=%g",
+		int(kind), spec, mat, net.JunctionLoss, net.AttLength))
+	return b, nil
 }
 
 // Name implements Backend.
@@ -214,10 +220,7 @@ func (b *Behavioral) RunSingleContext(ctx context.Context, name string) (map[str
 
 // Fingerprint implements Fingerprinter: a canonical hash of the gate
 // kind, geometry, material, and phasor-network tuning.
-func (b *Behavioral) Fingerprint() (string, bool) {
-	return hashKey(fmt.Sprintf("behavioral/v1|%d|%+v|%+v|loss=%g|att=%g",
-		int(b.kind), b.spec, b.mat, b.Net.JunctionLoss, b.Net.AttLength)), true
-}
+func (b *Behavioral) Fingerprint() (string, bool) { return b.fp, true }
 
 func cabs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }
 

@@ -243,6 +243,39 @@ func (f *fakeBackend) Run(in []bool) (map[string]detect.Readout, error) {
 	return map[string]detect.Readout{"O1": {Probe: "O1", Amplitude: f.amp}}, nil
 }
 
+// TestBehavioralFingerprintOptions pins the fingerprint NewBehavioral
+// computes once: the same configuration keys the same, and every
+// result-relevant option — junction loss, attenuation length, gate
+// kind — keys differently.
+func TestBehavioralFingerprintOptions(t *testing.T) {
+	build := func(kind GateKind, opts ...BehavioralOption) string {
+		t.Helper()
+		b, err := NewBehavioral(kind, layout.PaperSpec(), material.FeCoB(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, ok := b.Fingerprint()
+		if !ok || fp == "" {
+			t.Fatalf("fingerprint %q ok=%v", fp, ok)
+		}
+		return fp
+	}
+	base := build(XOR)
+	if again := build(XOR, WithJunctionLoss(0.9)); again != base {
+		t.Fatalf("default and explicit 0.9 junction loss key differently: %s vs %s", base, again)
+	}
+	for name, fp := range map[string]string{
+		"junction loss 0.8":  build(XOR, WithJunctionLoss(0.8)),
+		"junction loss 1":    build(XOR, WithJunctionLoss(1)),
+		"attenuation length": build(XOR, WithAttenuationLength(1e-6)),
+		"gate kind":          build(MAJ3),
+	} {
+		if fp == base {
+			t.Errorf("%s: fingerprint equals the default XOR backend's", name)
+		}
+	}
+}
+
 func TestReferenceCaseZeroAmplitudeRejected(t *testing.T) {
 	f := &fakeBackend{kind: MAJ3, amp: 0}
 	if _, err := MajorityTruthTable(f); err == nil {

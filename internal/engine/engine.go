@@ -7,8 +7,9 @@
 //
 // Two separate semaphores bound the work:
 //
-//   - eval slots gate individual case evaluations (Eval), the unit of
-//     real compute;
+//   - eval slots gate case recomputes (Eval, EvalTiered, EvalBatch), the
+//     unit of real compute — a case answered by the memory, disk or
+//     surrogate tier takes no slot;
 //   - task slots gate coarse-grained jobs (Map — e.g. one sweep point
 //     each), which may themselves submit Evals.
 //
@@ -208,41 +209,24 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// evalKey derives the cache/singleflight key for one case: the backend's
-// canonical fingerprint plus the input bits. ok is false when the
-// backend is not fingerprintable (results must not be cached or
-// coalesced — two non-canonical backends could differ).
-func evalKey(b core.Backend, inputs []bool) (string, bool) {
-	fp, ok := b.(core.Fingerprinter)
-	if !ok {
-		return "", false
-	}
-	key, ok := fp.Fingerprint()
-	if !ok {
-		return "", false
-	}
-	return key + "/" + bitString(inputs), true
-}
-
-// bitString renders an input vector as the "10"-style case label used
-// in cache keys and journal events.
-func bitString(inputs []bool) string {
-	bits := make([]byte, len(inputs))
-	for i, v := range inputs {
+// appendBits appends the "10"-style case label of an input vector, as
+// used in cache keys and journal events.
+func appendBits(dst []byte, inputs []bool) []byte {
+	for _, v := range inputs {
 		if v {
-			bits[i] = '1'
+			dst = append(dst, '1')
 		} else {
-			bits[i] = '0'
+			dst = append(dst, '0')
 		}
 	}
-	return string(bits)
+	return dst
 }
 
-// Eval evaluates one input case of the backend through the worker pool.
-// Identical requests are served from the result store (in-memory LRU,
-// then the disk tier when one is attached) when the backend is
-// fingerprintable; identical in-flight requests are coalesced onto one
-// evaluation. Eval is exact-only — the surrogate tier requires
+// Eval evaluates one input case of the backend; a recompute runs in an
+// eval slot of the worker pool. Identical requests are served from the
+// result store (in-memory LRU, then the disk tier when one is attached)
+// when the backend is fingerprintable; identical in-flight requests are
+// coalesced onto one evaluation. Eval is exact-only — the surrogate tier requires
 // EvalTiered with ModeAuto. The returned map is the caller's to keep.
 func (e *Engine) Eval(ctx context.Context, b core.Backend, inputs []bool) (map[string]detect.Readout, error) {
 	res, err := e.EvalTiered(ctx, b, inputs, ModeDirect)
@@ -279,7 +263,7 @@ func (e *Engine) runEval(ctx context.Context, b core.Backend, inputs []bool) (ma
 	if j.Enabled() {
 		j.Emit(evalID, "engine.eval.start",
 			journal.F("backend", b.Name()),
-			journal.F("inputs", bitString(inputs)))
+			journal.F("inputs", string(appendBits(nil, inputs))))
 	}
 	start := time.Now()
 	var out map[string]detect.Readout
@@ -354,7 +338,7 @@ func (e *Engine) acquire(ctx context.Context, slots chan struct{}) error {
 // at most Workers tasks run at once. The first error cancels the shared
 // context of the remaining tasks and is returned after all started tasks
 // finish. Use Map for jobs that are themselves units of work (sweep
-// points, word channels); truth-table cases go through Eval.
+// points, word channels); truth-table cases go through EvalBatch.
 func (e *Engine) Map(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -414,8 +398,9 @@ func (e *Engine) Map(ctx context.Context, n int, f func(ctx context.Context, i i
 }
 
 // fanout runs f(ctx, i) for every i in [0, n) on its own goroutine —
-// concurrency here is bounded by what f itself acquires (Eval slots),
-// not by the task pool. The first error cancels the rest.
+// concurrency here is bounded by what f itself acquires (eval slots),
+// not by the task pool. The first error cancels the rest. EvalBatch
+// uses it for the cases no tier answered.
 func (e *Engine) fanout(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)

@@ -8,48 +8,33 @@ import (
 	"spinwave/internal/detect"
 )
 
-// evalCases fans the given input combinations out over the worker pool
-// and returns the readouts in input order.
-func (e *Engine) evalCases(ctx context.Context, b core.Backend, inputs [][]bool) ([]map[string]detect.Readout, error) {
-	outs, _, err := e.evalCasesTiered(ctx, b, inputs, ModeDirect)
-	return outs, err
-}
-
 // SourceMixed is the aggregate Source of a multi-case evaluation whose
 // cases were answered by different tiers.
 const SourceMixed Source = "mixed"
 
-// evalCasesTiered fans the input combinations out through the tiered
-// store and also reports the aggregate source: the single tier that
-// answered every case, or SourceMixed.
+// evalCasesTiered evaluates the input combinations through EvalBatch
+// and also reports the aggregate source: the single tier that answered
+// every case, or SourceMixed.
 func (e *Engine) evalCasesTiered(ctx context.Context, b core.Backend, inputs [][]bool, mode Mode) ([]map[string]detect.Readout, Source, error) {
-	outs := make([]map[string]detect.Readout, len(inputs))
-	sources := make([]Source, len(inputs))
-	err := e.fanout(ctx, len(inputs), func(ctx context.Context, i int) error {
-		res, err := e.EvalTiered(ctx, b, inputs[i], mode)
-		if err != nil {
-			return fmt.Errorf("case %v: %w", inputs[i], err)
-		}
-		outs[i] = res.Readouts
-		sources[i] = res.Source
-		return nil
-	})
+	res, err := e.EvalBatch(ctx, b, inputs, mode, nil)
 	if err != nil {
-		return nil, "", fmt.Errorf("engine: %w", err)
+		return nil, "", err
 	}
-	agg := sources[0]
-	for _, s := range sources[1:] {
-		if s != agg {
+	outs := make([]map[string]detect.Readout, len(res))
+	agg := res[0].Source
+	for i, r := range res {
+		outs[i] = r.Readouts
+		if r.Source != agg {
 			agg = SourceMixed
-			break
 		}
 	}
 	return outs, agg, nil
 }
 
 // MajorityTable reproduces the paper's Table I through the engine: all
-// input cases of a MAJ3-family backend evaluated concurrently on the
-// worker pool, then decoded exactly as core.MajorityTruthTable would.
+// input cases of a MAJ3-family backend evaluated as one batch (the
+// recomputes concurrently on the worker pool), then decoded exactly as
+// core.MajorityTruthTable would.
 func (e *Engine) MajorityTable(ctx context.Context, b core.Backend) (*core.TruthTable, error) {
 	tt, _, err := e.MajorityTableTiered(ctx, b, ModeDirect)
 	return tt, err
@@ -92,8 +77,8 @@ func (e *Engine) XORTableTiered(ctx context.Context, b core.Backend, inverted bo
 }
 
 // DerivedTable evaluates a §III-A derived (N)AND/(N)OR gate through the
-// engine: the all-zeros reference and the four pinned-I3 cases run
-// concurrently.
+// engine: the all-zeros reference and the four pinned-I3 cases run as
+// one batch.
 func (e *Engine) DerivedTable(ctx context.Context, b core.Backend, d core.DerivedGate) (*core.TruthTable, error) {
 	tt, _, err := e.DerivedTableTiered(ctx, b, d, ModeDirect)
 	return tt, err
@@ -110,7 +95,7 @@ func (e *Engine) DerivedTableTiered(ctx context.Context, b core.Backend, d core.
 		return nil, "", err
 	}
 	// The reference (all zeros of the full MAJ3 input space) rides along
-	// as one more fanned-out case.
+	// as one more case of the batch.
 	all := make([][]bool, 0, len(drives)+1)
 	all = append(all, make([]bool, b.Kind().NumInputs()))
 	all = append(all, drives...)

@@ -156,20 +156,43 @@ func (e *Engine) Surrogates() []string {
 	return out
 }
 
-// surrogateForBackend matches an admitted model to a backend by
-// canonical fingerprint; nil when the backend is unfingerprintable or
-// no model is admitted.
-func (e *Engine) surrogateForBackend(b core.Backend) Surrogate {
-	fper, ok := b.(core.Fingerprinter)
-	if !ok {
-		return nil
+// plan is the per-backend half of a tiered lookup, resolved once for
+// every case of a batch: the validated mode, the backend's canonical
+// fingerprint and the admitted surrogate model that matches it.
+type plan struct {
+	b         core.Backend
+	mode      Mode
+	src       Source    // what a recompute on b reports
+	fp        string    // canonical fingerprint (when cacheable)
+	cacheable bool      // b is fingerprintable: results may be stored and coalesced
+	sur       Surrogate // admitted model for fp (auto and surrogate modes only)
+}
+
+func (e *Engine) plan(b core.Backend, mode Mode) (plan, error) {
+	switch mode {
+	case ModeDirect, ModeAuto, ModeSurrogateOnly:
+	case "":
+		mode = ModeDirect
+	default:
+		return plan{}, fmt.Errorf("engine: unknown eval mode %q", mode)
 	}
-	fp, ok := fper.Fingerprint()
-	if !ok {
-		return nil
+	p := plan{b: b, mode: mode, src: computeSource(b)}
+	if fper, ok := b.(core.Fingerprinter); ok {
+		p.fp, p.cacheable = fper.Fingerprint()
 	}
-	s, _ := e.SurrogateFor(fp)
-	return s
+	if p.cacheable && mode != ModeDirect {
+		p.sur, _ = e.SurrogateFor(p.fp)
+	}
+	return p, nil
+}
+
+// key derives the cache/singleflight key of one case: the backend's
+// canonical fingerprint, "/", and the input bits.
+func (p *plan) key(inputs []bool) string {
+	buf := make([]byte, 0, len(p.fp)+1+len(inputs))
+	buf = append(buf, p.fp...)
+	buf = append(buf, '/')
+	return string(appendBits(buf, inputs))
 }
 
 // EvalTiered evaluates one input case through the tiered result store:
@@ -184,47 +207,110 @@ func (e *Engine) surrogateForBackend(b core.Backend) Surrogate {
 // served superposed values labeled as cache hits. Recompute results are
 // persisted to disk only when the evaluation cost clears the persist
 // threshold (microsecond behavioral evals stay IO-free).
+//
+// EvalTiered runs on the caller's goroutine; only a recompute takes an
+// eval slot. EvalBatch is the same two halves for many cases.
 func (e *Engine) EvalTiered(ctx context.Context, b core.Backend, inputs []bool, mode Mode) (EvalResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	switch mode {
-	case ModeDirect, ModeAuto, ModeSurrogateOnly:
-	case "":
-		mode = ModeDirect
-	default:
-		return EvalResult{}, fmt.Errorf("engine: unknown eval mode %q", mode)
+	p, err := e.plan(b, mode)
+	if err != nil {
+		return EvalResult{}, err
 	}
+	res, hit, err := e.lookup(ctx, &p, inputs, journal.RunID(ctx))
+	if err != nil || hit {
+		return res, err
+	}
+	return e.recompute(ctx, &p, inputs)
+}
+
+// EvalBatch evaluates every case through the tiered store, in the same
+// two halves as EvalTiered. The lookups over the microsecond tiers
+// (memory, disk, surrogate) run one after another on the caller's
+// goroutine: they need neither a goroutine nor a worker slot. Only the
+// cases that miss every tier are fanned out, each recompute in an eval
+// slot, so stored answers never queue behind multi-second solver runs
+// and the misses still run up to Workers at once.
+//
+// runIDs, when non-nil, holds one journal run ID per case: its tier
+// events and, on a miss, its recompute journal under that ID. The
+// results are in case order; the first error fails the batch, and so
+// does a cancelled ctx.
+func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, mode Mode, runIDs []string) ([]EvalResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if runIDs != nil && len(runIDs) != len(cases) {
+		return nil, fmt.Errorf("engine: %d run IDs for %d cases", len(runIDs), len(cases))
+	}
+	p, err := e.plan(b, mode)
+	if err != nil {
+		return nil, err
+	}
+	runID := journal.RunID(ctx)
+	out := make([]EvalResult, len(cases))
+	var misses []int
+	for i, in := range cases {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if runIDs != nil {
+			runID = runIDs[i]
+		}
+		res, hit, err := e.lookup(ctx, &p, in, runID)
+		if err != nil {
+			return nil, fmt.Errorf("engine: case %v: %w", in, err)
+		}
+		if hit {
+			out[i] = res
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	if len(misses) == 0 {
+		return out, nil
+	}
+	err = e.fanout(ctx, len(misses), func(ctx context.Context, m int) error {
+		i := misses[m]
+		if runIDs != nil {
+			ctx = journal.WithRunID(ctx, runIDs[i])
+		}
+		res, err := e.recompute(ctx, &p, cases[i])
+		if err != nil {
+			return fmt.Errorf("case %v: %w", cases[i], err)
+		}
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	return out, nil
+}
+
+// lookup is the first half of a tiered evaluation: it counts the
+// request and answers the case from the memory, disk and (per mode)
+// surrogate tiers. hit is false when the case needs an exact recompute.
+// Tier events journal under runID.
+func (e *Engine) lookup(ctx context.Context, p *plan, inputs []bool, runID string) (res EvalResult, hit bool, err error) {
 	e.requests.Add(1)
 	mRequests.Inc()
-	key, cacheable := evalKey(b, inputs)
-	baseFP := ""
-	if cacheable {
-		// evalKey is fingerprint + "/" + bits; recover the fingerprint for
-		// the result without re-hashing.
-		baseFP = key[:len(key)-len(inputs)-1]
-	}
-
-	if mode == ModeSurrogateOnly {
-		sur := e.surrogateForBackend(b)
-		if sur == nil {
-			return EvalResult{}, fmt.Errorf("%w: %s (%s)", ErrSurrogateUnavailable, b.Kind(), b.Name())
+	if p.mode == ModeSurrogateOnly {
+		if p.sur == nil {
+			return EvalResult{}, false, fmt.Errorf("%w: %s (%s)", ErrSurrogateUnavailable, p.b.Kind(), p.b.Name())
 		}
-		out, err := e.evalSurrogate(ctx, sur, inputs)
+		out, err := e.evalSurrogate(ctx, p.sur, inputs, runID)
 		if err != nil {
-			return EvalResult{}, err
+			return EvalResult{}, false, err
 		}
-		return EvalResult{Readouts: out, Source: SourceSurrogate, Fingerprint: sur.BaseFingerprint()}, nil
+		return EvalResult{Readouts: out, Source: SourceSurrogate, Fingerprint: p.sur.BaseFingerprint()}, true, nil
+	}
+	if !p.cacheable {
+		return EvalResult{}, false, nil
 	}
 
-	if !cacheable {
-		out, err := e.runEval(ctx, b, inputs)
-		if err != nil {
-			return EvalResult{}, err
-		}
-		return EvalResult{Readouts: out, Source: computeSource(b)}, nil
-	}
-
+	key := p.key(inputs)
 	j := journal.Default()
 	// Memory tier.
 	if e.cache != nil {
@@ -232,15 +318,15 @@ func (e *Engine) EvalTiered(ctx context.Context, b core.Backend, inputs []bool, 
 			e.hits.Add(1)
 			mCacheHits.Inc()
 			if j.Enabled() {
-				j.Emit(journal.RunID(ctx), "engine.cache",
+				j.Emit(runID, "engine.cache",
 					journal.F("result", "hit"), journal.F("key", key))
 			}
-			return EvalResult{Readouts: cloneReadouts(v), Source: SourceCache, Fingerprint: baseFP}, nil
+			return EvalResult{Readouts: cloneReadouts(v), Source: SourceCache, Fingerprint: p.fp}, true, nil
 		}
 		e.misses.Add(1)
 		mCacheMisses.Inc()
 		if j.Enabled() {
-			j.Emit(journal.RunID(ctx), "engine.cache",
+			j.Emit(runID, "engine.cache",
 				journal.F("result", "miss"), journal.F("key", key))
 		}
 	}
@@ -259,31 +345,41 @@ func (e *Engine) EvalTiered(ctx context.Context, b core.Backend, inputs []bool, 
 				}
 			}
 			if j.Enabled() {
-				j.Emit(journal.RunID(ctx), "engine.tier",
+				j.Emit(runID, "engine.tier",
 					journal.F("tier", "disk"), journal.F("result", "hit"), journal.F("key", key))
 			}
-			return EvalResult{Readouts: out, Source: SourceDisk, Fingerprint: baseFP}, nil
+			return EvalResult{Readouts: out, Source: SourceDisk, Fingerprint: p.fp}, true, nil
 		}
 		e.diskMisses.Add(1)
 		mDiskMisses.Inc()
 	}
 	// Surrogate tier (auto mode only; exact tiers above already missed).
-	if mode == ModeAuto {
-		if sur := e.surrogateForBackend(b); sur != nil {
-			out, err := e.evalSurrogate(ctx, sur, inputs)
-			if err == nil {
-				return EvalResult{Readouts: out, Source: SourceSurrogate, Fingerprint: baseFP}, nil
-			}
-			// A failing surrogate (bad input length surfaces earlier; this
-			// is defensive) falls through to exact recompute.
+	if p.sur != nil {
+		if out, err := e.evalSurrogate(ctx, p.sur, inputs, runID); err == nil {
+			return EvalResult{Readouts: out, Source: SourceSurrogate, Fingerprint: p.fp}, true, nil
 		}
+		// A failing surrogate (bad input length surfaces earlier; this
+		// is defensive) falls through to exact recompute.
 	}
-	// Exact recompute through singleflight; only exact results are
-	// memoized, so concurrent ModeDirect and ModeAuto misses may share
-	// one evaluation safely.
+	return EvalResult{}, false, nil
+}
+
+// recompute is the second half of a tiered evaluation: an exact run of
+// the case in an eval slot. Cacheable backends go through singleflight
+// and store the result; only exact results are memoized, so concurrent
+// ModeDirect and ModeAuto misses may share one evaluation safely.
+func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool) (EvalResult, error) {
+	if !p.cacheable {
+		out, err := e.runEval(ctx, p.b, inputs)
+		if err != nil {
+			return EvalResult{}, err
+		}
+		return EvalResult{Readouts: out, Source: p.src}, nil
+	}
+	key := p.key(inputs)
 	v, err, shared := e.flight.do(ctx, key, func() (map[string]detect.Readout, error) {
 		start := time.Now()
-		out, err := e.runEval(ctx, b, inputs)
+		out, err := e.runEval(ctx, p.b, inputs)
 		if err == nil {
 			if e.cache != nil {
 				if n := e.cache.put(key, out); n > 0 {
@@ -308,7 +404,7 @@ func (e *Engine) EvalTiered(ctx context.Context, b core.Backend, inputs []bool, 
 	if shared {
 		e.deduped.Add(1)
 		mCoalesced.Inc()
-		if j.Enabled() {
+		if j := journal.Default(); j.Enabled() {
 			j.Emit(journal.RunID(ctx), "engine.cache",
 				journal.F("result", "coalesced"), journal.F("key", key))
 		}
@@ -316,13 +412,13 @@ func (e *Engine) EvalTiered(ctx context.Context, b core.Backend, inputs []bool, 
 	if err != nil {
 		return EvalResult{}, err
 	}
-	return EvalResult{Readouts: cloneReadouts(v), Source: computeSource(b), Fingerprint: baseFP}, nil
+	return EvalResult{Readouts: cloneReadouts(v), Source: p.src, Fingerprint: p.fp}, nil
 }
 
 // evalSurrogate answers one case from an admitted model, with tier
 // accounting and the context checked up front (superposition is
 // microseconds — not worth a worker slot).
-func (e *Engine) evalSurrogate(ctx context.Context, s Surrogate, inputs []bool) (map[string]detect.Readout, error) {
+func (e *Engine) evalSurrogate(ctx context.Context, s Surrogate, inputs []bool, runID string) (map[string]detect.Readout, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -336,7 +432,7 @@ func (e *Engine) evalSurrogate(ctx context.Context, s Surrogate, inputs []bool) 
 	mSurrogateEvals.Inc()
 	mSurrogateSeconds.Observe(elapsed.Seconds())
 	if j := journal.Default(); j.Enabled() {
-		j.Emit(journal.RunID(ctx), "engine.tier",
+		j.Emit(runID, "engine.tier",
 			journal.F("tier", "surrogate"), journal.F("result", "hit"),
 			journal.F("fingerprint", s.BaseFingerprint()))
 	}
