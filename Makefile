@@ -30,11 +30,11 @@ test-race:
 	$(GO) test -race ./internal/durable/ ./internal/engine/ ./internal/mag/ ./internal/llg/ ./internal/tile/ ./internal/parallel/ ./internal/obs/ ./internal/journal/ ./internal/probe/ ./internal/health/ ./internal/fleet/ ./internal/fleet/faults/ ./internal/checkpoint/ ./internal/obsplane/ ./internal/runhistory/ ./cmd/swserve/ ./cmd/swworker/
 
 # Godoc coverage gate (ISSUE 3): every exported identifier in the LLG
-# core, the field evaluator, the gate backends, the flight-recorder
+# core and its term-by-term test oracle, the field evaluator, the gate backends, the flight-recorder
 # packages, the checkpoint/fleet layers, the durable file primitives,
 # the worker entrypoint and the root package must carry a doc comment.
 docs-lint:
-	$(GO) run ./tools/docslint . ./internal/durable ./internal/llg ./internal/mag ./internal/core ./internal/probe ./internal/journal ./internal/health ./internal/fleet ./internal/fleet/faults ./internal/checkpoint ./internal/obsplane ./internal/runhistory ./cmd/swworker
+	$(GO) run ./tools/docslint . ./internal/durable ./internal/llg ./internal/llg/llgref ./internal/mag ./internal/core ./internal/probe ./internal/journal ./internal/health ./internal/fleet ./internal/fleet/faults ./internal/checkpoint ./internal/obsplane ./internal/runhistory ./cmd/swworker
 
 # Flight-recorder smoke (ISSUE 4): a short probed XOR case writing the
 # JSONL journal and Chrome trace, then schema-validating the journal.
@@ -144,8 +144,9 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mag/
 	$(GO) test -run '^$$' -bench EvalBatchStored -benchmem ./internal/engine/
 
-# Full stepper benchmark: reference vs fused core at 1/2/4/8 workers on
-# the XOR and MAJ3 truth tables; regenerates the committed artifact.
+# Full stepper benchmark: reference (the llgref oracle) vs fused core at
+# 1/2/4/8 workers on the XOR and MAJ3 truth tables; regenerates the
+# committed artifact.
 bench-pr3:
 	$(GO) run ./cmd/swbench -out BENCH_pr3.json
 

@@ -23,6 +23,12 @@
 // steps/s and the surrogate speedup is the ratio of two per-case times
 // from the same run, so a slower CI host does not trip the gates but a
 // real slowdown relative to the run's own exact solver does.
+//
+// The fused modes time full backend transients (setup, stepping,
+// lock-in). The reference mode times the test oracle
+// internal/llg/llgref, which production no longer reaches: it steps a
+// bare llg.Solver built over the backend's own mesh, region, material
+// and time step for the same steps-per-case × cases step count.
 package main
 
 import (
@@ -36,6 +42,8 @@ import (
 	"time"
 
 	"spinwave"
+	"spinwave/internal/llg"
+	"spinwave/internal/llg/llgref"
 )
 
 // modeResult is one (stepper, workers) timing row.
@@ -254,13 +262,26 @@ func normalizedFused8(g gateResult) (float64, bool) {
 }
 
 // newBackend builds a micromagnetic backend for the benchmark.
-func newBackend(kind spinwave.GateKind, workers int, reference bool) (*spinwave.Micromagnetic, error) {
+func newBackend(kind spinwave.GateKind, workers int) (*spinwave.Micromagnetic, error) {
 	return spinwave.NewMicromagnetic(kind, spinwave.MicromagConfig{
-		Spec:                spinwave.ReducedSpec(),
-		Mat:                 spinwave.FeCoB(),
-		Workers:             workers,
-		UseReferenceStepper: reference,
+		Spec:    spinwave.ReducedSpec(),
+		Mat:     spinwave.FeCoB(),
+		Workers: workers,
 	})
+}
+
+// referenceSteps takes n term-by-term oracle steps on a bare solver
+// built over the backend's mesh, region, material and time step.
+func referenceSteps(m *spinwave.Micromagnetic, n int) error {
+	s, err := llg.New(m.Mesh, m.Region, spinwave.FeCoB(), m.Dt())
+	if err != nil {
+		return err
+	}
+	oracle := llgref.New(s, nil)
+	for i := 0; i < n; i++ {
+		oracle.Step()
+	}
+	return s.CheckFinite()
 }
 
 // benchCases returns the input combinations timed per mode: the full
@@ -285,7 +306,7 @@ func benchCases(kind spinwave.GateKind, quick bool) [][]bool {
 
 func benchGate(kind spinwave.GateKind, quick, surrogateOn bool) (*gateResult, error) {
 	cases := benchCases(kind, quick)
-	probe, err := newBackend(kind, 1, false)
+	probe, err := newBackend(kind, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -314,19 +335,26 @@ func benchGate(kind spinwave.GateKind, quick, surrogateOn bool) (*gateResult, er
 	}
 	var refSeconds, fused1Seconds float64
 	for _, md := range modes {
-		m, err := newBackend(kind, md.workers, md.reference)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		for _, in := range cases {
-			if _, err := m.Run(in); err != nil {
-				return nil, fmt.Errorf("%s %s w=%d: %w", g.Gate, md.name, md.workers, err)
-			}
-		}
-		secs := time.Since(start).Seconds()
+		var secs float64
 		if md.reference {
+			start := time.Now()
+			if err := referenceSteps(probe, g.StepsPerCase*len(cases)); err != nil {
+				return nil, fmt.Errorf("%s reference: %w", g.Gate, err)
+			}
+			secs = time.Since(start).Seconds()
 			refSeconds = secs
+		} else {
+			m, err := newBackend(kind, md.workers)
+			if err != nil {
+				return nil, err
+			}
+			start := time.Now()
+			for _, in := range cases {
+				if _, err := m.Run(in); err != nil {
+					return nil, fmt.Errorf("%s %s w=%d: %w", g.Gate, md.name, md.workers, err)
+				}
+			}
+			secs = time.Since(start).Seconds()
 		}
 		if md.name == "fused" && md.workers == 1 {
 			fused1Seconds = secs
@@ -382,7 +410,7 @@ const surrogateTimingFloor = 200 * time.Millisecond
 // per-case time from the same run; the reported speedup is the ratio of
 // the two per-case times, so it is machine-independent.
 func benchSurrogate(kind spinwave.GateKind, fused1PerCase float64) (*surrogateResult, error) {
-	m, err := newBackend(kind, 1, false)
+	m, err := newBackend(kind, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +456,7 @@ func benchSurrogate(kind spinwave.GateKind, fused1PerCase float64) (*surrogateRe
 // trajectoriesIdentical runs one full transient at 1 and 8 workers and
 // compares every cell of the final magnetization exactly.
 func trajectoriesIdentical(kind spinwave.GateKind, inputs []bool) (bool, error) {
-	m1, err := newBackend(kind, 1, false)
+	m1, err := newBackend(kind, 1)
 	if err != nil {
 		return false, err
 	}
@@ -436,7 +464,7 @@ func trajectoriesIdentical(kind spinwave.GateKind, inputs []bool) (bool, error) 
 	if err != nil {
 		return false, err
 	}
-	m8, err := newBackend(kind, 8, false)
+	m8, err := newBackend(kind, 8)
 	if err != nil {
 		return false, err
 	}

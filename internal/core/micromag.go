@@ -53,10 +53,6 @@ type MicromagConfig struct {
 	// that many goroutines, banded over mesh rows (useful on multi-core
 	// machines; trajectories are bit-identical for any worker count).
 	Workers int
-	// UseReferenceStepper forces the original term-by-term LLG stepper
-	// instead of the fused tiled core. It exists for benchmarking and
-	// debugging; the two agree to floating-point round-off.
-	UseReferenceStepper bool
 	// Temperature enables the stochastic thermal field when > 0 (kelvin).
 	Temperature float64
 	// Seed seeds the thermal field.
@@ -282,7 +278,6 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool) (*llg.Sol
 		return nil, nil, err
 	}
 	s.Scheme = m.cfg.Scheme
-	s.UseReference = m.cfg.UseReferenceStepper
 	s.SetWorkers(m.cfg.Workers)
 
 	// Matched terminations at the layout's absorbing ends.
@@ -363,9 +358,8 @@ func (m *Micromagnetic) RunContext(ctx context.Context, inputs []bool) (map[stri
 // kind and the full micromagnetic config. A backend with a RegionMutator
 // hook has no canonical identity and reports ok = false (uncacheable).
 // The stepping worker count is excluded — trajectories are bit-identical
-// for any value; the reference-stepper flag is included because the
-// fused and reference cores differ at floating-point round-off. It is
-// computed once at construction and again on every CalibrateI3 trim.
+// for any value. It is computed once at construction and again on every
+// CalibrateI3 trim.
 func (m *Micromagnetic) Fingerprint() (string, bool) { return m.fp, m.fpOK }
 
 func (m *Micromagnetic) computeFingerprint() (string, bool) {
@@ -373,11 +367,13 @@ func (m *Micromagnetic) computeFingerprint() (string, bool) {
 		return "", false
 	}
 	c := m.cfg
-	return hashKey(fmt.Sprintf("micromag/v1|%d|%+v|%+v|cell=%g|drive=%g|ramp=%g|meas=%d|settle=%g|sample=%d|alpha=%g|scheme=%d|T=%g|seed=%d|trim=%g|ref=%t|dts=%g",
+	// "ref=false" is frozen from the retired reference-stepper switch so
+	// existing disk stores, checkpoint manifests and history records stay
+	// keyed.
+	return hashKey(fmt.Sprintf("micromag/v1|%d|%+v|%+v|cell=%g|drive=%g|ramp=%g|meas=%d|settle=%g|sample=%d|alpha=%g|scheme=%d|T=%g|seed=%d|trim=%g|ref=false|dts=%g",
 		int(m.kind), c.Spec, c.Mat, c.CellSize, c.DriveField, c.RampPeriods,
 		c.MeasurePeriods, c.SettleFactor, c.SampleEvery, c.MaxAlpha,
-		int(c.Scheme), c.Temperature, c.Seed, c.I3PhaseTrim,
-		c.UseReferenceStepper, c.DtScale)), true
+		int(c.Scheme), c.Temperature, c.Seed, c.I3PhaseTrim, c.DtScale)), true
 }
 
 // RunSingle excites only the named input at logic 0 and measures the

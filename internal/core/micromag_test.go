@@ -217,3 +217,25 @@ func TestMicromagConfigDefaults(t *testing.T) {
 		t.Errorf("explicit drive overridden: %g", c2.DriveField)
 	}
 }
+
+// TestMicromagFingerprintPinned pins the default XOR and MAJ3 micromag
+// fingerprints to their values from before the reference-stepper switch
+// left MicromagConfig: the canonical string keeps its frozen "ref=false",
+// so no disk store, checkpoint manifest or history record is re-keyed.
+func TestMicromagFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		kind GateKind
+		want string
+	}{
+		{XOR, "98dbf3b4f066c6f07ff023d15fefddfa"},
+		{MAJ3, "a272afd6903eab8d779a45da4abde73e"},
+	} {
+		m, err := NewMicromagnetic(tc.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := m.Fingerprint(); !ok || got != tc.want {
+			t.Errorf("%v fingerprint = %q (ok=%v), want %q", tc.kind, got, ok, tc.want)
+		}
+	}
+}

@@ -78,12 +78,6 @@ func WithWorkers(n int) MicromagOption {
 	return micromagOptionFunc(func(c *MicromagConfig) { c.Workers = n })
 }
 
-// WithReferenceStepper forces the original term-by-term LLG stepper
-// instead of the fused tiled core — the benchmarking baseline.
-func WithReferenceStepper(on bool) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.UseReferenceStepper = on })
-}
-
 // WithCellSize sets the square cell edge in meters (default λ/11).
 func WithCellSize(d float64) MicromagOption {
 	return micromagOptionFunc(func(c *MicromagConfig) { c.CellSize = d })

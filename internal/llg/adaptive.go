@@ -45,8 +45,7 @@ func (c AdaptiveConfig) withDefaults(dt float64) AdaptiveConfig {
 // accepted and rejected steps. The solver's Dt field is used as the
 // initial step and left at the final adapted value.
 //
-// Like Step, it uses the fused tiled core unless UseReference is set or
-// a full demag convolution is installed. The error estimate is an
+// Like Step, it runs the fused tiled core. The error estimate is an
 // ∞-norm: it is reduced from fixed per-band partials, and the maximum is
 // partition-invariant, so accept/reject decisions — and hence the whole
 // trajectory — are bit-identical for every worker count.
@@ -84,11 +83,7 @@ func (s *Solver) RunAdaptiveUntil(end float64, cfg AdaptiveConfig, each func(ste
 	if cfg.MinDt <= 0 || cfg.MaxDt < cfg.MinDt {
 		return 0, 0, fmt.Errorf("llg: invalid adaptive step bounds [%g, %g]", cfg.MinDt, cfg.MaxDt)
 	}
-	if s.UseReference || s.Eval.FullDemag != nil {
-		accepted, rejected, err = s.runAdaptiveReference(end, cfg, each)
-	} else {
-		accepted, rejected, err = s.runAdaptiveFused(end, cfg, each)
-	}
+	accepted, rejected, err = s.runAdaptiveFused(end, cfg, each)
 	if j := journal.Default(); j.Enabled() {
 		j.Emit(s.RunID, "adaptive.stats",
 			journal.F("accepted", accepted),
@@ -118,7 +113,7 @@ func (s *Solver) runAdaptiveFused(end float64, cfg AdaptiveConfig, each func(ste
 		s.runStage(s.passBS23, 3, t+3*dt/4, dt, s.mtmp2)
 		s.runStage(s.passBS23, 4, t+dt, dt, s.mtmp)
 		// √ of the max squared norm equals the max norm (√ is monotone),
-		// so this matches the reference stepper's per-cell norms exactly.
+		// so this matches the ∞-norm of per-cell norms exactly.
 		worst := math.Sqrt(tile.MaxFloat64s(s.errPart)) * dt
 		committed := worst <= cfg.MaxErr || dt <= cfg.MinDt
 		if committed {
@@ -150,84 +145,7 @@ func (s *Solver) runAdaptiveFused(end float64, cfg AdaptiveConfig, each func(ste
 	return accepted, rejected, nil
 }
 
-// runAdaptiveReference is the original term-by-term RK23 loop, retained
-// as the baseline and as the path for full-demag runs. The embedded
-// error stage now has its own buffer (kerr); it previously reused the
-// RK4 k4 buffer — harmless at the time because the adaptive path never
-// touched k4, but an aliasing trap once buffers started being shared
-// across banded passes.
-func (s *Solver) runAdaptiveReference(end float64, cfg AdaptiveConfig, each func(step int) bool) (accepted, rejected int, err error) {
-	dt := math.Min(math.Max(s.Dt, cfg.MinDt), cfg.MaxDt)
-
-	n := len(s.M)
-	m2 := s.mtmp
-	e3 := s.kerr
-
-	for s.Time < end {
-		if s.Time+dt > end {
-			dt = end - s.Time
-		}
-		t := s.Time
-		// Bogacki–Shampine: k1 at t, k2 at t+dt/2, k3 at t+3dt/4,
-		// 3rd-order solution y3; embedded 2nd-order ŷ via k4 at t+dt.
-		s.rhs(t, s.M, s.k1)
-		m2.Copy(s.M)
-		m2.AddScaled(dt/2, s.k1)
-		s.rhs(t+dt/2, m2, s.k2)
-		m2.Copy(s.M)
-		m2.AddScaled(3*dt/4, s.k2)
-		s.rhs(t+3*dt/4, m2, s.k3)
-		// y3 = y + dt(2/9 k1 + 1/3 k2 + 4/9 k3)
-		m2.Copy(s.M)
-		m2.AddScaled(2*dt/9, s.k1)
-		m2.AddScaled(dt/3, s.k2)
-		m2.AddScaled(4*dt/9, s.k3)
-		s.rhs(t+dt, m2, e3) // error stage for the embedded 2nd-order pair
-		// err = dt·‖(−5/72)k1 + (1/12)k2 + (1/9)k3 + (−1/8)k4‖∞
-		worst := 0.0
-		for i := 0; i < n; i++ {
-			if !s.Region[i] {
-				continue
-			}
-			ex := (-5.0/72)*s.k1[i].X + (1.0/12)*s.k2[i].X + (1.0/9)*s.k3[i].X - (1.0/8)*e3[i].X
-			ey := (-5.0/72)*s.k1[i].Y + (1.0/12)*s.k2[i].Y + (1.0/9)*s.k3[i].Y - (1.0/8)*e3[i].Y
-			ez := (-5.0/72)*s.k1[i].Z + (1.0/12)*s.k2[i].Z + (1.0/9)*s.k3[i].Z - (1.0/8)*e3[i].Z
-			e := math.Sqrt(ex*ex + ey*ey + ez*ez)
-			if e > worst {
-				worst = e
-			}
-		}
-		worst *= dt
-		committed := worst <= cfg.MaxErr || dt <= cfg.MinDt
-		if committed {
-			// Accept.
-			s.M.Copy(m2)
-			s.renormalize()
-			s.Time = t + dt
-			s.steps++
-			accepted++
-			if s.obs != nil {
-				s.obs.ObserveStep(s.steps, s.Time, s.M)
-			}
-		} else {
-			rejected++
-		}
-		dt = nextDt(dt, worst, cfg)
-		if committed && each != nil {
-			s.Dt = dt // expose the proposed next step to the callback's checkpoint
-			if !each(accepted) {
-				return accepted, rejected, nil
-			}
-		}
-		if accepted+rejected > 50_000_000 {
-			return accepted, rejected, fmt.Errorf("llg: adaptive run exceeded step budget")
-		}
-	}
-	s.Dt = dt
-	return accepted, rejected, nil
-}
-
-// nextDt is the shared step-size controller (3rd-order: exponent 1/3).
+// nextDt is the step-size controller (3rd-order: exponent 1/3).
 func nextDt(dt, worst float64, cfg AdaptiveConfig) float64 {
 	if worst > 0 {
 		factor := cfg.Headroom * math.Cbrt(cfg.MaxErr/worst)

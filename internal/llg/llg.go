@@ -14,18 +14,17 @@
 // Bogacki–Shampine RK23 pair (RunAdaptive). Magnetization is
 // renormalized after every accepted step.
 //
-// # Stepping cores
+// # Stepping core
 //
-// Step normally runs the tiled fused core (parallel.go): each RK stage
-// is a single pass over precomputed active-cell runs that evaluates the
-// local field, overlays sources, computes the torque and applies the
-// stage update, optionally split across a persistent worker pool
-// (SetWorkers) in horizontal row bands. StepReference is the original
-// term-by-term stepper, kept verbatim as the benchmark baseline and as
-// the execution path when a full demag convolution is installed.
-// Trajectories are bit-for-bit identical across worker counts; the
-// fused and reference cores agree to floating-point round-off
-// (see DESIGN.md §10).
+// Step and RunAdaptiveUntil run the tiled fused core (parallel.go), the
+// only integrator production reaches: each RK stage is a single pass
+// over precomputed active-cell runs that evaluates the local field,
+// overlays sources, computes the torque and applies the stage update,
+// optionally split across a persistent worker pool (SetWorkers) in
+// horizontal row bands. Trajectories are bit-for-bit identical across
+// worker counts. The fused core agrees to floating-point round-off with
+// the term-by-term test oracle in internal/llg/llgref (see DESIGN.md
+// §10).
 //
 // # Concurrency
 //
@@ -72,8 +71,8 @@ func (s Scheme) String() string {
 }
 
 // scratchFields is the number of mesh-sized buffers carved from the
-// solver's arena: b, k1..k4, kerr, mtmp, mtmp2, srcB.
-const scratchFields = 9
+// solver's arena: b, k1..k3, mtmp, mtmp2, srcB.
+const scratchFields = 7
 
 // Solver advances the magnetization of one simulation in time.
 type Solver struct {
@@ -89,12 +88,6 @@ type Solver struct {
 	Dt     float64 // fixed time step, s
 	Scheme Scheme
 
-	// UseReference forces the term-by-term reference stepper
-	// (StepReference) for every step. It exists for benchmarking the
-	// fused core against the original implementation and for debugging;
-	// production runs leave it false.
-	UseReference bool
-
 	// RunID identifies the evaluation this solver serves; it is stamped
 	// onto journal events emitted at solver level (adaptive step stats)
 	// so they correlate with the run's lifecycle events and spans.
@@ -107,14 +100,13 @@ type Solver struct {
 	obs StepObserver
 
 	// Scratch buffers, all carved from one arena allocation. b holds the
-	// effective field, k1..k4 the RK stage slopes, kerr the adaptive
-	// error stage, mtmp/mtmp2 the ping-pong stage inputs, and srcB the
-	// sparse-source overlay.
-	arena             *vec.Arena
-	b, k1, k2, k3, k4 vec.Field
-	kerr              vec.Field
-	mtmp, mtmp2       vec.Field
-	srcB              vec.Field
+	// effective field, k1..k3 the stored RK stage slopes (the last slope
+	// of every scheme stays in registers), mtmp/mtmp2 the ping-pong stage
+	// inputs, and srcB the sparse-source overlay.
+	arena         *vec.Arena
+	b, k1, k2, k3 vec.Field
+	mtmp, mtmp2   vec.Field
+	srcB          vec.Field
 
 	// Fused-stepping state (parallel.go), rebuilt by ensurePrep when
 	// prepared is false.
@@ -166,8 +158,6 @@ func New(mesh grid.Mesh, region grid.Region, mat material.Params, dt float64) (*
 		k1:      arena.Field(),
 		k2:      arena.Field(),
 		k3:      arena.Field(),
-		k4:      arena.Field(),
-		kerr:    arena.Field(),
 		mtmp:    arena.Field(),
 		mtmp2:   arena.Field(),
 		srcB:    arena.Field(),
@@ -246,85 +236,6 @@ func (s *Solver) AddAbsorberTowards(px, py, rampLen, maxAlpha float64) {
 		}
 	}
 	s.prepared = false
-}
-
-// torque writes dm/dt into dst for magnetization m and field b.
-func (s *Solver) torque(m, b, dst vec.Field) {
-	g := s.Gamma
-	for i := range m {
-		if !s.Region[i] {
-			dst[i] = vec.Zero
-			continue
-		}
-		a := s.Alpha[i]
-		mxb := m[i].Cross(b[i])
-		mxmxb := m[i].Cross(mxb)
-		pref := -g / (1 + a*a)
-		dst[i] = mxb.MAdd(a, mxmxb).Scale(pref)
-	}
-}
-
-// rhs evaluates the field at (t, m) and writes the torque into dst.
-func (s *Solver) rhs(t float64, m, dst vec.Field) {
-	s.Eval.Field(t, m, s.b)
-	s.torque(m, s.b, dst)
-}
-
-// Step advances the solver by one time step Dt using the fused tiled
-// core, falling back to the reference stepper when UseReference is set
-// or a full demag convolution is installed (the exact convolution is a
-// global operation the banded kernels cannot fuse).
-func (s *Solver) Step() {
-	if s.UseReference || s.Eval.FullDemag != nil {
-		s.StepReference()
-		return
-	}
-	s.stepFused()
-}
-
-// StepReference advances one time step with the original term-by-term
-// implementation: full-field sweeps for every RK stage via
-// mag.Evaluator.Field, separate AddScaled/Copy passes for the stage
-// updates, and a final renormalization sweep. It is retained verbatim
-// as the baseline the fused core is benchmarked and regression-tested
-// against; the two agree to floating-point round-off.
-func (s *Solver) StepReference() {
-	dt, t := s.Dt, s.Time
-	switch s.Scheme {
-	case Heun:
-		s.rhs(t, s.M, s.k1)
-		s.mtmp.Copy(s.M)
-		s.mtmp.AddScaled(dt, s.k1)
-		s.rhs(t+dt, s.mtmp, s.k2)
-		s.M.AddScaled(dt/2, s.k1)
-		s.M.AddScaled(dt/2, s.k2)
-	default: // RK4
-		s.rhs(t, s.M, s.k1)
-		s.mtmp.Copy(s.M)
-		s.mtmp.AddScaled(dt/2, s.k1)
-		s.rhs(t+dt/2, s.mtmp, s.k2)
-		s.mtmp.Copy(s.M)
-		s.mtmp.AddScaled(dt/2, s.k2)
-		s.rhs(t+dt/2, s.mtmp, s.k3)
-		s.mtmp.Copy(s.M)
-		s.mtmp.AddScaled(dt, s.k3)
-		s.rhs(t+dt, s.mtmp, s.k4)
-		s.M.AddScaled(dt/6, s.k1)
-		s.M.AddScaled(dt/3, s.k2)
-		s.M.AddScaled(dt/3, s.k3)
-		s.M.AddScaled(dt/6, s.k4)
-	}
-	s.renormalize()
-	s.Time += dt
-	s.steps++
-}
-
-func (s *Solver) renormalize() {
-	for i := range s.M {
-		if s.Region[i] {
-			s.M[i] = s.M[i].Normalized()
-		}
-	}
 }
 
 // Steps returns the number of steps taken so far.

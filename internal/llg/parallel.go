@@ -24,8 +24,8 @@ import (
 // mtmp2) instead of updating in place: an in-place update would
 // overwrite cells that a neighboring cell's stencil — in this band or
 // the adjacent one — still has to read. This is the shared-slice
-// aliasing hazard the pre-tiling stepper avoided only by recomputing
-// full-field copies every stage.
+// aliasing hazard the term-by-term stepper (internal/llg/llgref) avoids
+// only by recomputing full-field copies every stage.
 //
 // Determinism: band boundaries depend only on (Ny, workers), per-cell
 // arithmetic is band-independent, and the adaptive error reduction is
@@ -161,8 +161,9 @@ func (s *Solver) ensurePrep() {
 	s.prepared = true
 }
 
-// stepFused advances one fixed step with the banded fused kernels.
-func (s *Solver) stepFused() {
+// Step advances the solver by one time step Dt with the banded fused
+// kernels of its Scheme.
+func (s *Solver) Step() {
 	s.ensurePrep()
 	dt, t := s.Dt, s.Time
 	s.timeBands = s.steps&63 == 0 // sample band timings every 64 steps

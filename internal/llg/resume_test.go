@@ -125,43 +125,6 @@ func TestRunAdaptiveUntilResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunAdaptiveUntilReferenceResume covers the reference (term-by-term)
-// RK23 path with the same stop/checkpoint/resume protocol.
-func TestRunAdaptiveUntilReferenceResume(t *testing.T) {
-	cfg := AdaptiveConfig{MaxErr: 1e-6, MinDt: 1e-15, MaxDt: 1e-12}
-	const stopAt = 15
-
-	base := singleSpin(t, 0.3, 0.02, 1e-13)
-	base.TiltM(0.3)
-	base.UseReference = true
-	end := 400 * base.Dt
-	baseAcc, _, err := base.RunAdaptiveUntil(end, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseAcc <= stopAt {
-		t.Fatalf("base run accepted only %d steps, need > %d", baseAcc, stopAt)
-	}
-
-	first := singleSpin(t, 0.3, 0.02, 1e-13)
-	first.TiltM(0.3)
-	first.UseReference = true
-	if acc, _, err := first.RunAdaptiveUntil(end, cfg, func(step int) bool { return step < stopAt }); err != nil || acc != stopAt {
-		t.Fatalf("stop: acc=%d err=%v, want %d accepted", acc, err, stopAt)
-	}
-	snap := capture(first)
-
-	resumed := singleSpin(t, 0.3, 0.02, 1e-13)
-	resumed.UseReference = true
-	if err := resumed.Restore(snap.m, snap.time, snap.steps, snap.dt); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := resumed.RunAdaptiveUntil(end, cfg, nil); err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "reference adaptive resume", base, resumed)
-}
-
 // TestRestoreValidation pins the Restore error cases.
 func TestRestoreValidation(t *testing.T) {
 	s := singleSpin(t, 0.3, 0.01, 1e-13)

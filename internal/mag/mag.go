@@ -99,31 +99,12 @@ type RowsSource interface {
 	AddToRows(t float64, B vec.Field, j0, j1 int)
 }
 
-// DemagConvolver is the interface satisfied by demag.Kernel: an exact
-// magnetostatic interaction evaluated from the current magnetization.
-// When installed on an Evaluator it replaces the local thin-film term.
-type DemagConvolver interface {
-	AddInto(m, B vec.Field) error
-}
-
 // Evaluator assembles the effective field for a fixed mesh/geometry.
 type Evaluator struct {
 	Mesh    grid.Mesh
 	Region  grid.Region
 	Coeffs  Coeffs
 	Sources []Source
-
-	// Workers > 1 evaluates the local field terms of Field in parallel
-	// over row bands using transient goroutines. The result is
-	// bit-identical to the serial evaluation because cells are
-	// partitioned disjointly and the exchange stencil only reads the
-	// magnetization. The LLG solver does not use this path: it drives
-	// FieldRows on its own persistent tile.Pool (see Solver.SetWorkers).
-	Workers int
-
-	// FullDemag, when non-nil, replaces the local thin-film demag term
-	// with the exact Newell-tensor convolution (see internal/demag).
-	FullDemag DemagConvolver
 
 	// DisableExchange, DisableAnisotropy and DisableDemag switch off
 	// individual terms; used by ablation benchmarks and tests.
@@ -176,64 +157,13 @@ func (e *Evaluator) Invalidate() {
 // pool.)
 func (e *Evaluator) SetPool(p *tile.Pool) { e.pool = p }
 
-// Field evaluates B_eff at time t for magnetization m, writing into B.
-// Cells outside the region are set to zero.
+// Field evaluates B_eff at time t for magnetization m, writing into B:
+// FieldRows over every row, then the sources. Cells outside the region
+// are set to zero. It is the serial whole-mesh evaluation; the LLG
+// solver drives FieldRows band by band instead.
 func (e *Evaluator) Field(t float64, m, B vec.Field) {
-	if e.FullDemag != nil {
-		e.fieldFullDemag(t, m, B)
-		return
-	}
-	e.Prepare()
 	B.Zero()
-	if e.Workers > 1 && e.Mesh.Ny >= e.Workers {
-		var wg sync.WaitGroup
-		for _, b := range tile.Split(e.Mesh.Ny, e.Workers) {
-			wg.Add(1)
-			go func(j0, j1 int) {
-				defer wg.Done()
-				e.FieldRows(m, B, j0, j1)
-			}(b.J0, b.J1)
-		}
-		wg.Wait()
-	} else {
-		e.FieldRows(m, B, 0, e.Mesh.Ny)
-	}
-	for _, s := range e.Sources {
-		s.AddTo(t, B)
-	}
-}
-
-// fieldFullDemag is the evaluation path with the exact Newell-tensor
-// convolution installed: banded local terms, then the global
-// convolution, then bias and sources — the pre-tiling term order.
-func (e *Evaluator) fieldFullDemag(t float64, m, B vec.Field) {
-	if e.Workers > 1 && e.Mesh.Ny >= e.Workers {
-		var wg sync.WaitGroup
-		for _, b := range tile.Split(e.Mesh.Ny, e.Workers) {
-			wg.Add(1)
-			go func(j0, j1 int) {
-				defer wg.Done()
-				lo, hi := j0*e.Mesh.Nx, j1*e.Mesh.Nx
-				B[lo:hi].Zero()
-				e.localTerms(m, B, j0, j1)
-			}(b.J0, b.J1)
-		}
-		wg.Wait()
-	} else {
-		B.Zero()
-		e.localTerms(m, B, 0, e.Mesh.Ny)
-	}
-	if !e.DisableDemag {
-		// The exact convolution is global; it runs after the banded
-		// local terms. Errors can only come from shape mismatches, which
-		// the constructor rules out.
-		if err := e.FullDemag.AddInto(m, B); err != nil {
-			panic(err)
-		}
-	}
-	if e.Coeffs.BBias != vec.Zero {
-		AddUniform(e.Region, B, e.Coeffs.BBias)
-	}
+	e.FieldRows(m, B, 0, e.Mesh.Ny)
 	for _, s := range e.Sources {
 		s.AddTo(t, B)
 	}
@@ -295,35 +225,14 @@ func (e *Evaluator) FieldRows(m, B vec.Field, j0, j1 int) {
 	}
 }
 
-// localTerms adds exchange, anisotropy and demag for rows [j0, j1).
-func (e *Evaluator) localTerms(m, B vec.Field, j0, j1 int) {
-	if !e.DisableExchange {
-		addExchangeRows(e.Mesh, e.Region, m, B, e.Coeffs.ExFactor, j0, j1)
-	}
-	lo, hi := j0*e.Mesh.Nx, j1*e.Mesh.Nx
-	if !e.DisableAnisotropy && e.Coeffs.BAnis != 0 {
-		AddUniaxial(e.Region[lo:hi], m[lo:hi], B[lo:hi], e.Coeffs.BAnis, e.Coeffs.AnisAxis)
-	}
-	if !e.DisableDemag && e.FullDemag == nil {
-		AddThinFilmDemag(e.Region[lo:hi], m[lo:hi], B[lo:hi], e.Coeffs.BDemag)
-	}
-}
-
 // AddExchange adds the exchange field B_ex = factor·∇²m, with factor in
 // T·m². Neighbors outside the region or the mesh contribute nothing
 // (free boundary condition).
 func AddExchange(mesh grid.Mesh, region grid.Region, m, B vec.Field, factor float64) {
-	addExchangeRows(mesh, region, m, B, factor, 0, mesh.Ny)
-}
-
-// addExchangeRows adds the exchange field for rows [j0, j1). The stencil
-// reads neighbor rows but writes only its own band, so disjoint bands
-// can run concurrently.
-func addExchangeRows(mesh grid.Mesh, region grid.Region, m, B vec.Field, factor float64, j0, j1 int) {
 	nx, ny := mesh.Nx, mesh.Ny
 	wx := factor / (mesh.Dx * mesh.Dx)
 	wy := factor / (mesh.Dy * mesh.Dy)
-	for j := j0; j < j1; j++ {
+	for j := 0; j < ny; j++ {
 		row := j * nx
 		for i := 0; i < nx; i++ {
 			c := row + i

@@ -2,30 +2,31 @@ package mag
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"spinwave/internal/grid"
 	"spinwave/internal/material"
+	"spinwave/internal/tile"
 	"spinwave/internal/vec"
 )
 
-// randomish fills a field with a deterministic pseudo-random unit-vector
-// pattern over region cells.
-func randomish(region grid.Region) vec.Field {
-	m := vec.NewField(len(region))
-	x := uint64(12345)
-	next := func() float64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return float64(x%2000)/1000 - 1
+// parallelField evaluates B_eff the way the banded LLG stepper does:
+// FieldRows runs on one goroutine per tile.Split band, concurrently,
+// and the sources are added once every band has finished.
+func parallelField(ev *Evaluator, t float64, m, B vec.Field, workers int) {
+	var wg sync.WaitGroup
+	for _, b := range tile.Split(ev.Mesh.Ny, workers) {
+		wg.Add(1)
+		go func(b tile.Band) {
+			defer wg.Done()
+			ev.FieldRows(m, B, b.J0, b.J1)
+		}(b)
 	}
-	for i := range m {
-		if region[i] {
-			m[i] = vec.V(next(), next(), next()+1.5).Normalized()
-		}
+	wg.Wait()
+	for _, s := range ev.Sources {
+		s.AddTo(t, B)
 	}
-	return m
 }
 
 func TestParallelFieldMatchesSerial(t *testing.T) {
@@ -49,13 +50,18 @@ func TestParallelFieldMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par.Workers = workers
 		bp := vec.NewField(mesh.NCells())
-		// Pre-poison the parallel buffer to catch missed zeroing.
+		// Pre-poison the parallel buffer: every region cell must be
+		// overwritten, and Field zeroes the vacuum cells.
 		bp.Fill(vec.V(9, 9, 9))
-		par.Field(0, m, bp)
+		for i, on := range region {
+			if !on {
+				bp[i] = vec.Zero
+			}
+		}
+		parallelField(par, 0, m, bp, workers)
 		for i := range bs {
-			if bs[i].Sub(bp[i]).Norm() > 1e-15 {
+			if bs[i] != bp[i] {
 				t.Fatalf("workers=%d: cell %d differs: %v vs %v", workers, i, bp[i], bs[i])
 			}
 		}
@@ -71,16 +77,19 @@ func TestParallelFieldWithBiasAndSources(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.Workers = workers
 		ev.Coeffs.BBias = vec.V(0, 1e-3, 0)
 		ev.Sources = append(ev.Sources, constSource{vec.V(2e-3, 0, 0)})
 		b := vec.NewField(mesh.NCells())
-		ev.Field(0, m, b)
+		if workers == 1 {
+			ev.Field(0, m, b)
+		} else {
+			parallelField(ev, 0, m, b, workers)
+		}
 		return b
 	}
 	a, b := build(1), build(4)
 	for i := range a {
-		if a[i].Sub(b[i]).Norm() > 1e-15 {
+		if a[i] != b[i] {
 			t.Fatalf("cell %d differs with sources: %v vs %v", i, a[i], b[i])
 		}
 	}
@@ -93,33 +102,23 @@ func TestParallelFallsBackOnTinyMeshes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.Workers = 16 // more workers than rows: serial fallback
+	if got := len(tile.Split(mesh.Ny, 16)); got != mesh.Ny {
+		t.Fatalf("16 workers over %d rows: %d bands, want one per row", mesh.Ny, got)
+	}
 	m := randomish(region)
 	b := vec.NewField(mesh.NCells())
-	ev.Field(0, m, b)
+	parallelField(ev, 0, m, b, 16) // more workers than rows
+	want := vec.NewField(mesh.NCells())
+	ev.Field(0, m, want)
 	for i, on := range region {
 		if on && !b[i].IsFinite() {
 			t.Fatalf("non-finite field at %d", i)
 		}
+		if b[i] != want[i] {
+			t.Fatalf("cell %d: %v, serial %v", i, b[i], want[i])
+		}
 	}
 	if math.IsNaN(b[0].X) {
 		t.Fatal("NaN field")
-	}
-}
-
-func BenchmarkFieldParallel4_128x128(b *testing.B) {
-	mesh := grid.MustMesh(128, 128, 5e-9, 5e-9, 1e-9)
-	region := grid.FullRegion(mesh)
-	ev, err := NewEvaluator(mesh, region, material.FeCoB())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev.Workers = 4
-	m := randomish(region)
-	buf := vec.NewField(mesh.NCells())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Field(0, m, buf)
 	}
 }

@@ -1,6 +1,7 @@
 package obsplane
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -35,6 +36,7 @@ type Store struct {
 	mu      sync.Mutex
 	lastSeq map[string]map[string]uint64 // trace → node → highest stored seq
 	logs    map[string]*durable.Log      // trace files already scanned
+	removed map[string]bool              // traces Remove deleted since open
 	subs    map[int]*storeSub
 	nextSub int
 	shipped int64 // events accepted since open
@@ -71,6 +73,7 @@ func OpenStore(dir string) (*Store, error) {
 		dir:     dir,
 		lastSeq: make(map[string]map[string]uint64),
 		logs:    make(map[string]*durable.Log),
+		removed: make(map[string]bool),
 		subs:    make(map[int]*storeSub),
 	}, nil
 }
@@ -89,6 +92,11 @@ func (s *Store) fileFor(trace string) string {
 // live subscribers. The write is one durable.Log append, so a crash
 // tears at most the final line — which Events tolerates on read and the
 // next Append steps past.
+//
+// Events for a trace that Remove deleted are dropped and acknowledged
+// as not accepted: a worker's periodic journal flush can arrive after
+// retention reclaimed the trace, and writing it would recreate the file
+// the sweep just deleted.
 func (s *Store) Append(trace, node string, events []journal.Event) (accepted int, err error) {
 	if !ValidID(trace) {
 		return 0, fmt.Errorf("obsplane: bad trace id %q", trace)
@@ -98,6 +106,9 @@ func (s *Store) Append(trace, node string, events []journal.Event) (accepted int
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.removed[trace] {
+		return 0, nil
+	}
 	log, err := s.logLocked(trace)
 	if err != nil {
 		return 0, err
@@ -281,7 +292,8 @@ const RemovedEventName = "retention.removed"
 // RemovedEventName event (sequenced past the trace's highest stored
 // coordinator sequence so per-node dedup cannot drop it) and then its
 // channel is closed. Returns the bytes freed. Removing an absent trace
-// is a no-op. This is the retention engine's only path into the store —
+// is a no-op. Later appends to a removed trace are dropped (see Append).
+// This is the retention engine's only path into the store —
 // deleting the file behind the store's back would leave stale sequence
 // watermarks and error-looping tails.
 func (s *Store) Remove(trace string) (int64, error) {
@@ -311,6 +323,7 @@ func (s *Store) Remove(trace string) (int64, error) {
 	}
 	delete(s.lastSeq, trace)
 	delete(s.logs, trace)
+	s.removed[trace] = true
 	term := ShippedEvent{Node: CoordinatorNode, Trace: trace, Event: journal.Event{
 		Seq:    maxSeq + 1,
 		TimeNS: time.Now().UnixNano(),
@@ -329,6 +342,35 @@ func (s *Store) Remove(trace string) (int64, error) {
 		sub.shut()
 	}
 	return size, nil
+}
+
+// Created returns when a trace was created: the emission time of the
+// first event stored in its file. Unlike the file's modification time
+// it does not move when a late event is appended, so retention can rank
+// traces by the age of the request they record.
+func (s *Store) Created(trace string) (time.Time, error) {
+	if !ValidID(trace) {
+		return time.Time{}, fmt.Errorf("obsplane: bad trace id %q", trace)
+	}
+	f, err := os.Open(s.fileFor(trace))
+	if err != nil {
+		return time.Time{}, fmt.Errorf("obsplane: store: %w", err)
+	}
+	defer f.Close()
+	line, err := bufio.NewReader(f).ReadBytes('\n')
+	if err != nil {
+		return time.Time{}, fmt.Errorf("obsplane: store: first event of %s: %w", trace, err)
+	}
+	var first struct {
+		TimeNS int64 `json:"time_ns"`
+	}
+	if err := json.Unmarshal(line, &first); err != nil {
+		return time.Time{}, fmt.Errorf("obsplane: store: first event of %s: %w", trace, err)
+	}
+	if first.TimeNS <= 0 {
+		return time.Time{}, fmt.Errorf("obsplane: store: first event of %s has no time", trace)
+	}
+	return time.Unix(0, first.TimeNS), nil
 }
 
 // Traces lists the trace IDs with stored journals, sorted.

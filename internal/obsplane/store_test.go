@@ -305,9 +305,23 @@ func TestStoreRemoveMidTail(t *testing.T) {
 		t.Fatalf("second Remove = %d, %v; want 0, nil", freed, err)
 	}
 
-	// The store accepts the trace again from scratch (fresh watermarks).
-	if n, err := s.Append("t1", "w1", []journal.Event{ev(1, 50, "fresh")}); err != nil || n != 1 {
-		t.Fatalf("Append after Remove = %d, %v; want 1, nil", n, err)
+	// A late shipment for the removed trace is dropped, not written: it
+	// must not resurrect the file retention just reclaimed.
+	if n, err := s.Append("t1", "w1", []journal.Event{ev(4, 50, "late")}); err != nil || n != 0 {
+		t.Fatalf("late Append after Remove = %d, %v; want 0, nil", n, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "t1.jsonl")); !os.IsNotExist(err) {
+		t.Fatal("late Append recreated the removed trace file")
+	}
+
+	// A reopened store accepts the trace again from scratch (fresh
+	// watermarks).
+	s2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s2.Append("t1", "w1", []journal.Event{ev(1, 60, "fresh")}); err != nil || n != 1 {
+		t.Fatalf("Append after reopen = %d, %v; want 1, nil", n, err)
 	}
 }
 

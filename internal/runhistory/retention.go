@@ -64,6 +64,8 @@ type TraceStore interface {
 	Dir() string
 	// Remove deletes one trace and returns the bytes freed.
 	Remove(trace string) (int64, error)
+	// Created returns when the trace was created.
+	Created(trace string) (time.Time, error)
 }
 
 // GC is the policy-driven retention sweeper. Configure the public
@@ -141,7 +143,7 @@ func (r SweepResult) BytesReclaimed() int64 {
 type item struct {
 	id     string // class-scoped identity (trace, run, run/file)
 	size   int64
-	mod    time.Time
+	mod    time.Time             // ranking and age key (creation time for traces)
 	remove func() (int64, error) // deletes the item, returns bytes freed
 }
 
@@ -308,6 +310,10 @@ func (g *GC) reap(class Class, victims []doomed, cr *ClassResult) error {
 }
 
 // sweepTraces applies the trace policy to the fleet-journal store.
+// Traces are ranked and aged by creation, not by the file's last write:
+// a late event appended to an older request's trace must not make it
+// outrank a newer request's. A trace whose creation time is unreadable
+// (a torn first line) falls back to its modification time.
 func (g *GC) sweepTraces(now time.Time, protected map[string]bool) (ClassResult, error) {
 	var cr ClassResult
 	dir := g.Traces.Dir()
@@ -334,10 +340,14 @@ func (g *GC) sweepTraces(now time.Time, protected map[string]bool) (ClassResult,
 			continue
 		}
 		trace := strings.TrimSuffix(name, ".jsonl")
+		created, err := g.Traces.Created(trace)
+		if err != nil {
+			created = fi.ModTime()
+		}
 		items = append(items, item{
 			id:   trace,
 			size: fi.Size(),
-			mod:  fi.ModTime(),
+			mod:  created,
 			remove: func() (int64, error) {
 				return g.Traces.Remove(trace)
 			},

@@ -26,14 +26,15 @@ func mkfile(t *testing.T, path string, size int, age time.Duration) {
 	}
 }
 
-// seedTrace appends one event to a trace and back-dates its file.
+// seedTrace appends one event emitted age ago to a trace and back-dates
+// its file to match.
 func seedTrace(t *testing.T, st *obsplane.Store, trace string, age time.Duration) {
 	t.Helper()
-	_, err := st.Append(trace, "w1", []journal.Event{{Seq: 1, TimeNS: 100, Name: "fleet.claim"}})
+	mod := time.Now().Add(-age)
+	_, err := st.Append(trace, "w1", []journal.Event{{Seq: 1, TimeNS: mod.UnixNano(), Name: "fleet.claim"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := time.Now().Add(-age)
 	if err := os.Chtimes(filepath.Join(st.Dir(), trace+".jsonl"), mod, mod); err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +90,41 @@ func TestSweepTracesCountCap(t *testing.T) {
 		// the event into the store, resurrecting the deleted trace.
 		if _, has := e.Fields["trace"]; has {
 			t.Fatal("retention.gc must not carry a trace field")
+		}
+	}
+}
+
+// TestSweepLateAppendKeepsNewerTrace replays the retention race of two
+// sequential fleet requests under a one-trace budget: a worker's late
+// journal flush appends to the older request's trace. Whether it lands
+// after retention reclaimed that trace or before, the next sweep must
+// keep the newer request's trace and leave the older one gone.
+func TestSweepLateAppendKeepsNewerTrace(t *testing.T) {
+	sweep := func(t *testing.T, g *GC) {
+		t.Helper()
+		if _, err := g.Sweep(time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, removeFirst := range []bool{true, false} {
+		st, err := obsplane.OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedTrace(t, st, "q1", 2*time.Minute)
+		seedTrace(t, st, "q2", time.Minute)
+		g := &GC{Policy: Policy{Traces: ClassPolicy{MaxCount: 1}}, Traces: st}
+		if removeFirst {
+			sweep(t, g) // reclaims q1
+		}
+		if _, err := st.Append("q1", "w1", []journal.Event{
+			{Seq: 2, TimeNS: time.Now().UnixNano(), Name: "fleet.job"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sweep(t, g)
+		if traces, _ := st.Traces(); len(traces) != 1 || traces[0] != "q2" {
+			t.Fatalf("removeFirst=%v: surviving traces = %v, want [q2]", removeFirst, traces)
 		}
 	}
 }

@@ -130,9 +130,6 @@ var (
 	// persistent pool of that many goroutines, banded over mesh rows;
 	// trajectories are bit-identical for any worker count.
 	WithWorkers = core.WithWorkers
-	// WithReferenceStepper forces the original term-by-term LLG stepper
-	// (the benchmarking baseline) instead of the fused tiled core.
-	WithReferenceStepper = core.WithReferenceStepper
 	// WithCellSize sets the square cell edge in meters (default λ/11).
 	WithCellSize = core.WithCellSize
 	// WithDriveField sets the antenna RF amplitude in Tesla.
