@@ -24,17 +24,17 @@ test:
 # Race-detector pass over the concurrent packages: the evaluation
 # engine, the serving layer, the row-band-parallel field stencil, the
 # tiled LLG solver and its worker pool, the frequency-parallel gates,
-# the metrics registry, the fleet observability plane and the durable
-# file primitives every store shares.
+# the metrics registry, the fleet observability plane, the durable
+# file primitives every store shares and the shared backend memo.
 test-race:
-	$(GO) test -race ./internal/durable/ ./internal/engine/ ./internal/mag/ ./internal/llg/ ./internal/tile/ ./internal/parallel/ ./internal/obs/ ./internal/journal/ ./internal/probe/ ./internal/health/ ./internal/fleet/ ./internal/fleet/faults/ ./internal/checkpoint/ ./internal/obsplane/ ./internal/runhistory/ ./cmd/swserve/ ./cmd/swworker/
+	$(GO) test -race ./internal/durable/ ./internal/engine/ ./internal/mag/ ./internal/llg/ ./internal/tile/ ./internal/parallel/ ./internal/obs/ ./internal/journal/ ./internal/probe/ ./internal/health/ ./internal/fleet/ ./internal/fleet/faults/ ./internal/checkpoint/ ./internal/obsplane/ ./internal/runhistory/ ./internal/backendspec/ ./cmd/swserve/ ./cmd/swworker/
 
 # Godoc coverage gate (ISSUE 3): every exported identifier in the LLG
-# core and its term-by-term test oracle, the field evaluator, the gate backends, the flight-recorder
+# core and its term-by-term test oracle, the field evaluator, the gate backends and their resolver, the flight-recorder
 # packages, the checkpoint/fleet layers, the durable file primitives,
 # the worker entrypoint and the root package must carry a doc comment.
 docs-lint:
-	$(GO) run ./tools/docslint . ./internal/durable ./internal/llg ./internal/llg/llgref ./internal/mag ./internal/core ./internal/probe ./internal/journal ./internal/health ./internal/fleet ./internal/fleet/faults ./internal/checkpoint ./internal/obsplane ./internal/runhistory ./cmd/swworker
+	$(GO) run ./tools/docslint . ./internal/durable ./internal/llg ./internal/llg/llgref ./internal/mag ./internal/core ./internal/backendspec ./internal/probe ./internal/journal ./internal/health ./internal/fleet ./internal/fleet/faults ./internal/checkpoint ./internal/obsplane ./internal/runhistory ./cmd/swworker
 
 # Flight-recorder smoke (ISSUE 4): a short probed XOR case writing the
 # JSONL journal and Chrome trace, then schema-validating the journal.

@@ -17,10 +17,7 @@ import (
 // naming {gate, backend: behavioral} match its base fingerprint.
 func admitBehavioralSurrogate(t *testing.T, srv *server, gate string) *spinwave.SurrogateModel {
 	t.Helper()
-	b, err := buildBackend(backendRequest{Gate: gate, Backend: "behavioral"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := freshBackend(t, backendRequest{Gate: gate, Backend: "behavioral"})
 	src, ok := b.(spinwave.SurrogateSource)
 	if !ok {
 		t.Fatalf("behavioral backend is not a SurrogateSource")

@@ -8,79 +8,55 @@ import (
 	"testing"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 )
 
-// buildBackend resolves and builds a backend without a server's memo:
+// freshBackend resolves and builds a backend outside any server's memo:
 // a fresh instance every call.
-func buildBackend(req backendRequest) (spinwave.Backend, error) {
-	k, err := resolveBackend(req)
+func freshBackend(t *testing.T, req backendRequest) spinwave.Backend {
+	t.Helper()
+	_, _, k, err := req.resolve()
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return k.build()
+	b, err := k.Build(backendspec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
-// TestBackendMemoIdentity: requests that resolve to the same backend
-// share one instance, whatever alias, letter case or omitted field they
-// used; any different key component builds a different backend; failed
-// builds are not stored.
+// TestBackendMemoIdentity: the eval and table handlers share the
+// server's memo, so requests for one backend in different spellings
+// build it once; a second server builds its own. The vocabulary itself
+// is pinned in internal/backendspec.
 func TestBackendMemoIdentity(t *testing.T) {
-	srv, _ := newTestServer(t)
-	get := func(req backendRequest) spinwave.Backend {
-		t.Helper()
-		b, err := srv.backend(req)
-		if err != nil {
-			t.Fatalf("backend(%+v): %v", req, err)
-		}
-		return b
-	}
-	same := [][]backendRequest{
-		{{Gate: "xor"}, {Gate: "XOR"}, {Gate: "xor", Backend: "Behavioral", Spec: "paper", Material: "fecob"}},
-		{{Gate: "maj3"}, {Gate: "majority"}, {Gate: ""}},
-		{{Gate: "xor", Backend: "micromag"}, {Gate: "xor", Backend: "micromagnetic", Spec: "REDUCED"}},
-	}
-	var firsts []spinwave.Backend
-	for _, group := range same {
-		first := get(group[0])
-		for _, req := range group[1:] {
-			if get(req) != first {
-				t.Errorf("%+v and %+v built different backends", group[0], req)
-			}
-		}
-		firsts = append(firsts, first)
-	}
-	if firsts[0] == firsts[2] {
-		t.Error("behavioral and micromag XOR share a backend")
-	}
-	xor := firsts[0]
-	for _, req := range []backendRequest{
-		{Gate: "xor", Spec: "reduced"},
-		{Gate: "xor", Material: "yig"},
+	srv, ts := newTestServer(t)
+	for _, tc := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/eval", map[string]any{"gate": "xor", "inputs": []bool{true, false}}},
+		{"/v1/table", map[string]any{"gate": "XOR", "backend": "Behavioral", "spec": "paper"}},
+		{"/v1/eval", map[string]any{"gate": "Xor", "mode": "behavioral", "material": "FECOB", "inputs": []bool{true, true}}},
 	} {
-		if get(req) == xor {
-			t.Errorf("%+v shares the default XOR backend", req)
+		if resp, body := postJSON(t, ts.URL+tc.path, tc.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %v: status %d: %s", tc.path, tc.body, resp.StatusCode, body)
 		}
 	}
-
-	n := len(srv.backends.m)
-	for _, req := range []backendRequest{
-		{Gate: "nope"},
-		{Gate: "xor", Spec: "huge"},
-		{Gate: "xor", Material: "unobtainium"},
-		{Gate: "xor", Backend: "analog"},
-		// Resolves, but permalloy has no PMA: the micromag build fails.
-		{Gate: "xor", Backend: "micromag", Material: "permalloy"},
-	} {
-		if _, err := srv.backend(req); err == nil {
-			t.Errorf("backend(%+v) succeeded", req)
-		}
+	if n := srv.backends.Len(); n != 1 {
+		t.Fatalf("memo holds %d backends after three requests for one backend, want 1", n)
 	}
-	if len(srv.backends.m) != n {
-		t.Errorf("failed builds grew the memo from %d to %d entries", n, len(srv.backends.m))
+	_, _, k, err := backendRequest{Gate: "xor"}.resolve()
+	if err != nil {
+		t.Fatal(err)
 	}
-
+	b, err := srv.backends.Get(k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	other, _ := newTestServer(t)
-	if b, _ := other.backend(backendRequest{Gate: "xor"}); b == xor {
+	if ob, _ := other.backends.Get(k); ob == b {
 		t.Error("two servers share a memoized backend")
 	}
 }
@@ -99,7 +75,12 @@ func TestBackendMemoConcurrentFirstUse(t *testing.T) {
 			if i%2 == 1 {
 				gate = "XOR"
 			}
-			b, err := srv.backend(backendRequest{Gate: gate})
+			_, _, k, err := backendRequest{Gate: gate}.resolve()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b, err := srv.backends.Get(k)
 			if err != nil {
 				t.Error(err)
 			}
@@ -148,14 +129,11 @@ func TestMemoizedMicromagSharedConcurrently(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if n := len(srv.backends.m); n != 1 {
+	if n := srv.backends.Len(); n != 1 {
 		t.Fatalf("memo holds %d backends after two same-backend batches, want 1", n)
 	}
 
-	fresh, err := buildBackend(backendRequest{Gate: "xor", Backend: "micromag"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := freshBackend(t, backendRequest{Gate: "xor", Backend: "micromag"})
 	for i, cases := range batches {
 		for j, in := range cases {
 			want, err := fresh.Run(in)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/core"
 	"spinwave/internal/detect"
 	"spinwave/internal/fleet"
@@ -70,8 +71,10 @@ type fleetJobsRequest struct {
 	// EverySteps is the transient's checkpoint cadence in solver steps
 	// (0 = the checkpoint default).
 	EverySteps int `json:"every_steps,omitempty"`
-	// DtScale multiplies the micromag time step (0 = 1). The fleet smoke
-	// uses values < 1 to stretch a transient's wall-clock.
+	// DtScale multiplies the micromag time step (0 = 1) of a segmented
+	// transient; only the segment path honors it, so a submission
+	// without segments that sets it is refused. The fleet smoke uses
+	// values < 1 to stretch a transient's wall-clock.
 	DtScale float64 `json:"dt_scale,omitempty"`
 }
 
@@ -96,19 +99,19 @@ func (s *server) handleFleetSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	engMode, _, breq, err := resolveMode(req.backendRequest)
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
 	// Validate the whole vocabulary eagerly, so a typo fails the
-	// submission instead of burning worker attempts.
-	bk, err := resolveBackend(breq)
+	// submission instead of burning worker attempts, and queue the
+	// canonical names the local path uses.
+	engMode, _, k, err := req.resolve()
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	kind := bk.kind
+	if req.DtScale != 0 && req.Segments <= 0 {
+		s.badRequest(w, fmt.Errorf("dt_scale applies only to segmented transients (segments > 0)"))
+		return
+	}
+	kind := k.Kind()
 	cases := req.Cases
 	if req.Table {
 		if len(cases) > 0 {
@@ -132,10 +135,10 @@ func (s *server) handleFleetSubmit(w http.ResponseWriter, r *http.Request) {
 		shard = s.fleetShard
 	}
 	spec := fleet.JobSpec{
-		Gate:     breq.Gate,
-		Backend:  breq.Backend,
-		Spec:     breq.Spec,
-		Material: breq.Material,
+		Gate:     k.Gate,
+		Backend:  k.Backend,
+		Spec:     k.Spec,
+		Material: k.Material,
 		Mode:     string(engMode),
 		Table:    req.Table,
 		Inverted: req.Inverted,
@@ -147,8 +150,8 @@ func (s *server) handleFleetSubmit(w http.ResponseWriter, r *http.Request) {
 		case req.Table || len(cases) != 1:
 			s.badRequest(w, fmt.Errorf("a segmented transient takes exactly one case (got table=%t, %d cases)", req.Table, len(cases)))
 			return
-		case breq.Backend != "micromag" && breq.Backend != "micromagnetic":
-			s.badRequest(w, fmt.Errorf("a segmented transient needs the micromag backend, got %q", breq.Backend))
+		case k.Backend != backendspec.Micromagnetic:
+			s.badRequest(w, fmt.Errorf("a segmented transient needs the micromag backend, got %s", k.Backend))
 			return
 		case !s.artifactsEnabled():
 			s.badRequest(w, fmt.Errorf("segmented transients need the run-artifact store (-artifacts)"))
@@ -299,7 +302,7 @@ func (s *server) handleFleetResults(w http.ResponseWriter, r *http.Request) {
 // coordinator's results arrive in submission order — EnumerateInputs
 // order — so row 0 is the all-zeros normalization reference.
 func assembleFleetTable(st *fleet.RequestStatus) (*spinwave.TruthTable, error) {
-	kind, err := parseGate(st.Spec.Gate)
+	k, err := backendspec.Resolve(backendspec.JobRequest(st.Spec))
 	if err != nil {
 		return nil, err
 	}
@@ -310,14 +313,10 @@ func assembleFleetTable(st *fleet.RequestStatus) (*spinwave.TruthTable, error) {
 	if len(readouts) == 0 {
 		return nil, fmt.Errorf("no merged results")
 	}
-	backendName := st.Spec.Backend
-	if backendName == "" {
-		backendName = "behavioral"
+	if k.Kind() == spinwave.XOR {
+		return core.AssembleXORTable(k.Backend, st.Spec.Inverted, readouts[0], readouts)
 	}
-	if kind == spinwave.XOR {
-		return core.AssembleXORTable(backendName, st.Spec.Inverted, readouts[0], readouts)
-	}
-	return core.AssembleMajorityTable(kind, backendName, readouts[0], readouts)
+	return core.AssembleMajorityTable(k.Kind(), k.Backend, readouts[0], readouts)
 }
 
 // fleetHealth is the deep-healthz fleet section: queue stats, worker

@@ -7,14 +7,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/fleet"
 	"spinwave/internal/fleet/faults"
 	"spinwave/internal/journal"
+	"spinwave/internal/runhistory"
 )
 
 // newFleetServer is newTestServer plus a mounted fleet coordinator over
@@ -31,48 +33,13 @@ func newFleetServer(t *testing.T, opts ...fleet.QueueOption) (*server, *httptest
 	return srv, ts
 }
 
-// testEvaluator evaluates fleet jobs through the server's engine with
-// the same backend vocabulary as cmd/swworker.
-func testEvaluator(eng *spinwave.Engine) fleet.Evaluator {
-	return fleet.EvaluatorFunc(func(ctx context.Context, spec fleet.JobSpec, cases [][]bool) (string, []fleet.CaseOutcome, error) {
-		var mode spinwave.EvalMode
-		switch strings.ToLower(spec.Mode) {
-		case "", "direct":
-			mode = spinwave.EvalModeDirect
-		case "auto":
-			mode = spinwave.EvalModeAuto
-		case "surrogate":
-			mode = spinwave.EvalModeSurrogateOnly
-		default:
-			return "", nil, fmt.Errorf("unknown mode %q", spec.Mode)
-		}
-		b, err := buildBackend(backendRequest{
-			Gate: spec.Gate, Backend: spec.Backend, Spec: spec.Spec, Material: spec.Material,
-		})
-		if err != nil {
-			return "", nil, err
-		}
-		res, err := eng.EvalBatch(ctx, b, cases, mode, nil)
-		if err != nil {
-			return "", nil, err
-		}
-		out := make([]fleet.CaseOutcome, len(cases))
-		var fp string
-		for i, r := range res {
-			out[i] = fleet.CaseOutcome{Inputs: cases[i], Outputs: r.Readouts, Source: string(r.Source)}
-			fp = r.Fingerprint
-		}
-		return fp, out, nil
-	})
-}
-
 // startFleetWorker runs an in-process fleet worker against the test
 // server until the test ends (or stop is called).
 func startFleetWorker(t *testing.T, srv *server, ts *httptest.Server, w *fleet.Worker) (stop func()) {
 	t.Helper()
 	w.BaseURL = ts.URL
 	if w.Eval == nil {
-		w.Eval = testEvaluator(srv.eng)
+		w.Eval = backendspec.Evaluator(srv.eng, &backendspec.Memo{})
 	}
 	if w.Poll <= 0 {
 		w.Poll = 5 * time.Millisecond
@@ -212,7 +179,7 @@ func TestFleetWorkerKilledMidJob(t *testing.T) {
 	w1ctx, w1cancel := context.WithCancel(context.Background())
 	w1 := &fleet.Worker{
 		ID: "victim", BaseURL: ts.URL, Poll: 5 * time.Millisecond,
-		Eval:    testEvaluator(srv.eng),
+		Eval:    backendspec.Evaluator(srv.eng, &backendspec.Memo{}),
 		OnClaim: func(*fleet.Job) { w1cancel() },
 	}
 	w1done := make(chan struct{})
@@ -290,7 +257,7 @@ func TestFleetDuplicateResultPost(t *testing.T) {
 	if err := json.Unmarshal(raw, &job); err != nil {
 		t.Fatal(err)
 	}
-	fp, results, err := testEvaluator(srv.eng).Evaluate(context.Background(), job.Spec, job.Cases)
+	fp, results, err := backendspec.Evaluator(srv.eng, &backendspec.Memo{}).Evaluate(context.Background(), job.Spec, job.Cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,6 +385,125 @@ func TestFleetEnvelopeAndValidation(t *testing.T) {
 	}
 	if e := decodeEnvelope(t, raw2); e.Code != codeStaleClaim {
 		t.Fatalf("code = %s, want %s", e.Code, codeStaleClaim)
+	}
+}
+
+// TestFleetNamesMatchLocal: a fleet request submitted under aliases is
+// queued, tabled and indexed under the names the local path uses, so
+// /v1/history?gate=maj3 finds it.
+func TestFleetNamesMatchLocal(t *testing.T) {
+	srv, ts := newFleetServer(t)
+	if err := srv.initHistory(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	srv.fleet.OnComplete = srv.indexFleetRequest
+	startFleetWorker(t, srv, ts, &fleet.Worker{ID: "names-w"})
+
+	id := submitFleet(t, ts, map[string]any{"gate": "Majority", "backend": "Behavioral", "table": true})
+	st := waitFleetComplete(t, ts, id, 15*time.Second)
+	resp, body := postJSON(t, ts.URL+"/v1/table", map[string]any{"gate": "maj3"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("local table: %d %s", resp.StatusCode, body)
+	}
+	var local tableResponse
+	if err := json.Unmarshal(body, &local); err != nil {
+		t.Fatal(err)
+	}
+	if st.Spec.Gate != "maj3" || st.Spec.Backend != local.Backend {
+		t.Errorf("queued spec gate %q backend %q, want maj3 and %q", st.Spec.Gate, st.Spec.Backend, local.Backend)
+	}
+	if st.Table == nil {
+		t.Fatal("completed table request without a decoded table")
+	}
+	if st.Table.Gate != local.Gate || st.Table.Backend != local.Backend {
+		t.Errorf("fleet table gate %q backend %q, local %q %q", st.Table.Gate, st.Table.Backend, local.Gate, local.Backend)
+	}
+
+	recs, err := srv.history.Query(runhistory.Filter{Gate: "maj3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKind := map[string]runhistory.Record{}
+	for _, r := range recs {
+		byKind[r.Kind] = r
+	}
+	fleetRec, tableRec := byKind["fleet"], byKind["table"]
+	if fleetRec.ID != id || tableRec.ID == "" {
+		t.Fatalf("gate=maj3 records %+v, want the fleet request %s and the local table", recs, id)
+	}
+	if fleetRec.Backend != tableRec.Backend {
+		t.Errorf("fleet record backend %q, local table record %q", fleetRec.Backend, tableRec.Backend)
+	}
+}
+
+// TestFleetSubmitMatchesWorker: submission accepts exactly what the
+// worker honors — dt_scale only on segmented transients, the micromag
+// backend under any spelling, and an omitted gate as maj3 like
+// /v1/table.
+func TestFleetSubmitMatchesWorker(t *testing.T) {
+	srv, ts := newFleetServer(t)
+	if err := srv.initArtifacts(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/fleet/jobs", map[string]any{
+		"gate": "xor", "cases": [][]bool{{true, false}}, "dt_scale": 0.5,
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("dt_scale without segments: %d %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/fleet/jobs", map[string]any{
+		"gate": "xor", "backend": "Micromag", "cases": [][]bool{{true, false}}, "segments": 2,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("segmented Micromag: %d %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/fleet/jobs", map[string]any{"table": true})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("omitted gate: %d %s", resp.StatusCode, body)
+	}
+	var st fleetStatusResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Spec.Gate != "maj3" || st.CasesTotal != 8 {
+		t.Errorf("omitted gate queued as %q with %d cases, want maj3 with 8", st.Spec.Gate, st.CasesTotal)
+	}
+}
+
+// TestFleetMatchesLocalMicromag pins fleet ≡ local: a micromagnetic XOR
+// table through /v1/table and through a fleet worker running the shared
+// job evaluator on its own engine gives the same table, readouts and
+// fingerprint.
+func TestFleetMatchesLocalMicromag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	srv, ts := newFleetServer(t)
+	// Its own engine and memo: the worker recomputes instead of reading
+	// the cache the local table fills.
+	startFleetWorker(t, srv, ts, &fleet.Worker{ID: "pin-w",
+		Eval: backendspec.Evaluator(spinwave.NewEngine(spinwave.WithEngineWorkers(4)), &backendspec.Memo{})})
+
+	resp, body := postJSON(t, ts.URL+"/v1/table", map[string]any{"gate": "xor", "backend": "micromag"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("local table: %d %s", resp.StatusCode, body)
+	}
+	var local tableResponse
+	if err := json.Unmarshal(body, &local); err != nil {
+		t.Fatal(err)
+	}
+	id := submitFleet(t, ts, map[string]any{"gate": "xor", "backend": "micromag", "table": true})
+	st := waitFleetComplete(t, ts, id, 2*time.Minute)
+	if st.Fingerprint == "" || st.Fingerprint != local.Fingerprint {
+		t.Errorf("fleet fingerprint %q, local %q", st.Fingerprint, local.Fingerprint)
+	}
+	for _, r := range st.Results {
+		if r.Source != string(spinwave.EvalSourceMicromag) {
+			t.Errorf("fleet case %v answered by %q, want a recompute", r.Inputs, r.Source)
+		}
+	}
+	if !reflect.DeepEqual(st.Table, local.TruthTable) {
+		t.Errorf("fleet table %+v\nlocal table %+v", st.Table, local.TruthTable)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/fleet"
 	"spinwave/internal/runhistory"
 )
@@ -122,25 +123,6 @@ func (s *server) indexRecords(recs ...runhistory.Record) {
 	}
 }
 
-// gateName maps a gate kind back onto the request vocabulary ("xor",
-// "maj3", ...), so history records filter under the same names clients
-// submit with — the fleet path indexes the submitted spec's gate, and
-// the local paths must agree.
-func gateName(k spinwave.GateKind) string {
-	switch k {
-	case spinwave.MAJ3:
-		return "maj3"
-	case spinwave.MAJ3Single:
-		return "maj3single"
-	case spinwave.XOR:
-		return "xor"
-	case spinwave.MAJ5:
-		return "maj5"
-	default:
-		return k.String()
-	}
-}
-
 // indexEval catalogs one served /v1/eval response, one record per case
 // keyed by the case's run ID.
 func (s *server) indexEval(gate string, resp evalResponse, cases [][]bool, fps []string, wall time.Duration) {
@@ -208,6 +190,11 @@ func (s *server) indexFleetRequest(cr fleet.CompletedRequest) {
 		Cases:       cr.Cases,
 		WallNS:      cr.CompletedNS - cr.SubmittedNS,
 		Tier:        cr.Tier,
+	}
+	// The coordinator queues canonical names; a request an older
+	// coordinator queued may still carry aliases.
+	if k, err := backendspec.Resolve(backendspec.Request{Gate: cr.Gate, Backend: cr.Backend}); err == nil {
+		rec.Gate, rec.Backend = k.Gate, k.Backend
 	}
 	if cr.Run != "" {
 		if rep, ok := spinwave.HealthFor(cr.Run); ok {

@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/checkpoint"
 	"spinwave/internal/core"
 	"spinwave/internal/fleet"
@@ -75,13 +76,13 @@ func main() {
 	log.SetPrefix("swserve: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = NumCPU)")
-	flag.IntVar(&stepWorkers, "step-workers", 0, "LLG stepping workers per micromag transient (0/1 = serial; trajectories are bit-identical)")
+	stepWorkers := flag.Int("step-workers", 0, "LLG stepping workers per micromag transient (0/1 = serial; trajectories are bit-identical)")
 	cacheSize := flag.Int("cache", 4096, "engine LRU capacity in cached case readouts (0 disables)")
 	timeout := flag.Duration("timeout", 120*time.Second, "server-side per-request deadline")
 	maxBatch := flag.Int("max-batch", defaultMaxBatch, "maximum cases per /v1/eval request")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	flag.BoolVar(&probeOn, "probe", false, "record in-situ probe time-series for micromag runs (served at /v1/runs/{id}/probes)")
-	flag.BoolVar(&healthOn, "health", false, "attach the numerical health monitor to micromag runs (alerts + verdicts, DESIGN.md §12)")
+	probeOn := flag.Bool("probe", false, "record in-situ probe time-series for micromag runs (served at /v1/runs/{id}/probes)")
+	healthOn := flag.Bool("health", false, "attach the numerical health monitor to micromag runs (alerts + verdicts, DESIGN.md §12)")
 	sloWindow := flag.Duration("slo-window", defaultSLOWindow, "rolling SLO window")
 	sloObjective := flag.Float64("slo-objective", defaultSLOObjective, "SLO good-fraction objective in percent (availability and latency)")
 	sloLatency := flag.Duration("slo-latency", defaultSLOLatency, "SLO latency threshold (responses slower than this burn the latency budget)")
@@ -119,6 +120,7 @@ func main() {
 	}
 	srv := newServer(spinwave.NewEngine(opts...), *timeout)
 	defer srv.close()
+	srv.backends.Options = backendspec.Options{StepWorkers: *stepWorkers, Probe: *probeOn, Health: *healthOn}
 	srv.maxBatch = *maxBatch
 	srv.pprofOn = *pprofOn
 	srv.slo = newSLOTracker(*sloWindow, *sloObjective, *sloLatency)
@@ -239,7 +241,7 @@ type server struct {
 	// backends memoizes the backend of every resolved request, so eval
 	// and table requests skip construction (rasterization) after the
 	// first. Per server, not per process, so test servers do not share.
-	backends backendMemo
+	backends backendspec.Memo
 
 	// Flight-recorder plumbing (runs.go): recent-event replay ring, live
 	// streaming hub, NDJSON heartbeat cadence, and the journal detach
@@ -445,12 +447,12 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if !s.validTimeout(w, req.TimeoutMS) {
 		return
 	}
-	engMode, modeLabel, breq, err := resolveMode(req.backendRequest)
+	engMode, modeLabel, k, err := req.resolve()
 	if err != nil {
-		s.badRequest(w, err)
+		s.fail(w, err)
 		return
 	}
-	b, err := s.backend(breq)
+	b, err := s.backends.Get(k)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -480,7 +482,7 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Fingerprint = fps[0]
 	s.evalCases.Add(int64(len(cases)))
-	s.indexEval(gateName(b.Kind()), resp, cases, fps, time.Since(evalStart))
+	s.indexEval(k.Gate, resp, cases, fps, time.Since(evalStart))
 	s.reply(w, resp)
 }
 
@@ -493,12 +495,12 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 	if !s.validTimeout(w, req.TimeoutMS) {
 		return
 	}
-	engMode, modeLabel, breq, err := resolveMode(req.backendRequest)
+	engMode, modeLabel, k, err := req.resolve()
 	if err != nil {
-		s.badRequest(w, err)
+		s.fail(w, err)
 		return
 	}
-	b, err := s.backend(breq)
+	b, err := s.backends.Get(k)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -531,7 +533,7 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 	}
 	s.tables.Add(1)
 	fp := backendFingerprint(b)
-	s.indexTable(gateName(b.Kind()), b.Name(), fp, string(src),
+	s.indexTable(k.Gate, b.Name(), fp, string(src),
 		len(tt.Cases), time.Since(tableStart))
 	s.reply(w, tableResponse{TruthTable: tt, Mode: modeLabel,
 		Source: string(src), Fingerprint: fp})
@@ -583,50 +585,15 @@ func (s *server) reply(w http.ResponseWriter, v any) {
 	}
 }
 
-// resolveMode validates the requested serving mode against the legacy
-// backend field and returns the engine mode, the mode label echoed in
-// responses, and the backend request with the implied solver filled in.
-func resolveMode(req backendRequest) (spinwave.EvalMode, string, backendRequest, error) {
-	mode := strings.ToLower(req.Mode)
-	be := strings.ToLower(req.Backend)
-	conflict := func() error {
-		return fmt.Errorf("mode %q conflicts with backend %q", req.Mode, req.Backend)
+// resolve maps the request onto its engine mode, the mode label
+// responses echo, and its backend key.
+func (r backendRequest) resolve() (spinwave.EvalMode, string, backendspec.Key, error) {
+	mode, label, backend, err := backendspec.ResolveMode(r.Mode, r.Backend)
+	if err != nil {
+		return "", "", backendspec.Key{}, err
 	}
-	switch mode {
-	case "":
-		// Legacy contract: the backend field picks the solver; exact
-		// tiers only. The echoed mode names the effective solver.
-		label := "behavioral"
-		if be == "micromag" || be == "micromagnetic" {
-			label = "micromag"
-		}
-		return spinwave.EvalModeDirect, label, req, nil
-	case "behavioral":
-		if be != "" && be != "behavioral" {
-			return "", "", req, conflict()
-		}
-		req.Backend = "behavioral"
-		return spinwave.EvalModeDirect, "behavioral", req, nil
-	case "micromag", "micromagnetic":
-		if be != "" && be != "micromag" && be != "micromagnetic" {
-			return "", "", req, conflict()
-		}
-		req.Backend = "micromag"
-		return spinwave.EvalModeDirect, "micromag", req, nil
-	case "auto", "surrogate":
-		// The backend field picks the base model identity (default
-		// micromag — the solver the surrogate tier exists to replace);
-		// the tiers decide who actually answers.
-		if be == "" {
-			req.Backend = "micromag"
-		}
-		if mode == "auto" {
-			return spinwave.EvalModeAuto, "auto", req, nil
-		}
-		return spinwave.EvalModeSurrogateOnly, "surrogate", req, nil
-	default:
-		return "", "", req, fmt.Errorf("unknown mode %q (want auto, surrogate, micromag or behavioral)", req.Mode)
-	}
+	k, err := backendspec.Resolve(backendspec.Request{Gate: r.Gate, Backend: backend, Spec: r.Spec, Material: r.Material})
+	return mode, label, k, err
 }
 
 // backendFingerprint returns the backend's canonical fingerprint, empty
@@ -638,152 +605,6 @@ func backendFingerprint(b spinwave.Backend) string {
 		}
 	}
 	return ""
-}
-
-// stepWorkers is the per-transient LLG stepping worker count applied to
-// every micromagnetic backend the server builds (-step-workers flag).
-// It composes with the engine pool: table rows parallelize across engine
-// workers while each row's LLG bands parallelize across step workers.
-var stepWorkers int
-
-// probeOn enables in-situ probe recording on every micromagnetic
-// backend the server builds (-probe flag); recorded runs are served at
-// /v1/runs/{id}/probes.
-var probeOn bool
-
-// healthOn attaches the numerical health monitor to every micromagnetic
-// backend the server builds (-health flag); verdicts and alerts flow
-// into the journal (tailable at /v1/runs/{id}/events) and /metrics.
-var healthOn bool
-
-// backendKey is a backend request resolved onto the canonical
-// vocabulary: aliases, letter case and omitted fields are gone, so two
-// requests for the same backend have equal keys.
-type backendKey struct {
-	kind     spinwave.GateKind
-	micromag bool
-	spec     string // paper, paper-micromag or reduced
-	material string // a spinwave.MaterialByName preset
-}
-
-// resolveBackend validates a backend request and resolves it to its key.
-func resolveBackend(req backendRequest) (backendKey, error) {
-	kind, err := parseGate(req.Gate)
-	if err != nil {
-		return backendKey{}, err
-	}
-	k := backendKey{kind: kind, material: "fecob"}
-	if req.Material != "" {
-		if _, err := spinwave.MaterialByName(req.Material); err != nil {
-			return backendKey{}, fmt.Errorf("%w: material %q", spinwave.ErrUnknownComponent, req.Material)
-		}
-		k.material = req.Material
-	}
-	defaultSpec := "paper"
-	switch strings.ToLower(req.Backend) {
-	case "", "behavioral":
-	case "micromag", "micromagnetic":
-		k.micromag = true
-		defaultSpec = "reduced"
-	default:
-		return backendKey{}, fmt.Errorf("%w: backend %q (want behavioral or micromag)", spinwave.ErrUnknownComponent, req.Backend)
-	}
-	if k.spec, _, err = parseSpec(req.Spec, defaultSpec); err != nil {
-		return backendKey{}, err
-	}
-	return k, nil
-}
-
-// build constructs the backend the key names.
-func (k backendKey) build() (spinwave.Backend, error) {
-	mat, err := spinwave.MaterialByName(k.material)
-	if err != nil {
-		return nil, err
-	}
-	_, spec, err := parseSpec(k.spec, "")
-	if err != nil {
-		return nil, err
-	}
-	if !k.micromag {
-		return spinwave.NewBehavioral(k.kind, spec, mat)
-	}
-	mopts := []spinwave.MicromagOption{spinwave.WithSpec(spec), spinwave.WithMaterial(mat),
-		spinwave.WithWorkers(stepWorkers)}
-	if probeOn {
-		mopts = append(mopts, spinwave.WithProbes(spinwave.ProbeConfig{Enabled: true}))
-	}
-	if healthOn {
-		mopts = append(mopts, spinwave.WithHealth(spinwave.HealthConfig{Enabled: true}))
-	}
-	return spinwave.NewMicromagnetic(k.kind, mopts...)
-}
-
-// backendMemo holds every backend a server has built, by resolved key
-// (DESIGN.md §13). Each key field comes from a closed vocabulary and
-// only successful builds are stored, so the memo is bounded by
-// construction. Sharing one backend across requests is safe: table cases
-// already run concurrently on one backend, and the server never calls
-// the only mutator, Micromagnetic.CalibrateI3.
-type backendMemo struct {
-	mu sync.Mutex
-	m  map[backendKey]spinwave.Backend
-}
-
-// backend returns the memoized backend for req, building it on first
-// use. The build runs under the lock, so each key is built once.
-func (s *server) backend(req backendRequest) (spinwave.Backend, error) {
-	k, err := resolveBackend(req)
-	if err != nil {
-		return nil, err
-	}
-	s.backends.mu.Lock()
-	defer s.backends.mu.Unlock()
-	if b, ok := s.backends.m[k]; ok {
-		return b, nil
-	}
-	b, err := k.build()
-	if err != nil {
-		return nil, err
-	}
-	if s.backends.m == nil {
-		s.backends.m = make(map[backendKey]spinwave.Backend)
-	}
-	s.backends.m[k] = b
-	return b, nil
-}
-
-func parseGate(name string) (spinwave.GateKind, error) {
-	switch strings.ToLower(name) {
-	case "", "maj3", "majority":
-		return spinwave.MAJ3, nil
-	case "maj3single", "maj3-single":
-		return spinwave.MAJ3Single, nil
-	case "xor":
-		return spinwave.XOR, nil
-	case "maj5":
-		return spinwave.MAJ5, nil
-	default:
-		return 0, fmt.Errorf("%w: gate %q", spinwave.ErrUnknownGate, name)
-	}
-}
-
-// parseSpec resolves a spec name, or fallback when name is empty, to
-// its canonical name and geometry.
-func parseSpec(name, fallback string) (string, spinwave.Spec, error) {
-	canon := strings.ToLower(name)
-	if canon == "" {
-		canon = fallback
-	}
-	switch canon {
-	case "paper":
-		return canon, spinwave.PaperSpec(), nil
-	case "paper-micromag":
-		return canon, spinwave.PaperMicromagSpec(), nil
-	case "reduced":
-		return canon, spinwave.ReducedSpec(), nil
-	default:
-		return "", spinwave.Spec{}, fmt.Errorf("%w: spec %q (want paper, paper-micromag or reduced)", spinwave.ErrUnknownComponent, name)
-	}
 }
 
 func parseDerived(name string) (spinwave.DerivedGate, error) {

@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 )
 
 // GET /v1/spec: a machine-readable description of the v1 API — the
@@ -85,13 +86,12 @@ func (s *server) handleSpec(w http.ResponseWriter, r *http.Request) {
 		GoVersion:   goVersion,
 		VCSRevision: revision,
 		Endpoints:   endpoints,
-		Gates:       []string{"maj3", "maj3single", "xor", "maj5"},
-		Modes:       []string{"auto", "surrogate", "micromag", "behavioral"},
-		// The materials list mirrors spinwave.MaterialByName's presets.
-		Backends:  []string{"behavioral", "micromag"},
-		Specs:     []string{"paper", "paper-micromag", "reduced"},
-		Materials: []string{"fecob", "yig", "permalloy"},
-		Derived:   []string{"and", "or", "nand", "nor"},
+		Gates:       backendspec.Gates,
+		Modes:       backendspec.Modes,
+		Backends:    backendspec.Backends,
+		Specs:       backendspec.Specs,
+		Materials:   backendspec.Materials,
+		Derived:     []string{"and", "or", "nand", "nor"},
 		Sources: []string{
 			string(spinwave.EvalSourceCache), string(spinwave.EvalSourceDisk),
 			string(spinwave.EvalSourceSurrogate), string(spinwave.EvalSourceMicromag),

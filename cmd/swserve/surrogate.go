@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/obs"
 )
 
@@ -78,7 +79,13 @@ func (s *server) initSurrogates(ctx context.Context, gateList, backendName strin
 // surrogate, returning the ledger entry either way.
 func (s *server) buildSurrogate(ctx context.Context, gateName, backendName string) surrogateEntry {
 	entry := surrogateEntry{Gate: gateName, Backend: backendName}
-	b, err := s.backend(backendRequest{Gate: gateName, Backend: backendName})
+	k, err := backendspec.Resolve(backendspec.Request{Gate: gateName, Backend: backendName})
+	if err != nil {
+		entry.State = surrogateError
+		entry.Error = err.Error()
+		return entry
+	}
+	b, err := s.backends.Get(k)
 	if err != nil {
 		entry.State = surrogateError
 		entry.Error = err.Error()

@@ -2,71 +2,17 @@ package main
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/fleet"
 	"spinwave/internal/obsplane"
 )
 
-func TestBuildBackendVocabulary(t *testing.T) {
-	good := []fleet.JobSpec{
-		{Gate: "xor"},
-		{Gate: "XOR", Backend: "behavioral", Spec: "paper", Material: "fecob", Mode: "direct"},
-		{Gate: "maj3", Mode: "auto"},
-		{Gate: "majority"},
-		{Gate: "maj3single"},
-		{Gate: "maj3-single"},
-		{Gate: "maj5", Spec: "paper"},
-		{Gate: "xor", Backend: "micromag", Spec: "reduced"},
-		{Gate: "xor", Backend: "micromagnetic", Spec: "paper-micromag"},
-	}
-	for _, spec := range good {
-		if _, _, err := buildBackend(spec); err != nil {
-			t.Errorf("buildBackend(%+v) = %v, want ok", spec, err)
-		}
-	}
-
-	bad := []struct {
-		spec fleet.JobSpec
-		want string
-	}{
-		{fleet.JobSpec{Gate: "nand"}, "unknown gate"},
-		{fleet.JobSpec{Gate: ""}, "unknown gate"},
-		{fleet.JobSpec{Gate: "xor", Mode: "psychic"}, "unknown mode"},
-		{fleet.JobSpec{Gate: "xor", Backend: "quantum"}, "unknown backend"},
-		{fleet.JobSpec{Gate: "xor", Spec: "imaginary"}, "unknown spec"},
-		{fleet.JobSpec{Gate: "xor", Material: "unobtainium"}, "material"},
-	}
-	for _, tc := range bad {
-		_, _, err := buildBackend(tc.spec)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("buildBackend(%+v) = %v, want error containing %q", tc.spec, err, tc.want)
-		}
-	}
-}
-
-func TestBuildBackendModes(t *testing.T) {
-	for spec, want := range map[string]spinwave.EvalMode{
-		"":          spinwave.EvalModeDirect,
-		"direct":    spinwave.EvalModeDirect,
-		"auto":      spinwave.EvalModeAuto,
-		"surrogate": spinwave.EvalModeSurrogateOnly,
-	} {
-		_, mode, err := buildBackend(fleet.JobSpec{Gate: "xor", Mode: spec})
-		if err != nil {
-			t.Fatalf("mode %q: %v", spec, err)
-		}
-		if mode != want {
-			t.Errorf("mode %q resolved to %q, want %q", spec, mode, want)
-		}
-	}
-}
-
 func TestEvaluatorEvaluatesCases(t *testing.T) {
 	eng := spinwave.NewEngine(spinwave.WithEngineWorkers(2))
-	ev := newEvaluator(eng, "http://127.0.0.1:0")
+	ev := newEvaluator(eng, &backendspec.Memo{}, "http://127.0.0.1:0")
 
 	cases := [][]bool{{false, false}, {true, false}}
 	fp, results, err := ev.Evaluate(context.Background(), fleet.JobSpec{Gate: "xor"}, cases)
@@ -96,6 +42,33 @@ func TestEvaluatorEvaluatesCases(t *testing.T) {
 	// Same spec, bad gate: the evaluator surfaces the resolution error.
 	if _, _, err := ev.Evaluate(context.Background(), fleet.JobSpec{Gate: "bogus"}, cases); err == nil {
 		t.Error("bogus gate evaluated without error")
+	}
+}
+
+// TestEvaluatorMemoizesAliasedSpecs: two jobs whose specs name the same
+// backend through different letter case and omitted defaults share one
+// backend instance, built once for the process.
+func TestEvaluatorMemoizesAliasedSpecs(t *testing.T) {
+	eng := spinwave.NewEngine(spinwave.WithEngineWorkers(2))
+	memo := &backendspec.Memo{}
+	ev := newEvaluator(eng, memo, "http://127.0.0.1:0")
+	cases := [][]bool{{true, false}}
+	var fps []string
+	for _, spec := range []fleet.JobSpec{
+		{Gate: "xor"},
+		{Gate: "XOR", Backend: "Behavioral", Spec: "PAPER", Material: "FeCoB", Mode: "DIRECT"},
+	} {
+		fp, _, err := ev.Evaluate(context.Background(), spec, cases)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		fps = append(fps, fp)
+	}
+	if n := memo.Len(); n != 1 {
+		t.Errorf("memo holds %d backends after two aliased jobs, want 1", n)
+	}
+	if fps[0] != fps[1] {
+		t.Errorf("aliased jobs answered under fingerprints %s and %s", fps[0], fps[1])
 	}
 }
 

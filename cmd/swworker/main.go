@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/fleet"
 	"spinwave/internal/obsplane"
 )
@@ -85,7 +86,7 @@ func main() {
 
 	w := &fleet.Worker{
 		BaseURL:   *coordinator,
-		Eval:      newEvaluator(eng, *coordinator),
+		Eval:      newEvaluator(eng, &backendspec.Memo{}, *coordinator),
 		ID:        *id,
 		Poll:      *poll,
 		CaseDelay: *caseDelay,

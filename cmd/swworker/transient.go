@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/fleet"
 	"spinwave/internal/obsplane"
 )
@@ -57,10 +58,21 @@ func runTransientSegment(ctx context.Context, coordinator string, spec fleet.Job
 		return "", nil, fmt.Errorf("swworker: fetch checkpoints for run %s: %w", ts.Run, err)
 	}
 
+	// Segment backends are not memoized: each carries this run's
+	// checkpoint and probe hooks. Key.Micromagnetic refuses a behavioral
+	// key — only the micromagnetic backend has a transient to checkpoint.
+	k, err := backendspec.Resolve(backendspec.JobRequest(spec))
+	if err != nil {
+		return "", nil, err
+	}
+	var opts []spinwave.MicromagOption
+	if spec.DtScale > 0 {
+		opts = append(opts, spinwave.WithDtScale(spec.DtScale))
+	}
 	// The step budget comes from the backend's own duration and step
 	// size, so every segment of the run — on any worker — derives the
 	// same absolute boundaries.
-	probe, err := buildTransientBackend(spec)
+	probe, err := k.Micromagnetic(opts...)
 	if err != nil {
 		return "", nil, err
 	}
@@ -75,7 +87,7 @@ func runTransientSegment(ctx context.Context, coordinator string, spec fleet.Job
 	// remembered and fails the job afterwards, so the lease requeues the
 	// segment instead of silently leaving the store stale.
 	var uploadErr error
-	m, err := buildTransientBackend(spec,
+	m, err := k.Micromagnetic(append(opts,
 		// Probes ride every transient segment (≤3% budget, E-OBS2): each
 		// segment uploads its slice of the run's probe time-series beside
 		// its checkpoints, so at completion the artifact store holds the
@@ -95,7 +107,7 @@ func runTransientSegment(ctx context.Context, coordinator string, spec fleet.Job
 					uploadErr = err
 				}
 			},
-		}))
+		}))...)
 	if err != nil {
 		return "", nil, err
 	}
@@ -156,37 +168,6 @@ func uploadProbeCSV(ctx context.Context, art *artifactClient, ts *fleet.Transien
 		return fmt.Errorf("swworker: probe csv upload: %w", err)
 	}
 	return nil
-}
-
-// buildTransientBackend resolves a transient job spec to the
-// micromagnetic backend — the only backend with a transient to
-// checkpoint.
-func buildTransientBackend(spec fleet.JobSpec, extra ...spinwave.MicromagOption) (*spinwave.Micromagnetic, error) {
-	switch strings.ToLower(spec.Backend) {
-	case "micromag", "micromagnetic":
-	default:
-		return nil, fmt.Errorf("swworker: transient segments need backend micromag, got %q", spec.Backend)
-	}
-	kind, err := parseGate(spec.Gate)
-	if err != nil {
-		return nil, err
-	}
-	s, err := parseSpec(spec.Spec, spinwave.ReducedSpec())
-	if err != nil {
-		return nil, err
-	}
-	mat := spinwave.FeCoB()
-	if spec.Material != "" {
-		if mat, err = spinwave.MaterialByName(spec.Material); err != nil {
-			return nil, fmt.Errorf("swworker: material %q: %w", spec.Material, err)
-		}
-	}
-	opts := []spinwave.MicromagOption{spinwave.WithSpec(s), spinwave.WithMaterial(mat)}
-	if spec.DtScale > 0 {
-		opts = append(opts, spinwave.WithDtScale(spec.DtScale))
-	}
-	opts = append(opts, extra...)
-	return spinwave.NewMicromagnetic(kind, opts...)
 }
 
 // artifactClient talks to the coordinator's run-artifact store

@@ -62,15 +62,16 @@ const (
 )
 
 // JobSpec names the backend configuration a job's cases are evaluated
-// against. The strings use the same vocabulary as the swserve /v1 API
-// (gate: xor/maj3/...; backend: behavioral/micromag; mode: the engine
-// serving mode direct/auto/surrogate); validation happens where they
-// are consumed — the coordinator checks the gate, the worker's backend
-// builder checks the rest.
+// against, in the request vocabulary of internal/backendspec (mode is
+// the engine serving mode direct/auto/surrogate). The swserve
+// coordinator resolves each submission there and enqueues the
+// canonical, fully validated names; workers resolve through the same
+// package, so a job queued under aliases still runs.
 type JobSpec struct {
 	// Gate is the gate kind the cases drive (xor, maj3, maj3single, maj5).
 	Gate string `json:"gate"`
-	// Backend picks the solver (behavioral or micromag; empty = behavioral).
+	// Backend picks the solver (behavioral or micromagnetic; empty =
+	// behavioral).
 	Backend string `json:"backend,omitempty"`
 	// Spec picks the device geometry preset (paper, paper-micromag, reduced).
 	Spec string `json:"spec,omitempty"`
@@ -86,8 +87,9 @@ type JobSpec struct {
 	// Inverted selects XNOR decoding for XOR table requests.
 	Inverted bool `json:"inverted,omitempty"`
 	// DtScale multiplies the micromagnetic stability time step (default
-	// 1). It changes the trajectory (and the fingerprint); fleet smokes
-	// use values < 1 to stretch a transient's wall-clock time.
+	// 1) of a transient segment job; plain jobs ignore it. It changes the
+	// trajectory (and the fingerprint); fleet smokes use values < 1 to
+	// stretch a transient's wall-clock time.
 	DtScale float64 `json:"dt_scale,omitempty"`
 	// Transient marks the job as one resumable segment of a long
 	// checkpointed transient (DESIGN.md §15). Segment jobs carry exactly
