@@ -112,19 +112,21 @@ func TestHealthyRunVerdict(t *testing.T) {
 	}
 }
 
-// TestWorkerInvarianceWithMonitor pins that attaching the health
-// monitor keeps the worker-count bit-identity guarantee: the monitor
+// TestWorkerInvarianceWithMonitor pins the worker-count bit-identity
+// guarantee on the gate mesh over a full transient, with and without
+// the health monitor attached: every (workers, monitor) pair must land
+// on the serial unmonitored final magnetization exactly. The monitor
 // observes the committed field, never touches it.
 func TestWorkerInvarianceWithMonitor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micromagnetic integration test")
 	}
-	run := func(workers int) []float64 {
+	run := func(workers int, monitor bool) []float64 {
 		m, err := NewMicromagnetic(XOR, MicromagConfig{
 			Spec:    layout.ReducedSpec(),
 			Mat:     material.FeCoB(),
 			Workers: workers,
-			Health:  health.Config{Enabled: true},
+			Health:  health.Config{Enabled: monitor},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -139,15 +141,19 @@ func TestWorkerInvarianceWithMonitor(t *testing.T) {
 		}
 		return flat
 	}
-	serial := run(1)
-	parallel := run(4)
-	if len(serial) != len(parallel) {
-		t.Fatal("snapshot sizes differ")
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("monitored trajectories diverge at component %d: %g vs %g",
-				i, serial[i], parallel[i])
+	serial := run(1, false)
+	for _, workers := range []int{4, 8} {
+		for _, monitor := range []bool{true, false} {
+			parallel := run(workers, monitor)
+			if len(serial) != len(parallel) {
+				t.Fatalf("workers=%d monitor=%v: snapshot sizes differ", workers, monitor)
+			}
+			for i := range serial {
+				if serial[i] != parallel[i] {
+					t.Fatalf("workers=%d monitor=%v: trajectory diverges from serial at component %d: %g vs %g",
+						workers, monitor, i, serial[i], parallel[i])
+				}
+			}
 		}
 	}
 }

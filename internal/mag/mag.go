@@ -24,10 +24,10 @@
 // # Concurrency
 //
 // An Evaluator is driven by one goroutine at a time (the solver), but
-// its banded entry points — FieldRows and the RowsSource calls — may run
-// concurrently for disjoint row bands: each band writes only its own
-// rows while the magnetization input is read-only, so the exchange
-// stencil's one-row halo reads are safe without locks (DESIGN.md §10).
+// its banded entry point FieldRows may run concurrently for disjoint
+// row bands: each band writes only its own rows while the magnetization
+// input is read-only, so the exchange stencil's one-row halo reads are
+// safe without locks (DESIGN.md §10).
 // All local terms are evaluated per cell with band-independent
 // arithmetic, so results are bit-for-bit identical for any banding.
 package mag
@@ -89,14 +89,6 @@ type CellSource interface {
 	Source
 	// FieldAt returns the source field at one cell.
 	FieldAt(t float64, cell int) vec.Vector
-}
-
-// RowsSource is a Source that can restrict itself to a row range, so
-// banded field passes can include it without a separate serial sweep.
-type RowsSource interface {
-	Source
-	// AddToRows adds the source's field for rows [j0, j1) only.
-	AddToRows(t float64, B vec.Field, j0, j1 int)
 }
 
 // Evaluator assembles the effective field for a fixed mesh/geometry.

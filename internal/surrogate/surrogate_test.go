@@ -10,6 +10,7 @@ import (
 	"spinwave/internal/core"
 	"spinwave/internal/layout"
 	"spinwave/internal/material"
+	"spinwave/internal/obs"
 )
 
 func behavioral(t *testing.T, kind core.GateKind) *core.Behavioral {
@@ -184,7 +185,8 @@ func TestEvalInputCount(t *testing.T) {
 // surrogate built from the real micromagnetic solver must pass the
 // golden-band admission gate, and its superposed Tables I/II rows must
 // decode to the same logic and sit within the band width (0.1
-// normalized amplitude) of the exact solver's rows.
+// normalized amplitude) of the exact solver's rows. The warm table must
+// come from superposition alone: it takes no integrator step.
 func TestSurrogateMicromagGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micromagnetic transients: seconds to minutes of solver time")
@@ -216,9 +218,14 @@ func TestSurrogateMicromagGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			steps := obs.Default().Counter("spinwave_llg_steps_total")
+			before := steps.Value()
 			approx, err := sur.Table()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if after := steps.Value(); after != before {
+				t.Fatalf("warm surrogate table stepped the solver: %d integrator steps", after-before)
 			}
 			if len(approx.Cases) != len(exact.Cases) {
 				t.Fatalf("case count %d, want %d", len(approx.Cases), len(exact.Cases))
