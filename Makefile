@@ -59,12 +59,17 @@ health-smoke:
 # port), push it through the engine's golden-band admission gate, and
 # require a journaled "admitted" verdict. A surrogate that drifts out of
 # the Tables I/II bands flips the verdict to "rejected" and swsim exits
-# non-zero, failing the target before the grep even runs.
+# non-zero, failing the target before the grep even runs. The MAJ3 run
+# pins the CLI's build path: its I3 trim comes from the resolver's
+# committed table, not from a calibration run.
 surrogate-smoke:
 	$(GO) run ./cmd/swsim -gate xor -surrogate -journal surrogate.jsonl
 	$(GO) run ./tools/journalcheck surrogate.jsonl
 	@grep -q '"event":"surrogate.admission"' surrogate.jsonl || { echo "FAIL: no admission verdict in surrogate.jsonl"; exit 1; }
 	@grep -q '"verdict":"admitted"' surrogate.jsonl || { echo "FAIL: surrogate was not admitted"; exit 1; }
+	$(GO) run ./cmd/swsim -gate maj3 -surrogate -journal surrogate-maj3.jsonl
+	$(GO) run ./tools/journalcheck surrogate-maj3.jsonl
+	@grep -q '"verdict":"admitted"' surrogate-maj3.jsonl || { echo "FAIL: maj3 surrogate was not admitted"; exit 1; }
 
 # Coverage gate: total -short statement coverage must stay at or above
 # COVER_BASELINE (-short skips the minutes-long micromagnetic

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/llg"
 	"spinwave/internal/llg/llgref"
 )
@@ -125,13 +126,17 @@ func main() {
 		NumCPU:     runtime.NumCPU(),
 	}
 
-	gates := []spinwave.GateKind{spinwave.XOR}
+	gates := []string{"xor"}
 	if !*quick {
-		gates = append(gates, spinwave.MAJ3)
+		gates = append(gates, "maj3")
 	}
 	ok := true
-	for _, kind := range gates {
-		g, err := benchGate(kind, *quick, *surrogateOn)
+	for _, gate := range gates {
+		k, err := backendspec.Resolve(backendspec.Request{Gate: gate, Backend: backendspec.Micromagnetic})
+		if err != nil {
+			log.Fatal(err)
+		}
+		g, err := benchGate(k, *quick, *surrogateOn)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -261,15 +266,6 @@ func normalizedFused8(g gateResult) (float64, bool) {
 	return fused8 / ref, true
 }
 
-// newBackend builds a micromagnetic backend for the benchmark.
-func newBackend(kind spinwave.GateKind, workers int) (*spinwave.Micromagnetic, error) {
-	return spinwave.NewMicromagnetic(kind, spinwave.MicromagConfig{
-		Spec:    spinwave.ReducedSpec(),
-		Mat:     spinwave.FeCoB(),
-		Workers: workers,
-	})
-}
-
 // referenceSteps takes n term-by-term oracle steps on a bare solver
 // built over the backend's mesh, region, material and time step.
 func referenceSteps(m *spinwave.Micromagnetic, n int) error {
@@ -304,9 +300,10 @@ func benchCases(kind spinwave.GateKind, quick bool) [][]bool {
 	return cases
 }
 
-func benchGate(kind spinwave.GateKind, quick, surrogateOn bool) (*gateResult, error) {
+func benchGate(k backendspec.Key, quick, surrogateOn bool) (*gateResult, error) {
+	kind := k.Kind()
 	cases := benchCases(kind, quick)
-	probe, err := newBackend(kind, 1)
+	probe, err := k.Micromagnetic(spinwave.WithWorkers(1))
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +341,7 @@ func benchGate(kind spinwave.GateKind, quick, surrogateOn bool) (*gateResult, er
 			secs = time.Since(start).Seconds()
 			refSeconds = secs
 		} else {
-			m, err := newBackend(kind, md.workers)
+			m, err := k.Micromagnetic(spinwave.WithWorkers(md.workers))
 			if err != nil {
 				return nil, err
 			}
@@ -375,7 +372,7 @@ func benchGate(kind spinwave.GateKind, quick, surrogateOn bool) (*gateResult, er
 
 	// Divergence gate: the final magnetization of a full transient must
 	// be bit-identical between 1 and 8 stepping workers.
-	identical, err := trajectoriesIdentical(kind, cases[0])
+	identical, err := trajectoriesIdentical(k, cases[0])
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +384,7 @@ func benchGate(kind spinwave.GateKind, quick, surrogateOn bool) (*gateResult, er
 	}
 
 	if surrogateOn {
-		sr, err := benchSurrogate(kind, fused1Seconds/float64(len(cases)))
+		sr, err := benchSurrogate(k, fused1Seconds/float64(len(cases)))
 		if err != nil {
 			return nil, fmt.Errorf("%s surrogate: %w", g.Gate, err)
 		}
@@ -409,18 +406,10 @@ const surrogateTimingFloor = 200 * time.Millisecond
 // over the gate's full truth table. fused1PerCase is the exact solver's
 // per-case time from the same run; the reported speedup is the ratio of
 // the two per-case times, so it is machine-independent.
-func benchSurrogate(kind spinwave.GateKind, fused1PerCase float64) (*surrogateResult, error) {
-	m, err := newBackend(kind, 1)
+func benchSurrogate(k backendspec.Key, fused1PerCase float64) (*surrogateResult, error) {
+	m, err := k.Micromagnetic(spinwave.WithWorkers(1))
 	if err != nil {
 		return nil, err
-	}
-	// Majority structures need the I3 phase trim before any table can
-	// pass the golden bands — the same calibration every exact-table
-	// consumer (swsim, swtables, the golden tests) performs.
-	if kind != spinwave.XOR {
-		if _, err := m.CalibrateI3(); err != nil {
-			return nil, err
-		}
 	}
 	model, err := spinwave.BuildSurrogate(context.Background(), m)
 	if err != nil {
@@ -433,7 +422,7 @@ func benchSurrogate(kind spinwave.GateKind, fused1PerCase float64) (*surrogateRe
 	}
 	// Warm timing always sweeps the full truth table (quick mode trims
 	// the solver modes, not this microsecond-scale loop).
-	cases := benchCases(kind, false)
+	cases := benchCases(k.Kind(), false)
 	start := time.Now()
 	for time.Since(start) < surrogateTimingFloor {
 		for _, in := range cases {
@@ -455,8 +444,8 @@ func benchSurrogate(kind spinwave.GateKind, fused1PerCase float64) (*surrogateRe
 
 // trajectoriesIdentical runs one full transient at 1 and 8 workers and
 // compares every cell of the final magnetization exactly.
-func trajectoriesIdentical(kind spinwave.GateKind, inputs []bool) (bool, error) {
-	m1, err := newBackend(kind, 1)
+func trajectoriesIdentical(k backendspec.Key, inputs []bool) (bool, error) {
+	m1, err := k.Micromagnetic(spinwave.WithWorkers(1))
 	if err != nil {
 		return false, err
 	}
@@ -464,7 +453,7 @@ func trajectoriesIdentical(kind spinwave.GateKind, inputs []bool) (bool, error) 
 	if err != nil {
 		return false, err
 	}
-	m8, err := newBackend(kind, 8)
+	m8, err := k.Micromagnetic(spinwave.WithWorkers(8))
 	if err != nil {
 		return false, err
 	}

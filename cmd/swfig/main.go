@@ -20,9 +20,9 @@ import (
 	"path/filepath"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/core"
 	"spinwave/internal/layout"
-	"spinwave/internal/material"
 	"spinwave/internal/ovf"
 	"spinwave/internal/render"
 	"spinwave/internal/report"
@@ -172,17 +172,16 @@ func figureGeometry(fig int, outDir string) {
 
 // figure5 regenerates the eight Figure 5 panels.
 func figure5(outDir string, full, ascii bool) {
-	spec := spinwave.ReducedSpec()
+	spec := ""
 	if full {
-		spec = spinwave.PaperMicromagSpec()
+		spec = "paper-micromag"
 	}
-	m, err := spinwave.NewMicromagnetic(spinwave.MAJ3, spinwave.MicromagConfig{
-		Spec: spec, Mat: material.FeCoB(),
-	})
+	k, err := backendspec.Resolve(backendspec.Request{Gate: "maj3", Backend: backendspec.Micromagnetic, Spec: spec})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := m.CalibrateI3(); err != nil {
+	m, err := k.Micromagnetic()
+	if err != nil {
 		log.Fatal(err)
 	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {

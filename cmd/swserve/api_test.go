@@ -379,3 +379,19 @@ func TestInitSurrogatesBehavioral(t *testing.T) {
 		t.Fatalf("surrogate eval after init: status %d: %s", resp.StatusCode, body)
 	}
 }
+
+// TestInitSurrogatesMicromagMAJ3: the served MAJ3 solver carries its
+// committed I3 trim, so the surrogate superposed from its unit
+// transients passes the Table I admission bands.
+func TestInitSurrogatesMicromagMAJ3(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	srv, _ := newTestServer(t)
+	if err := srv.initSurrogates(context.Background(), "maj3", "micromag"); err != nil {
+		t.Fatal(err)
+	}
+	if e := srv.surrogateSnapshot(); len(e) != 1 || e[0].State != surrogateAdmitted {
+		t.Fatalf("ledger %+v, want one admitted maj3 entry", e)
+	}
+}

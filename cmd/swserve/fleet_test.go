@@ -470,10 +470,11 @@ func TestFleetSubmitMatchesWorker(t *testing.T) {
 	}
 }
 
-// TestFleetMatchesLocalMicromag pins fleet ≡ local: a micromagnetic XOR
-// table through /v1/table and through a fleet worker running the shared
-// job evaluator on its own engine gives the same table, readouts and
-// fingerprint.
+// TestFleetMatchesLocalMicromag pins fleet ≡ local: a micromagnetic XOR,
+// MAJ3 and maj3single table through /v1/table and through a fleet worker
+// running the shared job evaluator on its own engine gives the same
+// table, readouts and fingerprint. The served Majority tables carry the
+// committed I3 trim, so they decode every row inside Table I's band.
 func TestFleetMatchesLocalMicromag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micromagnetic integration test")
@@ -484,26 +485,57 @@ func TestFleetMatchesLocalMicromag(t *testing.T) {
 	startFleetWorker(t, srv, ts, &fleet.Worker{ID: "pin-w",
 		Eval: backendspec.Evaluator(spinwave.NewEngine(spinwave.WithEngineWorkers(4)), &backendspec.Memo{})})
 
-	resp, body := postJSON(t, ts.URL+"/v1/table", map[string]any{"gate": "xor", "backend": "micromag"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("local table: %d %s", resp.StatusCode, body)
-	}
-	var local tableResponse
-	if err := json.Unmarshal(body, &local); err != nil {
-		t.Fatal(err)
-	}
-	id := submitFleet(t, ts, map[string]any{"gate": "xor", "backend": "micromag", "table": true})
-	st := waitFleetComplete(t, ts, id, 2*time.Minute)
-	if st.Fingerprint == "" || st.Fingerprint != local.Fingerprint {
-		t.Errorf("fleet fingerprint %q, local %q", st.Fingerprint, local.Fingerprint)
-	}
-	for _, r := range st.Results {
-		if r.Source != string(spinwave.EvalSourceMicromag) {
-			t.Errorf("fleet case %v answered by %q, want a recompute", r.Inputs, r.Source)
+	for _, gate := range []string{"xor", "maj3", "maj3single"} {
+		resp, body := postJSON(t, ts.URL+"/v1/table", map[string]any{"gate": gate, "backend": "micromag"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s local table: %d %s", gate, resp.StatusCode, body)
+		}
+		var local tableResponse
+		if err := json.Unmarshal(body, &local); err != nil {
+			t.Fatal(err)
+		}
+		if !local.AllCorrect() {
+			t.Errorf("%s: local table decodes wrong rows", gate)
+		}
+		if gate != "xor" {
+			checkMixedRows(t, gate, local.TruthTable)
+		}
+		id := submitFleet(t, ts, map[string]any{"gate": gate, "backend": "micromag", "table": true})
+		st := waitFleetComplete(t, ts, id, 2*time.Minute)
+		if st.Fingerprint == "" || st.Fingerprint != local.Fingerprint {
+			t.Errorf("%s: fleet fingerprint %q, local %q", gate, st.Fingerprint, local.Fingerprint)
+		}
+		for _, r := range st.Results {
+			if r.Source != string(spinwave.EvalSourceMicromag) {
+				t.Errorf("%s: fleet case %v answered by %q, want a recompute", gate, r.Inputs, r.Source)
+			}
+		}
+		if !reflect.DeepEqual(st.Table, local.TruthTable) {
+			t.Errorf("%s: fleet table %+v\nlocal table %+v", gate, st.Table, local.TruthTable)
 		}
 	}
-	if !reflect.DeepEqual(st.Table, local.TruthTable) {
-		t.Errorf("fleet table %+v\nlocal table %+v", st.Table, local.TruthTable)
+}
+
+// checkMixedRows holds a served Majority table to Table I's mixed-row
+// band (EXPERIMENTS.md E-T1): every output of a non-unanimous row
+// normalizes into [0.02, 0.5]. An uncalibrated I3 path reads above it.
+func checkMixedRows(t *testing.T, gate string, tt *spinwave.TruthTable) {
+	t.Helper()
+	for _, c := range tt.Cases {
+		ones := 0
+		for _, in := range c.Inputs {
+			if in {
+				ones++
+			}
+		}
+		if ones == 0 || ones == len(c.Inputs) {
+			continue
+		}
+		for _, o := range c.Outputs {
+			if o.Normalized < 0.02 || o.Normalized > 0.5 {
+				t.Errorf("%s case %v %s: mixed row normalized %.3f, want [0.02, 0.5]", gate, c.Inputs, o.Name, o.Normalized)
+			}
+		}
 	}
 }
 

@@ -17,9 +17,11 @@ import (
 	"log"
 	"math"
 	"os"
+	"strings"
 	"time"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 	"spinwave/internal/core"
 	"spinwave/internal/detect"
 	"spinwave/internal/grid"
@@ -40,7 +42,7 @@ func main() {
 // the code it returns — os.Exit directly in a body with defers would
 // skip them.
 func run() int {
-	gate := flag.String("gate", "xor", "gate: xor, maj3, maj3single")
+	gate := flag.String("gate", "xor", "gate: "+strings.Join(backendspec.Gates, ", "))
 	inputs := flag.String("inputs", "", "input bits, I1 first (e.g. 10 or 011); empty = full truth table")
 	full := flag.Bool("full", false, "use the paper's full dimensions (slow)")
 	temp := flag.Float64("temp", 0, "temperature in kelvin (adds thermal field)")
@@ -73,51 +75,46 @@ func run() int {
 		return healthExit()
 	}
 
-	kind, err := parseGate(*gate)
+	spec := ""
+	if *full {
+		spec = "paper-micromag"
+	}
+	k, err := backendspec.Resolve(backendspec.Request{Gate: *gate, Backend: backendspec.Micromagnetic, Spec: spec})
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec := spinwave.ReducedSpec()
-	if *full {
-		spec = spinwave.PaperMicromagSpec()
-	}
-	cfg := spinwave.MicromagConfig{
-		Spec:        spec,
-		Mat:         material.FeCoB(),
-		Temperature: *temp,
-		Seed:        *seed,
-		Workers:     *workers,
+	kind := k.Kind()
+	// The perturbations change the device the key names, but not its I3
+	// trim: a fabricated device's trim is fixed.
+	opts := []core.MicromagOption{core.WithWorkers(*workers), core.WithDtScale(*flagDtScale)}
+	if *temp > 0 {
+		opts = append(opts, core.WithTemperature(*temp, *seed))
 	}
 	if *rough > 0 {
-		cfg.RegionMutator = sweep.EdgeRoughness(*rough, *seed)
+		opts = append(opts, core.WithRegionMutator(sweep.EdgeRoughness(*rough, *seed)))
 	}
 	if *flagProbe {
-		cfg.Probes = spinwave.ProbeConfig{Enabled: true}
+		opts = append(opts, core.WithProbes(spinwave.ProbeConfig{Enabled: true}))
 	}
 	if *flagHealth {
 		// Abort on the first critical alert: a blown-up transient will
 		// never produce a usable readout, so fail fast instead of stepping
 		// NaNs to the end of the run.
-		cfg.Health = spinwave.HealthConfig{Enabled: true, AbortOnCritical: true}
+		opts = append(opts, core.WithHealth(spinwave.HealthConfig{Enabled: true, AbortOnCritical: true}))
 	}
-	cfg.DtScale = *flagDtScale
 	if *ckDir != "" {
-		cfg.Checkpoint = spinwave.CheckpointConfig{
+		opts = append(opts, core.WithCheckpoint(spinwave.CheckpointConfig{
 			Dir: *ckDir, EverySteps: *ckEvery, Resume: *resume,
-		}
+		}))
 	}
-	m, err := spinwave.NewMicromagnetic(kind, cfg)
+	m, err := k.Micromagnetic(opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("gate %s: drive %.2f GHz, time step %.3g ps, %.2f ns per case\n",
 		kind, m.Freq/1e9, m.Dt()*1e12, m.Duration()*1e9)
 	if kind != spinwave.XOR {
-		trim, err := m.CalibrateI3()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("I3 phase trim: %.3f rad\n", trim)
+		fmt.Printf("I3 phase trim: %.3f rad\n", k.I3Trim())
 	}
 
 	if *surrogateMode {
@@ -126,10 +123,10 @@ func run() int {
 	caseStart := time.Now()
 	if *inputs == "" {
 		runTruthTable(kind, m)
-		indexSimRun(*gate, "", 1<<kind.NumInputs(), time.Since(caseStart))
+		indexSimRun(k.Gate, "", 1<<kind.NumInputs(), time.Since(caseStart))
 	} else {
 		runSingleCase(kind, m, *inputs, *temp > 0, *readoutJSON)
-		indexSimRun(*gate, *inputs, 1, time.Since(caseStart))
+		indexSimRun(k.Gate, *inputs, 1, time.Since(caseStart))
 	}
 	reportProbes()
 	if *asciiArt {
@@ -150,23 +147,7 @@ func orDefault(inputs string, kind spinwave.GateKind) string {
 	if inputs != "" {
 		return inputs
 	}
-	if kind == spinwave.XOR {
-		return "00"
-	}
-	return "000"
-}
-
-func parseGate(name string) (spinwave.GateKind, error) {
-	switch name {
-	case "xor":
-		return spinwave.XOR, nil
-	case "maj3", "maj":
-		return spinwave.MAJ3, nil
-	case "maj3single":
-		return spinwave.MAJ3Single, nil
-	default:
-		return 0, fmt.Errorf("%w: %q", spinwave.ErrUnknownGate, name)
-	}
+	return strings.Repeat("0", kind.NumInputs())
 }
 
 func parseInputs(kind spinwave.GateKind, s string) ([]bool, error) {
@@ -315,23 +296,18 @@ func runSweep(kind string, seed int64) {
 		}
 		printSweep("XOR edge roughness", "flip probability", res)
 	case "dimension":
-		// §III-A sensitivity: trunk-length (d2) error in fractions of λ.
-		m, err := core.NewMicromagnetic(core.MAJ3, core.MicromagConfig{Spec: spec, Mat: mat})
-		if err != nil {
-			log.Fatal(err)
-		}
-		base, err := m.CalibrateI3()
+		// §III-A sensitivity: trunk-length (d2) error in fractions of λ,
+		// on top of the reduced MAJ3's committed trim.
+		k, err := backendspec.Resolve(backendspec.Request{Gate: "maj3", Backend: backendspec.Micromagnetic})
 		if err != nil {
 			log.Fatal(err)
 		}
 		res, err := sweep.DimensionError([]float64{0, 0.05, 0.1, 0.15, 0.2}, func(phaseError float64) (*core.TruthTable, error) {
-			mm, err := core.NewMicromagnetic(core.MAJ3, core.MicromagConfig{
-				Spec: spec, Mat: mat, I3PhaseTrim: base + phaseError,
-			})
+			m, err := k.Micromagnetic(core.WithI3PhaseTrim(k.I3Trim() + phaseError))
 			if err != nil {
 				return nil, err
 			}
-			return core.MajorityTruthTable(mm)
+			return core.MajorityTruthTable(m)
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -6,24 +6,6 @@ import (
 	"spinwave"
 )
 
-func TestParseGate(t *testing.T) {
-	cases := map[string]spinwave.GateKind{
-		"xor":        spinwave.XOR,
-		"maj3":       spinwave.MAJ3,
-		"maj":        spinwave.MAJ3,
-		"maj3single": spinwave.MAJ3Single,
-	}
-	for name, want := range cases {
-		got, err := parseGate(name)
-		if err != nil || got != want {
-			t.Errorf("parseGate(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseGate("nope"); err == nil {
-		t.Error("unknown gate accepted")
-	}
-}
-
 func TestParseInputs(t *testing.T) {
 	in, err := parseInputs(spinwave.MAJ3, "011")
 	if err != nil {

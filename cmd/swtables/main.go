@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"spinwave"
+	"spinwave/internal/backendspec"
 )
 
 // eng fans the truth-table cases of every printed table over a worker
@@ -85,50 +86,31 @@ func run() int {
 	return healthExit()
 }
 
-func newBackend(kind spinwave.GateKind, backend string, full bool) spinwave.Backend {
-	switch backend {
-	case "behavioral":
-		b, err := spinwave.NewBehavioral(kind, spinwave.PaperSpec(), spinwave.FeCoB())
-		if err != nil {
-			log.Fatal(err)
-		}
-		return b
-	case "micromag", "micromagnetic":
-		spec := spinwave.ReducedSpec()
-		if full {
-			spec = spinwave.PaperMicromagSpec()
-		}
-		cfg := spinwave.MicromagConfig{Spec: spec, Mat: spinwave.FeCoB()}
-		if *flagProbe {
-			cfg.Probes = spinwave.ProbeConfig{Enabled: true}
-		}
-		if *flagHealth {
-			// No AbortOnCritical here: tables should still print so a
-			// partially-broken sweep remains inspectable; the process exit
-			// code carries the verdict instead.
-			cfg.Health = spinwave.HealthConfig{Enabled: true}
-		}
-		m, err := spinwave.NewMicromagnetic(kind, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if kind != spinwave.XOR {
-			fmt.Fprintln(os.Stderr, "calibrating I3 path ...")
-			trim, err := m.CalibrateI3()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "I3 phase trim: %.3f rad\n", trim)
-		}
-		return m
-	default:
-		log.Fatalf("unknown backend %q", backend)
-		return nil
+// resolveBackend resolves gate on the -backend and -full flags and
+// builds it through the shared resolver, so a Majority micromagnetic
+// device carries its committed I3 trim. -full selects the paper's
+// dimensions for the solver only: the behavioral model always runs
+// them.
+func resolveBackend(gate, backend string, full bool) spinwave.Backend {
+	k, err := backendspec.Resolve(backendspec.Request{Gate: gate, Backend: backend})
+	if err != nil {
+		log.Fatal(err)
 	}
+	if full && k.Backend == backendspec.Micromagnetic {
+		k.Spec = "paper-micromag"
+	}
+	// No abort on critical health alerts: tables still print so a
+	// partially-broken sweep remains inspectable; the process exit code
+	// carries the verdict instead.
+	b, err := k.Build(backendspec.Options{Probe: *flagProbe, Health: *flagHealth})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return b
 }
 
 func printTableI(backend string, full bool) {
-	b := newBackend(spinwave.MAJ3, backend, full)
+	b := resolveBackend("maj3", backend, full)
 	tt, err := eng.MajorityTable(ctx, b)
 	if err != nil {
 		log.Fatal(err)
@@ -139,7 +121,7 @@ func printTableI(backend string, full bool) {
 }
 
 func printTableII(backend string, full bool) {
-	b := newBackend(spinwave.XOR, backend, full)
+	b := resolveBackend("xor", backend, full)
 	tt, err := eng.XORTable(ctx, b, false)
 	if err != nil {
 		log.Fatal(err)
@@ -165,7 +147,7 @@ func printRatios() {
 }
 
 func printMAJ5(backend string, full bool) {
-	b := newBackend(spinwave.MAJ5, backend, full)
+	b := resolveBackend("maj5", backend, full)
 	tt, err := eng.MajorityTable(ctx, b)
 	if err != nil {
 		log.Fatal(err)
@@ -176,10 +158,7 @@ func printMAJ5(backend string, full bool) {
 }
 
 func printDerived() {
-	b, err := spinwave.NewBehavioral(spinwave.MAJ3, spinwave.PaperSpec(), spinwave.FeCoB())
-	if err != nil {
-		log.Fatal(err)
-	}
+	b := resolveBackend("maj3", "behavioral", false)
 	for _, d := range []spinwave.DerivedGate{spinwave.AND, spinwave.OR, spinwave.NAND, spinwave.NOR} {
 		tt, err := eng.DerivedTable(ctx, b, d)
 		if err != nil {

@@ -3,6 +3,8 @@ package spinwave
 import (
 	"math"
 	"testing"
+
+	"spinwave/internal/backendspec"
 )
 
 // TestPaperTables is the golden regression suite for the paper's
@@ -40,23 +42,31 @@ func TestPaperTables(t *testing.T) {
 		}
 		checkTableII(t, tt, 0.01)
 	})
-	t.Run("TableI/micromag", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("micromagnetic table: minutes of solver time")
+	// The served backend: the resolver's build, committed I3 trim and all.
+	for _, gate := range []string{"maj3", "maj3single"} {
+		name := "TableI/micromag"
+		if gate != "maj3" {
+			name += "-" + gate
 		}
-		m, err := NewMicromagnetic(MAJ3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.CalibrateI3(); err != nil {
-			t.Fatal(err)
-		}
-		tt, err := MajorityTruthTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkTableI(t, tt, 0.02)
-	})
+		t.Run(name, func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("micromagnetic table: minutes of solver time")
+			}
+			k, err := backendspec.Resolve(backendspec.Request{Gate: gate, Backend: "micromag"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := k.Build(backendspec.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tt, err := MajorityTruthTable(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTableI(t, tt, 0.02)
+		})
+	}
 	t.Run("TableII/micromag", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("micromagnetic table: minutes of solver time")

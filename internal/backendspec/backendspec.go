@@ -1,9 +1,10 @@
 // Package backendspec is the one request vocabulary for choosing a gate
 // backend (DESIGN.md §13). swserve's /v1 handlers, its fleet
-// coordinator and swworker all resolve a gate/backend/spec/material
-// request through Resolve, so aliases, letter case and defaults fold the
-// same way everywhere, and build what a resolved Key names through one
-// Memo.
+// coordinator, swworker and the CLIs all resolve a
+// gate/backend/spec/material request through Resolve, so aliases,
+// letter case and defaults fold the same way everywhere, and build what
+// a resolved Key names through Key.Build (the servers through one
+// Memo), Majority devices with their committed I3 trim.
 package backendspec
 
 import (
@@ -50,7 +51,7 @@ var (
 	gateKinds = map[string]core.GateKind{
 		"maj3": core.MAJ3, "maj3single": core.MAJ3Single, "xor": core.XOR, "maj5": core.MAJ5,
 	}
-	gateAliases = map[string]string{"": "maj3", "majority": "maj3", "maj3-single": "maj3single"}
+	gateAliases = map[string]string{"": "maj3", "maj": "maj3", "majority": "maj3", "maj3-single": "maj3single"}
 
 	backendAliases = map[string]string{
 		"": Behavioral, "behavioral": Behavioral,
@@ -188,8 +189,8 @@ func (k Key) Build(o Options) (core.Backend, error) {
 }
 
 // Micromagnetic constructs the micromagnetic backend the key names, with
-// extra options applied after the key's spec and material. It fails for
-// a behavioral key.
+// extra options applied after the key's spec, material and I3 trim. It
+// fails for a behavioral key.
 func (k Key) Micromagnetic(extra ...core.MicromagOption) (*core.Micromagnetic, error) {
 	if k.Backend != Micromagnetic {
 		return nil, fmt.Errorf("%w: backend %q, want micromag", layout.ErrUnknownComponent, k.Backend)
@@ -198,8 +199,32 @@ func (k Key) Micromagnetic(extra ...core.MicromagOption) (*core.Micromagnetic, e
 	if err != nil {
 		return nil, err
 	}
-	opts := append([]core.MicromagOption{core.WithSpec(spec), core.WithMaterial(mat)}, extra...)
+	opts := append([]core.MicromagOption{core.WithSpec(spec), core.WithMaterial(mat), core.WithI3PhaseTrim(k.I3Trim())}, extra...)
 	return core.NewMicromagnetic(k.Kind(), opts...)
+}
+
+// I3Trim is the I3 phase trim, in radians, that Micromagnetic applies
+// for the key: its i3Trims entry, zero for XOR and behavioral keys.
+func (k Key) I3Trim() float64 { return i3Trims[k] }
+
+// i3Trims is the committed I3 phase trim of every Majority
+// micromagnetic preset that builds (yig and permalloy are not
+// perpendicular): the value the solver's own I3 calibration measures on
+// a trim-0 build of the key, so every build path gets the calibrated
+// device without paying two single-input transients per build. The
+// trim depends on the device scale (DESIGN.md §5), hence one entry per
+// spec. TestI3Trims recomputes every entry and prints the line to paste
+// on a mismatch.
+var i3Trims = map[Key]float64{
+	{"maj3", Micromagnetic, "reduced", "fecob"}:              -1.4343993474621755,
+	{"maj3single", Micromagnetic, "reduced", "fecob"}:        -2.299918344496284,
+	{"maj5", Micromagnetic, "reduced", "fecob"}:              -1.1192244564769283,
+	{"maj3", Micromagnetic, "paper-micromag", "fecob"}:       0.10854843670517766,
+	{"maj3single", Micromagnetic, "paper-micromag", "fecob"}: 0.45923340607635055,
+	{"maj5", Micromagnetic, "paper-micromag", "fecob"}:       0.1258516870876747,
+	{"maj3", Micromagnetic, "paper", "fecob"}:                0.1392220760640157,
+	{"maj3single", Micromagnetic, "paper", "fecob"}:          1.5853879230363077,
+	{"maj5", Micromagnetic, "paper", "fecob"}:                2.1826736572739023,
 }
 
 // parts looks up the key's spec and material; it fails only for a key
@@ -217,9 +242,10 @@ func (k Key) parts() (layout.Spec, material.Params, error) {
 // field comes from a closed vocabulary and only successful builds are
 // stored, so the memo is bounded by construction: no eviction, no size
 // setting. Sharing a backend across requests is safe: table cases
-// already run concurrently on one backend, and no caller uses the only
-// mutator, Micromagnetic.CalibrateI3. The zero value is ready to use;
-// set Options before the first Get.
+// already run concurrently on one backend, and a Majority backend
+// arrives calibrated from i3Trims, so no production caller runs its
+// only mutator, the I3 calibration. The zero value is ready to use; set
+// Options before the first Get.
 type Memo struct {
 	Options Options
 

@@ -28,11 +28,13 @@ func TestResolveVocabulary(t *testing.T) {
 		{Request{}, with(xor, func(k *Key) { k.Gate = "maj3" })},
 		{Request{Gate: "maj3"}, with(xor, func(k *Key) { k.Gate = "maj3" })},
 		{Request{Gate: "Majority"}, with(xor, func(k *Key) { k.Gate = "maj3" })},
+		{Request{Gate: "maj"}, with(xor, func(k *Key) { k.Gate = "maj3" })}, // swsim
 		{Request{Gate: "maj3single"}, with(xor, func(k *Key) { k.Gate = "maj3single" })},
 		{Request{Gate: "MAJ3-Single"}, with(xor, func(k *Key) { k.Gate = "maj3single" })},
 		{Request{Gate: "maj5"}, with(xor, func(k *Key) { k.Gate = "maj5" })},
 		{Request{Gate: "xor", Backend: "micromag"}, with(xor, func(k *Key) { k.Backend, k.Spec = Micromagnetic, "reduced" })},
 		{Request{Gate: "xor", Backend: "Micromagnetic"}, with(xor, func(k *Key) { k.Backend, k.Spec = Micromagnetic, "reduced" })},
+		{Request{Gate: "xor", Backend: "micromagnetic"}, with(xor, func(k *Key) { k.Backend, k.Spec = Micromagnetic, "reduced" })}, // swtables
 		{Request{Gate: "xor", Backend: "MICROMAG", Spec: "paper"}, with(xor, func(k *Key) { k.Backend = Micromagnetic })},
 		{Request{Gate: "xor", Spec: "reduced"}, with(xor, func(k *Key) { k.Spec = "reduced" })},
 		{Request{Gate: "xor", Spec: "Paper-Micromag"}, with(xor, func(k *Key) { k.Spec = "paper-micromag" })},
@@ -236,6 +238,87 @@ func TestEvaluator(t *testing.T) {
 	for _, spec := range []fleet.JobSpec{{Gate: "bogus"}, {Gate: "xor", Mode: "psychic"}, {Gate: "xor", Mode: "micromag"}} {
 		if _, _, err := ev(context.Background(), spec, cases); err == nil {
 			t.Errorf("%+v evaluated without error", spec)
+		}
+	}
+}
+
+// majorityKeys is every Majority micromagnetic key in the published
+// vocabulary, whether or not it builds.
+func majorityKeys() []Key {
+	var keys []Key
+	for _, g := range Gates {
+		for _, s := range Specs {
+			for _, mat := range Materials {
+				if k := (Key{Gate: g, Backend: Micromagnetic, Spec: s, Material: mat}); k.Kind() != core.XOR {
+					keys = append(keys, k)
+				}
+			}
+		}
+	}
+	return keys
+}
+
+// TestI3Trims pins the committed trim table, and generates it: every
+// Majority micromagnetic key that builds has an entry, no XOR key has
+// one, and each entry equals what CalibrateI3 measures on a trim-0
+// build of its key. A mismatch logs the i3Trims line to paste.
+func TestI3Trims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibrates every Majority preset: about a minute of solver time")
+	}
+	for k, trim := range i3Trims {
+		if k.Gate == "xor" {
+			t.Errorf("%+v: XOR has no I3, but i3Trims lists %v", k, trim)
+		}
+	}
+	builds := 0
+	for _, k := range majorityKeys() {
+		m, err := k.Micromagnetic(core.WithI3PhaseTrim(0))
+		if err != nil {
+			continue
+		}
+		builds++
+		t.Run(k.Gate+"/"+k.Spec+"/"+k.Material, func(t *testing.T) {
+			t.Parallel()
+			got, err := m.CalibrateI3()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, ok := i3Trims[k]; !ok || got != want {
+				t.Errorf("i3Trims lists %v (present %v), CalibrateI3 measures %v; the entry reads\n\t{%q, Micromagnetic, %q, %q}: %v,",
+					want, ok, got, k.Gate, k.Spec, k.Material, got)
+			}
+		})
+	}
+	if len(i3Trims) != builds {
+		t.Errorf("i3Trims has %d entries, but %d Majority micromagnetic keys build", len(i3Trims), builds)
+	}
+}
+
+// TestBuildTrimFingerprint: the job path (Key.Build with a process's
+// options) and the segment path (Key.Micromagnetic) build the same
+// trimmed device for every Majority key, and the trim re-keys it away
+// from the uncalibrated build.
+func TestBuildTrimFingerprint(t *testing.T) {
+	for _, k := range majorityKeys() {
+		m, err := k.Micromagnetic()
+		if err != nil {
+			continue
+		}
+		b, err := k.Build(Options{StepWorkers: 4, Probe: true, Health: true})
+		if err != nil {
+			t.Fatalf("%+v: %v", k, err)
+		}
+		untrimmed, err := k.Micromagnetic(core.WithI3PhaseTrim(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, _ := m.Fingerprint()
+		if got, _ := b.(core.Fingerprinter).Fingerprint(); got != fp {
+			t.Errorf("%+v: Build fingerprint %s, Micromagnetic %s", k, got, fp)
+		}
+		if raw, _ := untrimmed.Fingerprint(); raw == fp {
+			t.Errorf("%+v: the trimmed and untrimmed builds share fingerprint %s", k, fp)
 		}
 	}
 }
