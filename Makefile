@@ -4,7 +4,7 @@ GO ?= go
 # with -short; the margin absorbs run-to-run jitter, not regressions.
 COVER_BASELINE ?= 69.0
 
-.PHONY: all build vet test test-race bench bench-pr3 bench-pr5 bench-pr6 bench-compare bench-smoke cover docs-lint journal-smoke health-smoke surrogate-smoke fleet-smoke checkpoint-smoke history-smoke fuzz clean
+.PHONY: all build vet test test-race bench bench-smoke cover docs-lint journal-smoke health-smoke surrogate-smoke fleet-smoke checkpoint-smoke history-smoke fuzz clean
 
 all: build vet test docs-lint
 
@@ -149,37 +149,15 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mag/
 	$(GO) test -run '^$$' -bench EvalBatchStored -benchmem ./internal/engine/
 
-# Full stepper benchmark: reference (the llgref oracle) vs fused core at
-# 1/2/4/8 workers on the XOR and MAJ3 truth tables; regenerates the
-# committed artifact.
-bench-pr3:
-	$(GO) run ./cmd/swbench -out BENCH_pr3.json
-
-# PR-5 stepper benchmark artifact (no surrogate section).
-bench-pr5:
-	$(GO) run ./cmd/swbench -surrogate=false -out BENCH_pr5.json
-
-# Current benchmark artifact (ISSUE 6): stepper modes plus the warm
-# linear-superposition surrogate per gate (build cost, admission
-# verdict, per-case speedup over fused-1).
-bench-pr6:
-	$(GO) run ./cmd/swbench -out BENCH_pr6.json
-
-# Regression gate: rerun the benchmark and compare the *normalized*
-# ratios against the committed BENCH_pr6.json baseline — fused-8
-# steps/s ÷ the same run's reference steps/s for the stepper, and the
-# warm surrogate's per-case speedup over the same run's fused-1 solver
-# — so the gate tracks relative performance rather than the CI host's
-# absolute speed. Fails on a >15% regression, a rejected surrogate, or
-# a warm-surrogate speedup under the 50x floor.
-bench-compare:
-	$(GO) run ./cmd/swbench -quick -out BENCH_quick.json -compare BENCH_pr6.json
-
-# CI smoke variant: XOR only, one case per mode. Exits non-zero if the
-# 8-worker trajectory diverges from serial by even one bit. Writes to a
-# scratch file so it never clobbers the committed full-run artifact.
+# Stepper and surrogate gate (EXPERIMENTS.md E-GATE): 21 interleaved
+# pairs of ≈100 ms slices per mode, a bare fused solver at 1 and at 8
+# stepping workers against the llgref oracle on the reduced XOR mesh.
+# Fails if a mode's median fused ÷ reference pair ratio is below its
+# committed bound, if the warm surrogate fails golden-band admission,
+# or if its per-case speedup over fused-1 is under the committed floor.
+# Logs every pair ratio.
 bench-smoke:
-	$(GO) run ./cmd/swbench -quick -out BENCH_quick.json
+	$(GO) run ./cmd/swbench
 
 clean:
 	$(GO) clean ./...

@@ -1,473 +1,237 @@
-// Command swbench benchmarks the LLG stepping cores and emits
-// BENCH_pr6.json: wall-clock timings of the reference (term-by-term)
-// stepper versus the fused tiled core at 1/2/4/8 workers on the paper's
-// XOR and MAJ3 micromagnetic truth tables, a bit-identity check of the
-// single-worker and 8-worker magnetization trajectories, and — per gate
-// — the warm linear-superposition surrogate: build cost (one unit
-// transient per port), admission verdict against the golden bands, and
-// warm per-case evaluation time versus the fused single-worker solver.
+// Command swbench is the stepper and surrogate performance gate on the
+// reduced XOR gate mesh. It takes no flags:
 //
-//	swbench                      full benchmark, writes BENCH_pr6.json
-//	swbench -quick               CI smoke variant: XOR only, one case
-//	swbench -out bench.json      choose the output path
-//	swbench -surrogate=false     skip the surrogate build/timing section
-//	swbench -compare BENCH_pr6.json   regression-gate vs a baseline
+//	go run ./cmd/swbench
 //
-// The process exits non-zero if the parallel stepper's trajectory
-// diverges from serial by even one bit, or — with -compare — if the
-// fused-8 throughput regressed more than 15% against the baseline
-// file, if a benchmarked surrogate failed admission, or if the warm
-// surrogate is less than 50x faster per case than the fused
-// single-worker solver. Every gated figure is machine-independent:
-// fused-8 steps/s is normalized by the same run's reference-stepper
-// steps/s and the surrogate speedup is the ratio of two per-case times
-// from the same run, so a slower CI host does not trip the gates but a
-// real slowdown relative to the run's own exact solver does.
+// Stepper. For each gated mode — the fused core at 1 and at 8 stepping
+// workers — it runs pairs of ≈100 ms slices: one slice of a bare
+// llg.Solver and one of the llgref term-by-term oracle on its own bare
+// solver, both over the gate's mesh, region, material and time step.
+// Which side goes first alternates from pair to pair. Host contention
+// that outlasts a pair slows both slices of it, so the per-pair ratio
+// fused steps/s ÷ reference steps/s cancels it where a single-shot
+// ratio cannot (EXPERIMENTS.md E-GATE). The gate fails if a mode's
+// median ratio is below its committed bound.
 //
-// The fused modes time full backend transients (setup, stepping,
-// lock-in). The reference mode times the test oracle
-// internal/llg/llgref, which production no longer reaches: it steps a
-// bare llg.Solver built over the backend's own mesh, region, material
-// and time step for the same steps-per-case × cases step count.
+// Surrogate. It builds the warm linear-superposition surrogate (one
+// unit transient per port), requires its admission against the Tables
+// I/II golden bands, and times warm evaluations over the truth table.
+// The solver's per-case time is steps per case ÷ the median fused-1
+// slice rate, so setup and lock-in are left out; the speedup over it
+// must reach minSurrogateSpeedup.
+//
+// Every per-pair ratio is logged, so a failing run shows its spread.
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
 	"log"
-	"os"
-	"runtime"
+	"math"
+	"slices"
 	"time"
 
 	"spinwave"
 	"spinwave/internal/backendspec"
 	"spinwave/internal/llg"
 	"spinwave/internal/llg/llgref"
+	"spinwave/internal/material"
 )
 
-// modeResult is one (stepper, workers) timing row.
-type modeResult struct {
-	// Name is "reference" for the term-by-term baseline or "fused" for
-	// the tiled core.
-	Name string `json:"name"`
-	// Workers is the stepping worker count (1 = serial fused).
-	Workers int `json:"workers"`
-	// Seconds is the total wall-clock time for all cases.
-	Seconds float64 `json:"seconds"`
-	// StepsPerSec is integrator throughput across the whole table.
-	StepsPerSec float64 `json:"steps_per_sec"`
-	// Speedup is Seconds of the reference mode divided by this mode's.
-	Speedup float64 `json:"speedup_vs_reference"`
+const (
+	// pairs is the number of interleaved fused/reference slice pairs per
+	// mode; odd, so the median is one measured pair.
+	pairs = 21
+	// sliceTime is the minimum length of one slice.
+	sliceTime = 100 * time.Millisecond
+
+	// minSurrogateSpeedup is the floor on the warm surrogate's per-case
+	// speedup over the fused single-worker solver: the XOR speedup of the
+	// retired single-shot baseline (1.43e6×) divided by the order of
+	// magnitude it allowed. It catches a surrogate that started
+	// re-running the solver or grew real per-case work.
+	minSurrogateSpeedup = 1.43e5
+
+	// surrogateTimingFloor is the minimum time spent timing warm
+	// surrogate evaluations, so the per-case figure averages over many
+	// thousands of sub-microsecond calls.
+	surrogateTimingFloor = 200 * time.Millisecond
+)
+
+// mode is one gated stepper configuration. bound is 0.85 × the median,
+// over ten calibration runs on a 2-vCPU host, of each run's median pair
+// ratio (EXPERIMENTS.md E-GATE).
+type mode struct {
+	workers int
+	bound   float64
 }
 
-// surrogateResult is the warm linear-superposition surrogate section of
-// one gate's benchmark: how much the per-port build cost, whether the
-// superposed truth table passed the golden-band admission gate, and how
-// the warm per-case evaluation time compares to the fused single-worker
-// solver from the same run.
-type surrogateResult struct {
-	// BuildSeconds is the one-off cost of the per-port unit transients.
-	BuildSeconds float64 `json:"build_seconds"`
-	// Admitted reports whether Verify accepted every truth-table row
-	// against the Tables I/II golden bands.
-	Admitted bool `json:"admitted"`
-	// Evals is the number of warm evaluations timed.
-	Evals int `json:"evals"`
-	// SecondsPerCase is the warm surrogate's per-case evaluation time.
-	SecondsPerCase float64 `json:"seconds_per_case"`
-	// MicromagSecondsPerCase is the fused single-worker solver's
-	// per-case time from the same run — the denominator-free half of the
-	// normalized speedup ratio.
-	MicromagSecondsPerCase float64 `json:"micromag_seconds_per_case"`
-	// Speedup is MicromagSecondsPerCase / SecondsPerCase.
-	Speedup float64 `json:"speedup_vs_fused1"`
+var modes = [...]mode{{1, 3.17}, {8, 3.14}}
+
+// result is one run's measured figures: the per-pair ratios of each
+// mode, indexed like modes, and the surrogate's verdict and speedup.
+type result struct {
+	ratios   [len(modes)][]float64
+	admitted bool
+	speedup  float64
 }
 
-// gateResult aggregates one gate's benchmark.
-type gateResult struct {
-	Gate  string `json:"gate"`
-	Cases int    `json:"cases"`
-	// Cells is the number of material cells in the rasterized gate.
-	Cells int `json:"cells"`
-	// StepsPerCase is the fixed-step count of one transient.
-	StepsPerCase int          `json:"steps_per_case"`
-	Modes        []modeResult `json:"modes"`
-	// TrajectoriesBitIdentical reports whether the final magnetization
-	// of a 1-worker and an 8-worker run matched exactly, cell by cell.
-	TrajectoriesBitIdentical bool `json:"trajectories_bit_identical"`
-	// Surrogate is the warm-surrogate comparison; nil with -surrogate=false.
-	Surrogate *surrogateResult `json:"surrogate,omitempty"`
+// verdict is the gate's decision: nil, or every reason the run fails.
+// The comparisons are negated so that a NaN figure fails.
+func (r result) verdict() error {
+	var errs []error
+	for i, md := range modes {
+		if med := median(r.ratios[i]); !(med >= md.bound) {
+			errs = append(errs, fmt.Errorf("fused-%d median pair ratio %.2f is below its bound %.2f", md.workers, med, md.bound))
+		}
+	}
+	if !r.admitted {
+		errs = append(errs, errors.New("surrogate failed golden-band admission"))
+	}
+	if !(r.speedup >= minSurrogateSpeedup) {
+		errs = append(errs, fmt.Errorf("warm-surrogate speedup %.3gx is below the %.3gx floor over fused-1", r.speedup, minSurrogateSpeedup))
+	}
+	return errors.Join(errs...)
 }
 
-// benchReport is the BENCH_pr3.json document.
-type benchReport struct {
-	Tool       string       `json:"tool"`
-	Quick      bool         `json:"quick"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	NumCPU     int          `json:"num_cpu"`
-	Gates      []gateResult `json:"gates"`
+// median is the middle value of xs (the mean of the two middle values
+// for an even count); NaN for none.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	switch {
+	case n == 0:
+		return math.NaN()
+	case n%2 == 1:
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("swbench: ")
-	out := flag.String("out", "BENCH_pr6.json", "output JSON path")
-	quick := flag.Bool("quick", false, "CI smoke mode: XOR only, a single case per mode")
-	surrogateOn := flag.Bool("surrogate", true, "also build and time the warm linear-superposition surrogate per gate")
-	compare := flag.String("compare", "", "baseline BENCH json to regression-gate against (15% on normalized fused-8 throughput; 50x floor on warm-surrogate speedup)")
-	flag.Parse()
-
-	report := benchReport{
-		Tool:       "swbench",
-		Quick:      *quick,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-
-	gates := []string{"xor"}
-	if !*quick {
-		gates = append(gates, "maj3")
-	}
-	ok := true
-	for _, gate := range gates {
-		k, err := backendspec.Resolve(backendspec.Request{Gate: gate, Backend: backendspec.Micromagnetic})
-		if err != nil {
-			log.Fatal(err)
-		}
-		g, err := benchGate(k, *quick, *surrogateOn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !g.TrajectoriesBitIdentical {
-			ok = false
-		}
-		report.Gates = append(report.Gates, *g)
-	}
-
-	buf, err := json.MarshalIndent(report, "", "  ")
+	r, err := measure()
 	if err != nil {
 		log.Fatal(err)
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		log.Fatal(err)
+	if err := r.verdict(); err != nil {
+		log.Fatalf("FAIL: %v", err)
 	}
-	log.Printf("wrote %s", *out)
-	if !ok {
-		log.Fatal("FAIL: parallel trajectory diverged from serial")
-	}
-	if *compare != "" {
-		if err := compareBaseline(report, *compare); err != nil {
-			log.Fatal(err)
-		}
-	}
+	log.Print("PASS")
 }
 
-// regressionTolerance is the allowed fractional drop of the normalized
-// fused-8 throughput against the -compare baseline.
-const regressionTolerance = 0.15
-
-// minSurrogateSpeedup is the -compare floor on the warm surrogate's
-// per-case speedup over the fused single-worker solver. The ratio is
-// taken within one run, so the floor is machine-independent; 50x is
-// orders of magnitude below the measured speedup and exists to catch a
-// surrogate that silently started re-running the solver.
-const minSurrogateSpeedup = 50.0
-
-// surrogateRegressionFactor is the allowed drop of the warm-surrogate
-// speedup against the -compare baseline's. Sub-microsecond evaluations
-// jitter far more than solver throughput run to run, so the relative
-// gate is an order of magnitude rather than regressionTolerance — it
-// still catches a superposition loop that grew real per-case work while
-// staying above the absolute 50x floor.
-const surrogateRegressionFactor = 10.0
-
-// compareBaseline gates the report against a baseline BENCH file. For
-// every gate present in both, the fused-8 steps/s normalized by the
-// same run's reference steps/s must not fall more than
-// regressionTolerance below the baseline's ratio. Gates that carry a
-// warm-surrogate section are additionally gated on admission and on the
-// minSurrogateSpeedup floor (plus an order-of-magnitude guard against
-// the baseline's surrogate speedup when the baseline has one; older
-// baselines without surrogate data skip only that relative check).
-func compareBaseline(report benchReport, path string) error {
-	buf, err := os.ReadFile(path)
+// measure runs the paired stepper slices of every mode and the
+// surrogate section on the reduced XOR gate mesh.
+func measure() (result, error) {
+	var r result
+	k, err := backendspec.Resolve(backendspec.Request{Gate: "xor", Backend: backendspec.Micromagnetic})
 	if err != nil {
-		return fmt.Errorf("compare baseline: %w", err)
+		return r, err
 	}
-	var base benchReport
-	if err := json.Unmarshal(buf, &base); err != nil {
-		return fmt.Errorf("compare baseline %s: %w", path, err)
-	}
-	compared := 0
-	for _, g := range report.Gates {
-		var bg *gateResult
-		for i := range base.Gates {
-			if base.Gates[i].Gate == g.Gate {
-				bg = &base.Gates[i]
-			}
-		}
-		if sr := g.Surrogate; sr != nil {
-			compared++
-			log.Printf("%s: warm surrogate %.2g us/case, %.0fx fused-1 micromag (build %.1fs, admitted=%v)",
-				g.Gate, sr.SecondsPerCase*1e6, sr.Speedup, sr.BuildSeconds, sr.Admitted)
-			if !sr.Admitted {
-				return fmt.Errorf("FAIL: %s surrogate failed golden-band admission", g.Gate)
-			}
-			if sr.Speedup < minSurrogateSpeedup {
-				return fmt.Errorf("FAIL: %s warm-surrogate speedup %.1fx is below the %.0fx floor over fused-1 micromag",
-					g.Gate, sr.Speedup, minSurrogateSpeedup)
-			}
-			if bg != nil && bg.Surrogate != nil && sr.Speedup < bg.Surrogate.Speedup/surrogateRegressionFactor {
-				return fmt.Errorf("FAIL: %s warm-surrogate speedup %.0fx fell more than %.0fx below baseline %.0fx (%s)",
-					g.Gate, sr.Speedup, surrogateRegressionFactor, bg.Surrogate.Speedup, path)
-			}
-		}
-		if bg == nil {
-			continue
-		}
-		cur, okCur := normalizedFused8(g)
-		ref, okRef := normalizedFused8(*bg)
-		if !okCur || !okRef {
-			continue
-		}
-		compared++
-		log.Printf("%s: normalized fused-8 throughput %.2fx reference (baseline %.2fx)", g.Gate, cur, ref)
-		if cur < ref*(1-regressionTolerance) {
-			return fmt.Errorf("FAIL: %s fused-8 normalized throughput %.2fx regressed more than %.0f%% below baseline %.2fx (%s)",
-				g.Gate, cur, regressionTolerance*100, ref, path)
-		}
-	}
-	if compared == 0 {
-		return fmt.Errorf("compare baseline %s: no comparable figures (need reference and fused-8 modes in both, or a surrogate section)", path)
-	}
-	log.Printf("compare: %d figure(s) passed the gates against %s", compared, path)
-	return nil
-}
-
-// normalizedFused8 is a gate's fused-8 steps/s divided by the same
-// run's reference-stepper steps/s — the machine-independent throughput
-// figure the -compare gate tracks.
-func normalizedFused8(g gateResult) (float64, bool) {
-	var ref, fused8 float64
-	for _, m := range g.Modes {
-		switch {
-		case m.Name == "reference" && m.Workers == 1:
-			ref = m.StepsPerSec
-		case m.Name == "fused" && m.Workers == 8:
-			fused8 = m.StepsPerSec
-		}
-	}
-	if ref <= 0 || fused8 <= 0 {
-		return 0, false
-	}
-	return fused8 / ref, true
-}
-
-// referenceSteps takes n term-by-term oracle steps on a bare solver
-// built over the backend's mesh, region, material and time step.
-func referenceSteps(m *spinwave.Micromagnetic, n int) error {
-	s, err := llg.New(m.Mesh, m.Region, spinwave.FeCoB(), m.Dt())
+	mat, err := material.ByName(k.Material)
 	if err != nil {
-		return err
+		return r, err
 	}
-	oracle := llgref.New(s, nil)
-	for i := 0; i < n; i++ {
-		oracle.Step()
-	}
-	return s.CheckFinite()
-}
-
-// benchCases returns the input combinations timed per mode: the full
-// truth table, or a single asymmetric case in quick mode.
-func benchCases(kind spinwave.GateKind, quick bool) [][]bool {
-	n := kind.NumInputs()
-	if quick {
-		in := make([]bool, n)
-		in[0] = true
-		return [][]bool{in}
-	}
-	cases := make([][]bool, 0, 1<<n)
-	for v := 0; v < 1<<n; v++ {
-		in := make([]bool, n)
-		for i := 0; i < n; i++ {
-			in[i] = v&(1<<(n-1-i)) != 0
-		}
-		cases = append(cases, in)
-	}
-	return cases
-}
-
-func benchGate(k backendspec.Key, quick, surrogateOn bool) (*gateResult, error) {
-	kind := k.Kind()
-	cases := benchCases(kind, quick)
-	probe, err := k.Micromagnetic(spinwave.WithWorkers(1))
+	m, err := k.Micromagnetic()
 	if err != nil {
-		return nil, err
+		return r, err
 	}
-	g := &gateResult{
-		Gate:         kind.String(),
-		Cases:        len(cases),
-		Cells:        probe.Region.Count(),
-		StepsPerCase: int(probe.Duration() / probe.Dt()),
-	}
-	log.Printf("%s: %d cases, %d cells, %d steps/case", g.Gate, g.Cases, g.Cells, g.StepsPerCase)
+	stepsPerCase := int(m.Duration() / m.Dt())
+	log.Printf("%s: %d cells, %d steps/case, %d pairs of %v slices per mode",
+		k.Gate, m.Region.Count(), stepsPerCase, pairs, sliceTime)
 
-	type mode struct {
-		name      string
-		workers   int
-		reference bool
-	}
-	modes := []mode{
-		{"reference", 1, true},
-		{"fused", 1, false},
-		{"fused", 2, false},
-		{"fused", 4, false},
-		{"fused", 8, false},
-	}
-	if quick {
-		modes = []mode{{"reference", 1, true}, {"fused", 1, false}, {"fused", 8, false}}
-	}
-	var refSeconds, fused1Seconds float64
-	for _, md := range modes {
-		var secs float64
-		if md.reference {
-			start := time.Now()
-			if err := referenceSteps(probe, g.StepsPerCase*len(cases)); err != nil {
-				return nil, fmt.Errorf("%s reference: %w", g.Gate, err)
-			}
-			secs = time.Since(start).Seconds()
-			refSeconds = secs
-		} else {
-			m, err := k.Micromagnetic(spinwave.WithWorkers(md.workers))
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			for _, in := range cases {
-				if _, err := m.Run(in); err != nil {
-					return nil, fmt.Errorf("%s %s w=%d: %w", g.Gate, md.name, md.workers, err)
-				}
-			}
-			secs = time.Since(start).Seconds()
-		}
-		if md.name == "fused" && md.workers == 1 {
-			fused1Seconds = secs
-		}
-		r := modeResult{
-			Name:        md.name,
-			Workers:     md.workers,
-			Seconds:     secs,
-			StepsPerSec: float64(g.StepsPerCase*len(cases)) / secs,
-		}
-		if refSeconds > 0 {
-			r.Speedup = refSeconds / secs
-		}
-		g.Modes = append(g.Modes, r)
-		log.Printf("%s: %-9s workers=%d  %8.2fs  %.0f steps/s  speedup %.2fx",
-			g.Gate, md.name, md.workers, secs, r.StepsPerSec, r.Speedup)
-	}
-
-	// Divergence gate: the final magnetization of a full transient must
-	// be bit-identical between 1 and 8 stepping workers.
-	identical, err := trajectoriesIdentical(k, cases[0])
-	if err != nil {
-		return nil, err
-	}
-	g.TrajectoriesBitIdentical = identical
-	if identical {
-		log.Printf("%s: 1-worker vs 8-worker trajectories bit-identical", g.Gate)
-	} else {
-		log.Printf("%s: DIVERGENCE between 1-worker and 8-worker trajectories", g.Gate)
-	}
-
-	if surrogateOn {
-		sr, err := benchSurrogate(k, fused1Seconds/float64(len(cases)))
+	var fused1Rate float64
+	for i, md := range modes {
+		ratios, rates, err := pairRatios(m, mat, md.workers)
 		if err != nil {
-			return nil, fmt.Errorf("%s surrogate: %w", g.Gate, err)
+			return r, fmt.Errorf("fused-%d: %w", md.workers, err)
 		}
-		g.Surrogate = sr
-		log.Printf("%s: surrogate built in %.1fs, admitted=%v, warm eval %.2g us/case — %.0fx fused-1",
-			g.Gate, sr.BuildSeconds, sr.Admitted, sr.SecondsPerCase*1e6, sr.Speedup)
+		r.ratios[i] = ratios
+		if md.workers == 1 {
+			fused1Rate = median(rates)
+		}
+		log.Printf("fused-%d: median %.2f (bound %.2f), pair ratios %.2f",
+			md.workers, median(ratios), md.bound, ratios)
 	}
-	return g, nil
-}
 
-// surrogateTimingFloor is the minimum wall-clock spent timing warm
-// surrogate evaluations, so the per-case figure averages over many
-// thousands of O(microsecond) calls instead of one noisy sample.
-const surrogateTimingFloor = 200 * time.Millisecond
-
-// benchSurrogate builds the linear-superposition surrogate from a fused
-// single-worker micromagnetic backend (one unit transient per port),
-// records its golden-band admission verdict, and times warm evaluations
-// over the gate's full truth table. fused1PerCase is the exact solver's
-// per-case time from the same run; the reported speedup is the ratio of
-// the two per-case times, so it is machine-independent.
-func benchSurrogate(k backendspec.Key, fused1PerCase float64) (*surrogateResult, error) {
-	m, err := k.Micromagnetic(spinwave.WithWorkers(1))
-	if err != nil {
-		return nil, err
-	}
 	model, err := spinwave.BuildSurrogate(context.Background(), m)
 	if err != nil {
-		return nil, err
+		return r, fmt.Errorf("surrogate: %w", err)
 	}
-	sr := &surrogateResult{
-		BuildSeconds:           model.BuildSeconds(),
-		Admitted:               model.Verify() == nil,
-		MicromagSecondsPerCase: fused1PerCase,
+	r.admitted = model.Verify() == nil
+	perCase, err := surrogatePerCase(model, k.Kind())
+	if err != nil {
+		return r, fmt.Errorf("surrogate: %w", err)
 	}
-	// Warm timing always sweeps the full truth table (quick mode trims
-	// the solver modes, not this microsecond-scale loop).
-	cases := benchCases(k.Kind(), false)
+	r.speedup = float64(stepsPerCase) / fused1Rate / perCase
+	log.Printf("surrogate: built in %.1fs, admitted=%v, warm eval %.2g us/case, %.3gx fused-1 (floor %.3gx)",
+		model.BuildSeconds(), r.admitted, perCase*1e6, r.speedup, minSurrogateSpeedup)
+	return r, nil
+}
+
+// pairRatios steps a fused solver at the given worker count against the
+// llgref oracle on a second solver, in pairs of slices whose order
+// alternates. It returns each pair's fused ÷ reference steps/s and each
+// fused slice's steps/s.
+func pairRatios(m *spinwave.Micromagnetic, mat spinwave.Material, workers int) (ratios, fusedRates []float64, err error) {
+	fused, err := llg.New(m.Mesh, m.Region, mat, m.Dt())
+	if err != nil {
+		return nil, nil, err
+	}
+	fused.SetWorkers(workers)
+	defer fused.Close()
+	ref, err := llg.New(m.Mesh, m.Region, mat, m.Dt())
+	if err != nil {
+		return nil, nil, err
+	}
+	oracle := llgref.New(ref, nil)
+	for p := 0; p < pairs; p++ {
+		var f, o float64
+		if p%2 == 0 {
+			f, o = sliceRate(fused.Step), sliceRate(oracle.Step)
+		} else {
+			o, f = sliceRate(oracle.Step), sliceRate(fused.Step)
+		}
+		ratios = append(ratios, f/o)
+		fusedRates = append(fusedRates, f)
+	}
+	return ratios, fusedRates, errors.Join(fused.CheckFinite(), ref.CheckFinite())
+}
+
+// sliceRate takes steps until sliceTime has passed and returns steps/s.
+func sliceRate(step func()) float64 {
+	start := time.Now()
+	for n := 1; ; n++ {
+		step()
+		if el := time.Since(start); el >= sliceTime {
+			return float64(n) / el.Seconds()
+		}
+	}
+}
+
+// surrogatePerCase times warm evaluations over the gate's full truth
+// table and returns seconds per case.
+func surrogatePerCase(model *spinwave.SurrogateModel, kind spinwave.GateKind) (float64, error) {
+	n := kind.NumInputs()
+	cases := make([][]bool, 1<<n)
+	for v := range cases {
+		cases[v] = make([]bool, n)
+		for i := range cases[v] {
+			cases[v][i] = v&(1<<(n-1-i)) != 0
+		}
+	}
+	evals := 0
 	start := time.Now()
 	for time.Since(start) < surrogateTimingFloor {
 		for _, in := range cases {
 			if _, err := model.Eval(in); err != nil {
-				return nil, err
+				return 0, err
 			}
-			sr.Evals++
+			evals++
 		}
 	}
-	elapsed := time.Since(start).Seconds()
-	if sr.Evals > 0 {
-		sr.SecondsPerCase = elapsed / float64(sr.Evals)
-	}
-	if sr.SecondsPerCase > 0 && fused1PerCase > 0 {
-		sr.Speedup = fused1PerCase / sr.SecondsPerCase
-	}
-	return sr, nil
-}
-
-// trajectoriesIdentical runs one full transient at 1 and 8 workers and
-// compares every cell of the final magnetization exactly.
-func trajectoriesIdentical(k backendspec.Key, inputs []bool) (bool, error) {
-	m1, err := k.Micromagnetic(spinwave.WithWorkers(1))
-	if err != nil {
-		return false, err
-	}
-	f1, _, _, err := m1.Snapshot(inputs)
-	if err != nil {
-		return false, err
-	}
-	m8, err := k.Micromagnetic(spinwave.WithWorkers(8))
-	if err != nil {
-		return false, err
-	}
-	f8, _, _, err := m8.Snapshot(inputs)
-	if err != nil {
-		return false, err
-	}
-	if len(f1) != len(f8) {
-		return false, fmt.Errorf("snapshot sizes differ: %d vs %d", len(f1), len(f8))
-	}
-	for c := range f1 {
-		if f1[c] != f8[c] {
-			return false, nil
-		}
-	}
-	return true, nil
+	return time.Since(start).Seconds() / float64(evals), nil
 }

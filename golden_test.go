@@ -1,7 +1,9 @@
 package spinwave
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"spinwave/internal/backendspec"
@@ -42,17 +44,20 @@ func TestPaperTables(t *testing.T) {
 		}
 		checkTableII(t, tt, 0.01)
 	})
-	// The served backend: the resolver's build, committed I3 trim and all.
-	for _, gate := range []string{"maj3", "maj3single"} {
-		name := "TableI/micromag"
-		if gate != "maj3" {
-			name += "-" + gate
-		}
-		t.Run(name, func(t *testing.T) {
+	// The served backends, the resolver's build and committed I3 trim
+	// included, on the reduced device and at the paper's dimensions.
+	for _, c := range []struct{ name, gate, spec string }{
+		{"TableI/micromag", "maj3", "reduced"},
+		{"TableI/micromag-maj3single", "maj3single", "reduced"},
+		{"TableI/micromag-paper", "maj3", "paper-micromag"},
+		{"TableII/micromag", "xor", "reduced"},
+		{"TableII/micromag-paper", "xor", "paper-micromag"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			if testing.Short() {
 				t.Skip("micromagnetic table: minutes of solver time")
 			}
-			k, err := backendspec.Resolve(backendspec.Request{Gate: gate, Backend: "micromag"})
+			k, err := backendspec.Resolve(backendspec.Request{Gate: c.gate, Backend: "micromag", Spec: c.spec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,27 +65,23 @@ func TestPaperTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tt, err := MajorityTruthTable(b)
-			if err != nil {
-				t.Fatal(err)
+			var tt *TruthTable
+			if c.gate == "xor" {
+				if tt, err = XORTruthTable(b, false); err != nil {
+					t.Fatal(err)
+				}
+				checkTableII(t, tt, 0.02)
+			} else {
+				if tt, err = MajorityTruthTable(b); err != nil {
+					t.Fatal(err)
+				}
+				checkTableI(t, tt, 0.02)
 			}
-			checkTableI(t, tt, 0.02)
+			if c.gate != "maj3single" { // one output: nothing to mirror
+				checkMirror(t, tt)
+			}
 		})
 	}
-	t.Run("TableII/micromag", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("micromagnetic table: minutes of solver time")
-		}
-		m, err := NewMicromagnetic(XOR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tt, err := XORTruthTable(m, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkTableII(t, tt, 0.02)
-	})
 }
 
 // checkTableI pins the 8 MAJ3 rows. Bands (EXPERIMENTS.md E-T1):
@@ -172,6 +173,53 @@ func checkTableII(t *testing.T, tt *TruthTable, fanoutTol float64) {
 			}
 		}
 	}
+}
+
+// checkMirror pins the fan-out symmetry the paper's claim rests on
+// (arXiv 2011.11324): the device is mirror-symmetric about the axis
+// between I1 and I2, so O1 of inputs (I1, I2, …) is O2 of (I2, I1, …) to
+// round-off — relative amplitude and phase within 1e-10. This tells a
+// mirror-consistent O1/O2 difference, which |O1−O2| alone cannot, from
+// a broken rasterization.
+func checkMirror(t *testing.T, tt *TruthTable) {
+	t.Helper()
+	const tol = 1e-10
+	key := func(in []bool) string { return fmt.Sprint(in) }
+	byInputs := make(map[string]CaseResult, len(tt.Cases))
+	for _, c := range tt.Cases {
+		byInputs[key(c.Inputs)] = c
+	}
+	output := func(c CaseResult, name string) int {
+		for i, o := range c.Outputs {
+			if o.Name == name {
+				return i
+			}
+		}
+		t.Fatalf("case %v has no output %s", c.Inputs, name)
+		return 0
+	}
+	var worstA, worstP float64
+	for _, c := range tt.Cases {
+		swapped := slices.Clone(c.Inputs)
+		swapped[0], swapped[1] = swapped[1], swapped[0]
+		m, ok := byInputs[key(swapped)]
+		if !ok {
+			t.Fatalf("no mirror case %v of %v", swapped, c.Inputs)
+		}
+		o1, o2 := c.Outputs[output(c, "O1")], m.Outputs[output(m, "O2")]
+		da := math.Abs(o1.Amplitude-o2.Amplitude) / math.Max(o1.Amplitude, o2.Amplitude)
+		dp := math.Abs(wrapPhase(o1.Phase - o2.Phase))
+		worstA, worstP = math.Max(worstA, da), math.Max(worstP, dp)
+		if da > tol {
+			t.Errorf("O1%v amplitude %.15g vs mirror O2%v %.15g: relative difference %.2g, want <= %g",
+				c.Inputs, o1.Amplitude, swapped, o2.Amplitude, da, tol)
+		}
+		if dp > tol {
+			t.Errorf("O1%v phase %.15g vs mirror O2%v %.15g: difference %.2g rad, want <= %g",
+				c.Inputs, o1.Phase, swapped, o2.Phase, dp, tol)
+		}
+	}
+	t.Logf("mirror: worst relative amplitude difference %.2g, phase %.2g rad", worstA, worstP)
 }
 
 // wrapPhase maps an angle to (-π, π].
