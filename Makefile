@@ -131,13 +131,15 @@ history-smoke:
 	@grep -q '"event":"history.indexed"' history-fleet.jsonl || { echo "FAIL: no history.indexed in history-fleet.jsonl"; exit 1; }
 
 # Fuzz the OVF parser, the fleet job-file parser, the checkpoint
-# manifest parser and the shared JSONL log's torn-tail recovery beyond
-# their checked-in seeds.
+# manifest parser, the shared JSONL log's torn-tail recovery and the
+# disk tier's recovery over arbitrary segment bytes beyond their
+# checked-in seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOVFRead -fuzztime 30s ./internal/ovf/
 	$(GO) test -run '^$$' -fuzz FuzzJobFile -fuzztime 30s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzManifest -fuzztime 30s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzLogRecover -fuzztime 30s ./internal/durable/
+	$(GO) test -run '^$$' -fuzz FuzzStoreRecover -fuzztime 30s ./internal/engine/
 
 # Quick benchmark set; the serial-vs-engine micromagnetic comparison is
 # BenchmarkXORTableMicromag_{Serial,Engine8,EngineWarm}. The engine's

@@ -51,8 +51,9 @@ type (
 	// EvalResult is a tiered evaluation outcome: readouts plus the tier
 	// and backend fingerprint they came from.
 	EvalResult = engine.EvalResult
-	// DiskStore is the persistent tier of the result store: one atomic,
-	// corruption-tolerant JSON entry per evaluated case.
+	// DiskStore is the persistent tier of the result store: one
+	// append-only, corruption-tolerant segment with a line per evaluated
+	// case, indexed in memory by eval key.
 	DiskStore = engine.DiskStore
 )
 
@@ -84,7 +85,9 @@ const (
 var ErrSurrogateUnavailable = engine.ErrSurrogateUnavailable
 
 // OpenDiskStore opens (creating if needed) a disk-backed result store
-// rooted at dir; attach it to an engine with WithEngineDiskStore.
+// rooted at dir, scanning its segment once to index the stored cases;
+// attach it to an engine with WithEngineDiskStore. One process owns a
+// store directory at a time.
 func OpenDiskStore(dir string) (*DiskStore, error) { return engine.OpenDiskStore(dir) }
 
 // WithEngineDiskStore attaches a persistent result store to the engine;

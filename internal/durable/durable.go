@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"unicode"
 
 	"spinwave/internal/journal"
 )
@@ -101,12 +102,16 @@ func Quarantine(path, rule string, cause error, fields ...journal.Field) {
 	}
 }
 
-// Log is an append-only JSONL file: each Append is one open/write/close
-// in append mode, so a crash tears at most the final line. A Log never
-// emits journal events — the fleet journal store appends from inside
-// journal sink delivery. Its owner serializes calls under its own lock.
+// Log is an append-only JSONL file. It holds its file open between
+// Appends: the handle opens at the first Append (or Open), reopens on
+// the new file after a Rewrite, and Close releases it. Each Append is
+// one write in append mode, so a crash tears at most the final line. A
+// Log never emits journal events — the fleet journal store appends from
+// inside journal sink delivery. Its owner serializes calls under its
+// own lock; only ReadAt may run beside other ReadAts.
 type Log struct {
 	path string
+	f    *os.File // the held handle, nil until Open
 	// torn reports that the file, as last scanned or written, ends in a
 	// line without its '\n'. The next Append then starts with a '\n' so
 	// its records are not glued to the torn line and lost.
@@ -120,35 +125,79 @@ func NewLog(path string) *Log { return &Log{path: path} }
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
 
-// Append writes lines, whole records each ending in '\n', in one write,
-// creating the file if needed.
-func (l *Log) Append(lines []byte) error {
-	if l.torn {
-		lines = append([]byte{'\n'}, lines...)
+// Open opens the held handle, creating the file if needed; Append does
+// so itself, so only a reader that calls ReadAt before any Append needs
+// it. Opening an open Log does nothing.
+func (l *Log) Open() error {
+	if l.f != nil {
+		return nil
 	}
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("durable: append: %w", err)
+		return fmt.Errorf("durable: open %s: %w", filepath.Base(l.path), err)
 	}
-	_, err = f.Write(lines)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		// The write may have stopped mid-line; a spare '\n' before the
-		// next record costs only a blank line, which Scan skips.
-		l.torn = true
-		return fmt.Errorf("durable: append %s: %w", filepath.Base(l.path), err)
-	}
-	l.torn = len(lines) > 0 && lines[len(lines)-1] != '\n'
+	l.f = f
 	return nil
 }
 
-// Scan calls each with every non-blank line of the file, trimmed, in
-// order; each skips what it cannot parse (a torn tail, a foreign line),
-// so only I/O fails a scan. A missing file scans as empty. Scan also
-// learns whether the file ends mid-line, for the next Append.
-func (l *Log) Scan(each func(line []byte)) error {
+// Close releases the held handle; the next Append or Open reopens it.
+func (l *Log) Close() error {
+	if l.f == nil {
+		return nil
+	}
+	err := l.f.Close()
+	l.f = nil
+	return err
+}
+
+// Append writes lines, whole records each ending in '\n', in one write,
+// creating the file if needed, and returns the file offset of the first
+// record — the offset Scan reports for it.
+func (l *Log) Append(lines []byte) (int64, error) {
+	if err := l.Open(); err != nil {
+		return 0, err
+	}
+	buf := lines
+	if l.torn {
+		buf = append([]byte{'\n'}, lines...)
+	}
+	_, err := l.f.Write(buf)
+	var end int64
+	if err == nil {
+		end, err = l.f.Seek(0, io.SeekCurrent)
+	}
+	if err != nil {
+		// The write may have stopped mid-line; a spare '\n' before the
+		// next record costs only a blank line, which Scan skips. The
+		// handle is dropped so the next Append opens the file afresh.
+		l.torn = true
+		l.Close()
+		return 0, fmt.Errorf("durable: append %s: %w", filepath.Base(l.path), err)
+	}
+	l.torn = len(lines) > 0 && lines[len(lines)-1] != '\n'
+	return end - int64(len(lines)), nil
+}
+
+// ReadAt reads the n-byte record at off, as Scan reported it, through
+// the held handle; a record cut short by the end of the file is an
+// error. The Log must be open.
+func (l *Log) ReadAt(off int64, n int) ([]byte, error) {
+	if l.f == nil {
+		return nil, fmt.Errorf("durable: read %s: log not open", filepath.Base(l.path))
+	}
+	buf := make([]byte, n)
+	if _, err := l.f.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("durable: read %s: %w", filepath.Base(l.path), err)
+	}
+	return buf, nil
+}
+
+// Scan calls each with the offset and content of every non-blank line
+// of the file, trimmed, in order; each skips what it cannot parse (a
+// torn tail, a foreign line), so only I/O fails a scan. A missing file
+// scans as empty. Scan reads through its own handle and also learns
+// whether the file ends mid-line, for the next Append.
+func (l *Log) Scan(each func(off int64, line []byte)) error {
 	f, err := os.Open(l.path)
 	if os.IsNotExist(err) {
 		l.torn = false
@@ -159,17 +208,23 @@ func (l *Log) Scan(each func(line []byte)) error {
 	}
 	defer f.Close()
 	torn := false
+	var pos, start int64 // next unread byte; first byte of the last token
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
 		if atEOF && len(data) > 0 && bytes.IndexByte(data, '\n') < 0 {
 			torn = true
 		}
-		return bufio.ScanLines(data, atEOF)
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		start = pos
+		pos += int64(adv)
+		return adv, tok, err
 	})
 	for sc.Scan() {
-		if line := bytes.TrimSpace(sc.Bytes()); len(line) > 0 {
-			each(line)
+		raw := sc.Bytes()
+		if line := bytes.TrimSpace(raw); len(line) > 0 {
+			lead := len(raw) - len(bytes.TrimLeftFunc(raw, unicode.IsSpace))
+			each(start+int64(lead), line)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -180,11 +235,17 @@ func (l *Log) Scan(each func(line []byte)) error {
 }
 
 // Rewrite replaces the whole log with what fill writes, by AtomicWrite —
-// the compaction path. fill must end every record with '\n'.
+// the compaction path. fill must end every record with '\n'. A held
+// handle is reopened on the new file, so later Appends and ReadAts do
+// not reach the replaced one.
 func (l *Log) Rewrite(fill func(io.Writer) error) error {
 	if err := AtomicWrite(l.path, fill); err != nil {
 		return err
 	}
 	l.torn = false
-	return nil
+	if l.f == nil {
+		return nil
+	}
+	l.Close()
+	return l.Open()
 }

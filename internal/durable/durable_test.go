@@ -43,7 +43,7 @@ func loadDoc(path string) (string, bool) {
 func scanValid(t *testing.T, path string) []string {
 	t.Helper()
 	var out []string
-	if err := NewLog(path).Scan(func(line []byte) {
+	if err := NewLog(path).Scan(func(_ int64, line []byte) {
 		if json.Valid(line) {
 			out = append(out, string(line))
 		}
@@ -142,7 +142,7 @@ func TestCrashConsistencyMatrix(t *testing.T) {
 	t.Run("Log.Append/torn mid-line", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "log.jsonl")
 		l := NewLog(path)
-		if err := l.Append([]byte(`{"n":1}` + "\n" + `{"n":2}` + "\n")); err != nil {
+		if _, err := l.Append([]byte(`{"n":1}` + "\n" + `{"n":2}` + "\n")); err != nil {
 			t.Fatal(err)
 		}
 		if err := faults.Corrupt(path); err != nil {
@@ -153,10 +153,10 @@ func TestCrashConsistencyMatrix(t *testing.T) {
 		}
 		// A restarted owner scans, then appends: the record must come back.
 		l = NewLog(path)
-		if err := l.Scan(func([]byte) {}); err != nil {
+		if err := l.Scan(func(int64, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Append([]byte(`{"n":3}` + "\n")); err != nil {
+		if _, err := l.Append([]byte(`{"n":3}` + "\n")); err != nil {
 			t.Fatal(err)
 		}
 		if got := scanValid(t, path); !reflect.DeepEqual(got, []string{`{"n":1}`, `{"n":3}`}) {
@@ -164,18 +164,128 @@ func TestCrashConsistencyMatrix(t *testing.T) {
 		}
 	})
 
+	t.Run("Log.Append/offset after a torn line", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "log.jsonl")
+		l := NewLog(path)
+		defer l.Close()
+		first := `{"n":1}` + "\n"
+		if off, err := l.Append([]byte(first + `{"n":2}` + "\n")); err != nil || off != 0 {
+			t.Fatalf("first Append = %d, %v; want offset 0", off, err)
+		}
+		if err := faults.Corrupt(path); err != nil {
+			t.Fatal(err)
+		}
+		// A restarted owner scans, appends, and reads its record back at
+		// the returned offset: past the '\n' that ends the torn line.
+		l.Close()
+		l = NewLog(path)
+		if err := l.Scan(func(int64, []byte) {}); err != nil {
+			t.Fatal(err)
+		}
+		const rec = `{"n":3}`
+		off, err := l.Append([]byte(rec + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := os.ReadFile(path)
+		if want := int64(len(raw) - len(rec) - 1); off != want || raw[off-1] != '\n' {
+			t.Fatalf("Append offset %d, want %d after a '\\n'", off, want)
+		}
+		if got, err := l.ReadAt(off, len(rec)); err != nil || string(got) != rec {
+			t.Fatalf("ReadAt(%d) = %q, %v; want %s", off, got, err, rec)
+		}
+	})
+
+	t.Run("Log.ReadAt/after reopen", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "log.jsonl")
+		l := NewLog(path)
+		recs := []string{`{"n":1}`, `{"n":2,"pad":"xx"}`, `{"n":3}`}
+		offs := map[int64]string{}
+		for i, r := range recs {
+			// Scan trims a line, and its offset points past the trim.
+			lead := strings.Repeat(" ", i)
+			off, err := l.Append([]byte(lead + r + "\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs[off+int64(len(lead))] = r
+		}
+		l.Close()
+		// A fresh Log, as a restarted store opens it: Scan must report
+		// the offsets Append returned, and ReadAt must read them back.
+		l = NewLog(path)
+		defer l.Close()
+		if _, err := l.ReadAt(0, 1); err == nil {
+			t.Fatal("ReadAt on an unopened log succeeded")
+		}
+		seen := 0
+		if err := l.Scan(func(off int64, line []byte) {
+			if offs[off] != string(line) {
+				t.Fatalf("Scan reported %q at %d, Append wrote %q there", line, off, offs[off])
+			}
+			seen++
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if seen != len(recs) {
+			t.Fatalf("Scan saw %d records, want %d", seen, len(recs))
+		}
+		if err := l.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for off, r := range offs {
+			if got, err := l.ReadAt(off, len(r)); err != nil || string(got) != r {
+				t.Fatalf("ReadAt(%d) = %q, %v; want %s", off, got, err, r)
+			}
+		}
+		// A record cut short by a truncation is an error, not a short read.
+		if err := os.Truncate(path, 10); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := l.ReadAt(9, len(recs[1])); err == nil {
+			t.Fatalf("ReadAt past a truncation = %q, want an error", got)
+		}
+	})
+
+	t.Run("Log.Rewrite/reopens the held handle", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "log.jsonl")
+		l := NewLog(path)
+		defer l.Close()
+		if _, err := l.Append([]byte(`{"n":1}` + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Rewrite(func(w io.Writer) error {
+			_, err := io.WriteString(w, `{"n":2}`+"\n")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Appends after the compaction reach the new file, not the old
+		// one the rename unlinked.
+		off, err := l.Append([]byte(`{"n":3}` + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := scanValid(t, path); !reflect.DeepEqual(got, []string{`{"n":2}`, `{"n":3}`}) {
+			t.Fatalf("log reads %q after Rewrite and Append", got)
+		}
+		if got, err := l.ReadAt(off, 7); err != nil || string(got) != `{"n":3}` {
+			t.Fatalf("ReadAt(%d) = %q, %v", off, got, err)
+		}
+	})
+
 	t.Run("Log.Rewrite/interrupted before rename", func(t *testing.T) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "log.jsonl")
 		l := NewLog(path)
-		if err := l.Append([]byte(`{"n":1}` + "\n" + `{"n":2}` + "\n")); err != nil {
+		if _, err := l.Append([]byte(`{"n":1}` + "\n" + `{"n":2}` + "\n")); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Rewrite(tearAndCrash(t, `{"n":2}`+"\n")); !errors.Is(err, errCrash) {
 			t.Fatalf("Rewrite = %v, want the crash", err)
 		}
 		noTempLitter(t, dir)
-		if err := l.Append([]byte(`{"n":3}` + "\n")); err != nil {
+		if _, err := l.Append([]byte(`{"n":3}` + "\n")); err != nil {
 			t.Fatal(err)
 		}
 		if got := scanValid(t, path); !reflect.DeepEqual(got, []string{`{"n":1}`, `{"n":2}`, `{"n":3}`}) {
@@ -189,7 +299,7 @@ func TestCrashConsistencyMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		l := NewLog(path)
-		if err := l.Scan(func([]byte) {}); err != nil {
+		if err := l.Scan(func(int64, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
 		// Compaction drops the torn tail, so no '\n' is owed afterwards.
@@ -199,7 +309,7 @@ func TestCrashConsistencyMatrix(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Append([]byte(`{"n":3}` + "\n")); err != nil {
+		if _, err := l.Append([]byte(`{"n":3}` + "\n")); err != nil {
 			t.Fatal(err)
 		}
 		raw, _ := os.ReadFile(path)
@@ -305,11 +415,11 @@ func FuzzLogRecover(f *testing.F) {
 			t.Fatal(err)
 		}
 		l := NewLog(path)
-		if err := l.Scan(func([]byte) {}); err != nil {
+		if err := l.Scan(func(int64, []byte) {}); err != nil {
 			t.Skip("line beyond the scan limit")
 		}
 		const rec = `{"fuzz":"appended"}`
-		if err := l.Append([]byte(rec + "\n")); err != nil {
+		if _, err := l.Append([]byte(rec + "\n")); err != nil {
 			t.Fatal(err)
 		}
 

@@ -1,7 +1,7 @@
 // Package fleet is the distributed evaluation tier: a coordinator that
 // shards truth-table cases and batch eval requests into jobs backed by
 // a durable JSON job queue (one atomic-rename file per job, the same
-// idiom as internal/engine.DiskStore and mumax3's job daemon), and a
+// idiom as mumax3's job daemon), and a
 // worker that registers over HTTP, claims jobs under a lease, evaluates
 // them through the tiered engine, and reports results.
 //

@@ -91,7 +91,9 @@ func (s *Store) fileFor(trace string) string {
 // watermark (idempotent re-ship) and fanning the accepted ones out to
 // live subscribers. The write is one durable.Log append, so a crash
 // tears at most the final line — which Events tolerates on read and the
-// next Append steps past.
+// next Append steps past. The log is closed again after each append:
+// retention deletes trace files, and a coordinator must not hold one
+// descriptor per trace it has seen.
 //
 // Events for a trace that Remove deleted are dropped and acknowledged
 // as not accepted: a worker's periodic journal flush can arrive after
@@ -134,7 +136,11 @@ func (s *Store) Append(trace, node string, events []journal.Event) (accepted int
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	if err := log.Append(buf); err != nil {
+	_, err = log.Append(buf)
+	if cerr := log.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return 0, fmt.Errorf("obsplane: store: %w", err)
 	}
 	nodes[node] = last
@@ -199,7 +205,7 @@ func (s *Store) Events(trace string) ([]ShippedEvent, error) {
 // trace.
 func scanEvents(log *durable.Log) ([]ShippedEvent, error) {
 	var out []ShippedEvent
-	err := log.Scan(func(line []byte) {
+	err := log.Scan(func(_ int64, line []byte) {
 		var se ShippedEvent
 		if json.Unmarshal(line, &se) == nil {
 			out = append(out, se)

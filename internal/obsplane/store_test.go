@@ -2,6 +2,7 @@ package obsplane
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -346,5 +347,31 @@ func TestStoreRemoveTerminalSeq(t *testing.T) {
 	}
 	if _, open := <-events; open {
 		t.Fatal("channel not closed after terminal event")
+	}
+}
+
+// TestStoreHoldsNoDescriptorPerTrace: the coordinator's per-trace logs
+// are closed after each append, so serving many traces does not hold
+// one open file per trace.
+func TestStoreHoldsNoDescriptorPerTrace(t *testing.T) {
+	fds := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd on this platform")
+		}
+		return len(entries)
+	}
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fds()
+	for i := 0; i < 200; i++ {
+		if _, err := s.Append(fmt.Sprintf("t%03d", i), "w1", []journal.Event{ev(1, 10, "a")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := fds(); after != before {
+		t.Fatalf("open descriptors went %d -> %d over 200 traces", before, after)
 	}
 }

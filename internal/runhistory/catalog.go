@@ -95,7 +95,7 @@ func hasID(recs []Record, id string) bool {
 func (c *Catalog) logged(id string) (bool, error) {
 	quoted, _ := json.Marshal(id)
 	found := false
-	err := c.log.Scan(func(line []byte) {
+	err := c.log.Scan(func(_ int64, line []byte) {
 		if found || !bytes.Contains(line, quoted) {
 			return
 		}
@@ -190,7 +190,7 @@ func (c *Catalog) Append(recs ...Record) (int, error) {
 		c.mu.Unlock()
 		return 0, nil
 	}
-	if err := c.log.Append(buf.Bytes()); err != nil {
+	if _, err := c.log.Append(buf.Bytes()); err != nil {
 		mErrors.Inc()
 		return fail(fmt.Errorf("runhistory: %w", err))
 	}
@@ -232,7 +232,7 @@ func (c *Catalog) Append(recs ...Record) (int, error) {
 // or own c exclusively as Open does.
 func (c *Catalog) load() ([]Record, error) {
 	var recs []Record
-	err := c.log.Scan(func(line []byte) {
+	err := c.log.Scan(func(_ int64, line []byte) {
 		var r Record
 		if json.Unmarshal(line, &r) == nil && r.ID != "" {
 			recs = append(recs, r)

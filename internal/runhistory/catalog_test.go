@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spinwave/internal/journal"
+	"spinwave/internal/obs"
 )
 
 func TestCatalogAppendQuery(t *testing.T) {
@@ -300,5 +301,28 @@ func TestCatalogAppendRollbackOnDiskError(t *testing.T) {
 	os.RemoveAll(filepath.Join(dir, CatalogFile))
 	if n, err := c.Append(Record{ID: "r1", Kind: "eval"}); err != nil || n != 1 {
 		t.Fatalf("retry after disk error = %d, %v; want 1, nil", n, err)
+	}
+}
+
+// TestIndexedCounterPerKind: the kinds the programs write resolve to the
+// registry's own series, resolved once, and any other kind still gets
+// its series from the registry.
+func TestIndexedCounterPerKind(t *testing.T) {
+	for _, kind := range []string{"eval", "table", "fleet", "sim", "custom"} {
+		want := obs.Default().Counter("spinwave_history_indexed_total", obs.L("kind", kind))
+		if got := mIndexed(kind); got != want {
+			t.Fatalf("mIndexed(%q) is not the registry's series", kind)
+		}
+	}
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mIndexed("eval").Value()
+	if _, err := c.Append(Record{ID: "k1", Kind: "eval"}, Record{ID: "k2", Kind: "eval"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := mIndexed("eval").Value() - before; got != 2 {
+		t.Fatalf("indexed{kind=eval} rose by %d, want 2", got)
 	}
 }

@@ -12,9 +12,11 @@ type hashSet struct {
 	recent map[uint64]struct{}
 }
 
-// hashSetBuffer is how many hashes the map takes before a merge: merges
-// copy the whole slice, so they must be rare, while the map's per-entry
-// cost must stay small next to the slice.
+// hashSetBuffer is the fewest hashes the map takes before a merge. A
+// merge rewrites the whole slice, so the map also takes a sixteenth of
+// the slice's length first: the slice then grows geometrically between
+// merges and each add moves a bounded number of elements on average,
+// while the map's per-entry cost stays small next to the slice.
 const hashSetBuffer = 1024
 
 func (s *hashSet) has(h uint64) bool {
@@ -31,7 +33,7 @@ func (s *hashSet) add(h uint64) {
 		s.recent = make(map[uint64]struct{})
 	}
 	s.recent[h] = struct{}{}
-	if len(s.recent) >= hashSetBuffer {
+	if len(s.recent) >= max(hashSetBuffer, len(s.sorted)/16) {
 		s.merge()
 	}
 }

@@ -43,3 +43,29 @@ func TestHashSetMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestHashSetMergeCostLinear bounds the elements the merges move — the
+// slice each merge rewrites plus the copy when it grows — over 2^20
+// adds to a small constant times the adds. A merge every fixed number
+// of adds moves O(N^2) elements in total, ~500 N at this N.
+func TestHashSetMergeCostLinear(t *testing.T) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	var s hashSet
+	moved := 0
+	for i := 0; i < n; i++ {
+		before, capBefore := len(s.sorted), cap(s.sorted)
+		s.add(rng.Uint64())
+		if len(s.sorted) != before {
+			moved += len(s.sorted)
+			if cap(s.sorted) != capBefore {
+				moved += before
+			}
+		}
+	}
+	if per := float64(moved) / n; per > 32 {
+		t.Fatalf("merges moved %.1f elements per add, want <= 32", per)
+	} else {
+		t.Logf("merges moved %.1f elements per add", per)
+	}
+}

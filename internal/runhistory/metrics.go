@@ -17,12 +17,19 @@ var (
 	mSweeps     *obs.Counter
 	mSweepErrs  *obs.Counter
 	mSkippedQ   *obs.Counter
+	// mIndexedKinds holds the indexed counter of each kind the programs
+	// write, resolved once; it is read-only after initMetrics.
+	mIndexedKinds map[string]*obs.Counter
 )
 
 func initMetrics() {
 	metricsOnce.Do(func() {
 		r := obs.Default()
 		r.Describe("spinwave_history_indexed_total", "catalog records accepted, by record kind")
+		mIndexedKinds = make(map[string]*obs.Counter)
+		for _, kind := range []string{"eval", "table", "fleet", "sim"} {
+			mIndexedKinds[kind] = r.Counter("spinwave_history_indexed_total", obs.L("kind", kind))
+		}
 		r.Describe("spinwave_history_duplicates_total", "catalog appends dropped as duplicate IDs")
 		mDuplicates = r.Counter("spinwave_history_duplicates_total")
 		r.Describe("spinwave_history_errors_total", "catalog appends that failed at the disk layer")
@@ -40,6 +47,9 @@ func initMetrics() {
 
 func mIndexed(kind string) *obs.Counter {
 	initMetrics()
+	if c := mIndexedKinds[kind]; c != nil {
+		return c
+	}
 	return obs.Default().Counter("spinwave_history_indexed_total", obs.L("kind", kind))
 }
 
