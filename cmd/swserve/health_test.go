@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"spinwave/internal/obsplane"
 )
 
 // TestHealthzShallowFields pins the extended liveness response: the
@@ -161,52 +163,71 @@ func TestSLOTrackerBurnRates(t *testing.T) {
 	}
 }
 
-// TestRunEventsDrainingEvent pins the drain path for in-flight NDJSON
-// tails: when the server starts draining, the open stream receives a
-// final server_draining line before close instead of just going quiet
-// (companion to the shutdown-scrape regression test in obs_test.go).
+// TestRunEventsDrainingEvent pins the drain path of both NDJSON tails:
+// when the server starts draining, an open stream receives a final
+// server_draining line before close instead of just going quiet
+// (companion to the shutdown-scrape regression test in obs_test.go); a
+// new live tail is refused with 503 + Retry-After; and the fleet's
+// post-mortem snapshot (?follow=false) still answers 200.
 func TestRunEventsDrainingEvent(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.heartbeat = 20 * time.Millisecond
-
-	resp, err := http.Get(ts.URL + "/v1/runs/rdrain/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	srv.draining.Store(true)
-
-	type line struct {
-		Event string `json:"event"`
-		Run   string `json:"run"`
-	}
-	var lines []line
-	done := make(chan error, 1)
-	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			var l line
-			if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-				done <- err
-				return
+	for _, ep := range tailEndpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			srv, ts := newObsFleetServer(t)
+			srv.heartbeat = 20 * time.Millisecond
+			if ep.name == "fleet" {
+				shipBatch(t, ts, obsplane.ShipRequest{Node: "w1", Events: victimEvents(ep.id, 1)})
 			}
-			lines = append(lines, l)
-		}
-		done <- sc.Err()
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("tail did not terminate after drain started")
-	}
-	if len(lines) == 0 {
-		t.Fatal("stream closed without any line")
-	}
-	last := lines[len(lines)-1]
-	if last.Event != "server_draining" || last.Run != "rdrain" {
-		t.Errorf("final line %+v, want server_draining for rdrain", last)
+
+			resp, err := http.Get(ts.URL + ep.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			srv.draining.Store(true)
+
+			var lines []map[string]any
+			done := make(chan error, 1)
+			go func() {
+				sc := bufio.NewScanner(resp.Body)
+				for sc.Scan() {
+					var l map[string]any
+					if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+						done <- err
+						return
+					}
+					lines = append(lines, l)
+				}
+				done <- sc.Err()
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("tail did not terminate after drain started")
+			}
+			if len(lines) == 0 {
+				t.Fatal("stream closed without any line")
+			}
+			if last := lines[len(lines)-1]; last["event"] != "server_draining" || last[ep.field] != ep.id {
+				t.Errorf("final line %v, want server_draining for %s %s", last, ep.field, ep.id)
+			}
+
+			// A new live tail is refused while draining.
+			again, err := http.Get(ts.URL + ep.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again.Body.Close()
+			if again.StatusCode != http.StatusServiceUnavailable || again.Header.Get("Retry-After") == "" {
+				t.Errorf("live tail while draining: status %d, Retry-After %q; want 503 with Retry-After",
+					again.StatusCode, again.Header.Get("Retry-After"))
+			}
+			if ep.name == "fleet" {
+				// The post-mortem snapshot stays open while draining.
+				fetchFleetJournal(t, ts, ep.id, ep.id)
+			}
+		})
 	}
 }

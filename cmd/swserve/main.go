@@ -247,7 +247,7 @@ type server struct {
 	// streaming hub, NDJSON heartbeat cadence, and the journal detach
 	// hook released by close().
 	ring          *journal.RingSink
-	hub           *journal.Hub
+	hub           *journal.Hub[journal.Event]
 	heartbeat     time.Duration
 	detachJournal func()
 
@@ -282,7 +282,6 @@ type server struct {
 }
 
 func newServer(eng *spinwave.Engine, defaultTimeout time.Duration) *server {
-	initHTTPMetrics()
 	s := &server{eng: eng, defaultTimeout: defaultTimeout, maxBatch: defaultMaxBatch,
 		heartbeat: 5 * time.Second,
 		slo:       newSLOTracker(defaultSLOWindow, defaultSLOObjective, defaultSLOLatency),

@@ -10,28 +10,36 @@ import (
 	"spinwave/internal/obs"
 )
 
-// HTTP-layer metrics in the obs default registry: per-endpoint request
-// counts by status class and latency histograms. Registered lazily by
-// the first server so tests constructing several servers share one set.
-var (
-	httpMetricsOnce sync.Once
-	httpReqSeconds  func(path string) *obs.Histogram
-	httpReqTotal    func(path string, status int) *obs.Counter
-)
+// routeMetrics holds one route's HTTP-layer metric handles in the obs
+// default registry: its latency histogram and one request counter per
+// status code. Each is resolved through the registry once, on the
+// route's first request (so a route never served exports no series),
+// and reused after.
+type routeMetrics struct {
+	path    string
+	mu      sync.Mutex
+	seconds *obs.Histogram
+	total   map[int]*obs.Counter
+}
 
-func initHTTPMetrics() {
-	httpMetricsOnce.Do(func() {
-		r := obs.Default()
-		r.Describe("swserve_http_requests_total", "HTTP requests by endpoint and status code")
-		r.Describe("swserve_http_request_seconds", "HTTP request latency by endpoint")
-		httpReqSeconds = func(path string) *obs.Histogram {
-			return r.Histogram("swserve_http_request_seconds", nil, obs.L("path", path))
-		}
-		httpReqTotal = func(path string, status int) *obs.Counter {
-			return r.Counter("swserve_http_requests_total",
-				obs.L("path", path), obs.L("status", strconv.Itoa(status)))
-		}
-	})
+// observe accounts one finished request.
+func (m *routeMetrics) observe(status int, elapsed time.Duration) {
+	reg := obs.Default()
+	m.mu.Lock()
+	if m.seconds == nil {
+		reg.Describe("swserve_http_requests_total", "HTTP requests by endpoint and status code")
+		reg.Describe("swserve_http_request_seconds", "HTTP request latency by endpoint")
+		m.seconds = reg.Histogram("swserve_http_request_seconds", nil, obs.L("path", m.path))
+	}
+	seconds, total := m.seconds, m.total[status]
+	if total == nil {
+		total = reg.Counter("swserve_http_requests_total",
+			obs.L("path", m.path), obs.L("status", strconv.Itoa(status)))
+		m.total[status] = total
+	}
+	m.mu.Unlock()
+	seconds.Observe(elapsed.Seconds())
+	total.Inc()
 }
 
 // statusWriter captures the response status for metric labels.
@@ -52,19 +60,16 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Flush forwards to the underlying writer so streaming handlers (the
-// NDJSON run tail) keep working behind the metrics wrapper.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
+// Unwrap lets http.ResponseController reach the underlying writer, so
+// the NDJSON tails flush through the metrics wrapper.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // withMetrics wraps a handler with per-endpoint latency and status
 // accounting, and scores the request against the SLO tracker. The
 // route pattern (not the raw URL) is the path label, so cardinality
 // stays bounded to the mux's route set.
 func (s *server) withMetrics(path string, h http.HandlerFunc) http.HandlerFunc {
+	m := &routeMetrics{path: path, total: make(map[int]*obs.Counter)}
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -73,8 +78,7 @@ func (s *server) withMetrics(path string, h http.HandlerFunc) http.HandlerFunc {
 			sw.status = http.StatusOK
 		}
 		elapsed := time.Since(start)
-		httpReqSeconds(path).Observe(elapsed.Seconds())
-		httpReqTotal(path, sw.status).Inc()
+		m.observe(sw.status, elapsed)
 		s.slo.record(path, sw.status, elapsed)
 	}
 }

@@ -107,14 +107,19 @@ func mustJSON(t *testing.T, v any) string {
 
 // TestMetricsEndpoint exercises /metrics end to end: after an eval, the
 // exposition must carry the engine cache counters, the HTTP histograms
-// and the LLG totals in Prometheus text format.
+// and the LLG totals in Prometheus text format. The test causes every
+// series it checks — the LLG totals exist only once a micromagnetic
+// solver has run — so it passes alone and in any order.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	// Same case twice: one miss then one hit.
-	for i := 0; i < 2; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/eval", map[string]any{
-			"gate": "xor", "inputs": []bool{true, false},
-		})
+	// Same case twice: one miss then one hit; then one micromagnetic
+	// case for the LLG totals.
+	for _, req := range []map[string]any{
+		{"gate": "xor", "inputs": []bool{true, false}},
+		{"gate": "xor", "inputs": []bool{true, false}},
+		{"gate": "xor", "backend": "micromag", "inputs": []bool{true, false}},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/eval", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("eval status %d: %s", resp.StatusCode, body)
 		}
@@ -146,6 +151,21 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestWithMetricsAllocs: the metrics wrapper resolves its histogram
+// and counter handles once per route and status, so a served request
+// costs no registry lookup. The one allocation left is the status
+// writer.
+func TestWithMetricsAllocs(t *testing.T) {
+	srv, _ := newTestServer(t)
+	h := srv.withMetrics("/test/allocs", func(w http.ResponseWriter, r *http.Request) {})
+	w := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodGet, "/test/allocs", nil)
+	h(w, r) // first request resolves the handles
+	if allocs := testing.AllocsPerRun(100, func() { h(w, r) }); allocs > 1 {
+		t.Fatalf("wrapped no-op handler: %.0f allocations per request, want <= 1", allocs)
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"net/http"
-	"time"
 
 	"spinwave/internal/journal"
 	"spinwave/internal/obsplane"
@@ -154,11 +153,11 @@ func fleetTerminalEvent(e obsplane.ShippedEvent) bool {
 	return status == "complete" || status == "failed"
 }
 
-// handleFleetJobEvents is the fleet analogue of /v1/runs/{id}/events:
-// the merged multi-node journal as an NDJSON stream — stored history
-// first (deterministic (node, seq) merge order), then live events as
-// workers ship them, with heartbeats, until the request completes or
-// the client goes away. ?follow=false returns the stored snapshot and
+// handleFleetJobEvents is the fleet analogue of /v1/runs/{id}/events
+// and runs through the same stream loop: the merged multi-node journal
+// as an NDJSON stream — stored history first (deterministic (node, seq)
+// merge order), then live events as workers ship them, until the
+// request completes. ?follow=false returns the stored snapshot and
 // closes — the post-mortem mode, which also stays available while
 // draining.
 func (s *server) handleFleetJobEvents(w http.ResponseWriter, r *http.Request) {
@@ -176,12 +175,6 @@ func (s *server) handleFleetJobEvents(w http.ResponseWriter, r *http.Request) {
 	if follow && s.refuseDraining(w) {
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.failAs(w, http.StatusInternalServerError, codeInternal, false, "streaming unsupported")
-		return
-	}
-
 	// Subscribe before reading the file so no shipped batch falls between
 	// snapshot and live delivery; the per-node seq guard drops the
 	// overlap.
@@ -201,59 +194,12 @@ func (s *server) handleFleetJobEvents(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no fleet journal for %q", trace))
 		return
 	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set(obsplane.TraceHeader, trace)
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-
-	// write emits one merged-journal line, de-duplicating by per-node
-	// sequence number; it reports whether the tail should continue.
-	lastSeq := make(map[string]uint64)
-	write := func(se obsplane.ShippedEvent) bool {
-		if se.Seq <= lastSeq[se.Node] {
-			return true
-		}
-		lastSeq[se.Node] = se.Seq
-		if _, err := w.Write(append(se.MarshalJSONL(), '\n')); err != nil {
-			return false
-		}
-		fl.Flush()
-		return !fleetTerminalEvent(se)
-	}
-	for _, se := range stored {
-		if !write(se) {
-			return
-		}
-	}
-	if !follow {
-		return
-	}
-	hb := time.NewTicker(s.heartbeat)
-	defer hb.Stop()
-	done := r.Context().Done()
-	for {
-		select {
-		case <-done:
-			return
-		case <-hb.C:
-			if s.draining.Load() {
-				fmt.Fprintf(w, "{\"event\":\"server_draining\",\"time_ns\":%d,\"trace\":%q}\n", //nolint:errcheck
-					time.Now().UnixNano(), trace)
-				fl.Flush()
-				return
-			}
-			if _, err := fmt.Fprintf(w, "{\"event\":\"heartbeat\",\"time_ns\":%d,\"trace\":%q}\n",
-				time.Now().UnixNano(), trace); err != nil {
-				return
-			}
-			fl.Flush()
-		case se, open := <-live:
-			if !open || !write(se) {
-				return
-			}
-		}
-	}
+	stream(s, w, r, tail[obsplane.ShippedEvent]{
+		field: "trace", id: trace, replay: stored, live: live,
+		seq:      func(se obsplane.ShippedEvent) (string, uint64) { return se.Node, se.Seq },
+		terminal: fleetTerminalEvent,
+	})
 }
 
 // handleFleetJobTrace assembles the merged multi-node journal into a

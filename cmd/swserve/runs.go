@@ -20,7 +20,8 @@ import (
 // de-duplicating by sequence number, so no event is lost or repeated at
 // the seam). Heartbeat lines keep idle connections alive; delivery is
 // backpressure-safe — a slow client's events are dropped from its own
-// bounded buffer, never stalling the solver.
+// bounded buffer, never stalling the solver. The fleet tail
+// (obsplane.go) runs through the same stream loop and hub type.
 
 // eventRing bounds the journal replay history swserve retains.
 const eventRing = 4096
@@ -29,31 +30,43 @@ const eventRing = 4096
 // journal, returning a detach function for clean shutdown.
 func (s *server) attachJournal() (detach func()) {
 	s.ring = journal.NewRingSink(eventRing)
-	s.hub = journal.NewHub()
+	s.hub = journal.NewHub[journal.Event]()
 	d1 := spinwave.AttachJournalSink(s.ring)
-	d2 := spinwave.AttachJournalSink(s.hub)
+	d2 := spinwave.AttachJournalSink(runSink{s.hub})
 	return func() { d2(); d1() }
 }
+
+// runSink is the journal sink that publishes every event on the run
+// tail's hub, keyed by run ID.
+type runSink struct{ hub *journal.Hub[journal.Event] }
+
+func (rs runSink) Emit(e journal.Event) { rs.hub.Publish(e.Run, e) }
 
 // handleRuns lists the run IDs with retained probe recorders.
 func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, map[string]any{"runs": spinwave.ProbedRuns()})
 }
 
-// terminalEvent reports whether e is the last journal event a run emits
-// — the engine's eval completion (which follows the backend's own
-// run.complete / run.error), or the backend's terminal events for runs
-// that bypass the engine.
+// terminalEvent reports whether e is the last journal event a run
+// emits: the engine's eval completion for a recompute (it follows the
+// backend's own run.complete / run.error), or the tier event of a case
+// answered without one — a memory, disk or surrogate hit, or a case
+// coalesced onto another run's recompute.
 func terminalEvent(e journal.Event) bool {
-	return e.Name == "engine.eval.done"
+	switch e.Name {
+	case "engine.eval.done":
+		return true
+	case "engine.cache", "engine.tier":
+		result, _ := e.Fields["result"].(string)
+		return result == "hit" || (result == "coalesced" && e.Name == "engine.cache")
+	}
+	return false
 }
 
-// handleRunEvents is the NDJSON live tail: replayed history, then live
-// events, with heartbeats, until the run completes or the client goes
-// away. New tails are refused while draining (the stream would be cut
-// by shutdown anyway), and live tails terminate at the next heartbeat
-// tick once draining starts, so open streams never hold Shutdown
-// hostage.
+// handleRunEvents is the run's NDJSON live tail: replayed history, then
+// live events, until the run's terminal event (see stream). New tails
+// are refused while draining — the stream would be cut by shutdown
+// anyway.
 func (s *server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
@@ -63,38 +76,68 @@ func (s *server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("missing run id"))
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.failAs(w, http.StatusInternalServerError, codeInternal, false, "streaming unsupported")
-		return
-	}
 	// Subscribe before replaying so no event falls between ring and hub;
-	// the seq guard below drops the overlap.
+	// the seq guard drops the overlap.
 	events, _, cancel := s.hub.Subscribe(id, 256)
 	defer cancel()
+	stream(s, w, r, tail[journal.Event]{
+		field: "run", id: id, replay: s.ring.EventsFor(id), live: events,
+		seq:      func(e journal.Event) (string, uint64) { return "", e.Seq },
+		terminal: terminalEvent,
+	})
+}
 
+// tail is one NDJSON tail's own parts; stream runs the loop both tails
+// share.
+type tail[E interface{ MarshalJSONL() []byte }] struct {
+	field, id string                   // heartbeat and drain lines carry {field: id}
+	replay    []E                      // history, written before live events
+	live      <-chan E                 // nil for a snapshot that closes after replay
+	seq       func(E) (string, uint64) // dedup: an event whose seq is not past its key's last is skipped
+	terminal  func(E) bool             // the event that completes the tail
+}
+
+// stream writes an NDJSON tail: headers, the replay, then live events
+// with a heartbeat line every s.heartbeat, until a terminal event, the
+// client going away, or a drain. Once draining starts, the next tick
+// writes one server_draining line and ends the stream, so open tails
+// never hold Shutdown hostage and a client can tell a drained stream
+// from a dead run.
+func stream[E interface{ MarshalJSONL() []byte }](s *server, w http.ResponseWriter, r *http.Request, t tail[E]) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
+	rc := http.NewResponseController(w)
 
-	var last uint64
-	// write emits one event line; it reports whether the tail should
-	// continue (false on client error or a terminal run event).
-	write := func(e journal.Event) bool {
-		if e.Seq <= last {
+	// write emits one event line; it reports whether the tail goes on
+	// (false on client error or a terminal event).
+	last := make(map[string]uint64)
+	write := func(e E) bool {
+		key, seq := t.seq(e)
+		if seq <= last[key] {
 			return true
 		}
-		last = e.Seq
-		if _, err := w.Write(append(e.MarshalJSONL(), '\n')); err != nil {
+		last[key] = seq
+		if _, err := w.Write(append(e.MarshalJSONL(), '\n')); err != nil || rc.Flush() != nil {
 			return false
 		}
-		fl.Flush()
-		return !terminalEvent(e)
+		return !t.terminal(e)
 	}
-	for _, e := range s.ring.EventsFor(id) {
+	for _, e := range t.replay {
 		if !write(e) {
 			return
 		}
+	}
+	if t.live == nil {
+		return
+	}
+	mark := func(event string) error {
+		_, err := fmt.Fprintf(w, "{\"event\":%q,\"time_ns\":%d,%q:%q}\n",
+			event, time.Now().UnixNano(), t.field, t.id)
+		if err == nil {
+			err = rc.Flush()
+		}
+		return err
 	}
 	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
@@ -105,20 +148,13 @@ func (s *server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-hb.C:
 			if s.draining.Load() {
-				// Tell the client the stream is ending because the server is
-				// shutting down, not because the run completed — a tail that
-				// just goes quiet is indistinguishable from a dead run.
-				fmt.Fprintf(w, "{\"event\":\"server_draining\",\"time_ns\":%d,\"run\":%q}\n", //nolint:errcheck
-					time.Now().UnixNano(), id)
-				fl.Flush()
+				mark("server_draining") //nolint:errcheck // the stream ends either way
 				return
 			}
-			if _, err := fmt.Fprintf(w, "{\"event\":\"heartbeat\",\"time_ns\":%d,\"run\":%q}\n",
-				time.Now().UnixNano(), id); err != nil {
+			if mark("heartbeat") != nil {
 				return
 			}
-			fl.Flush()
-		case e, open := <-events:
+		case e, open := <-t.live:
 			if !open || !write(e) {
 				return
 			}

@@ -18,127 +18,167 @@ import (
 // TestRunEventsTail drives the NDJSON tail end to end: an eval's run ID
 // comes back in the response, tailing it replays the journaled
 // lifecycle in strictly increasing sequence order, and the stream
-// terminates by itself after the run's terminal event.
+// terminates by itself after the run's terminal event — the eval
+// completion for a recompute, the tier event for a case the cache
+// answered.
 func TestRunEventsTail(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/eval", map[string]any{
-		"gate": "xor", "inputs": []bool{true, true},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("eval status %d: %s", resp.StatusCode, body)
-	}
-	var er evalResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatal(err)
-	}
-	if len(er.Results) != 1 || er.Results[0].Run == "" {
-		t.Fatalf("eval response missing run ID: %s", body)
-	}
-	runID := er.Results[0].Run
-
-	tr, err := http.Get(ts.URL + "/v1/runs/" + runID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Body.Close()
-	if tr.StatusCode != http.StatusOK {
-		t.Fatalf("tail status %d", tr.StatusCode)
-	}
-	if ct := tr.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("tail content-type %q", ct)
-	}
-	// The run is complete, so the replay must terminate the stream on
-	// its own (no cancel needed) — read to EOF with a deadline guard.
-	type line struct {
-		Seq   uint64 `json:"seq"`
-		Run   string `json:"run"`
-		Event string `json:"event"`
-	}
-	var lines []line
-	done := make(chan error, 1)
-	go func() {
-		sc := bufio.NewScanner(tr.Body)
-		for sc.Scan() {
-			var l line
-			if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-				done <- err
-				return
+	for _, tc := range []struct {
+		name      string
+		evals     int    // identical /v1/eval requests; the last one is tailed
+		source    string // the tailed result's source; "" skips the check
+		wantStart bool   // the tail must carry engine.eval.start
+		last      string // the final event
+		result    string // the final event's result field; "" skips the check
+		minLines  int
+	}{
+		{name: "recompute", evals: 1, wantStart: true, last: "engine.eval.done", minLines: 2},
+		{name: "cache hit", evals: 2, source: "cache", last: "engine.cache", result: "hit", minLines: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t)
+			var er evalResponse
+			for i := 0; i < tc.evals; i++ {
+				resp, body := postJSON(t, ts.URL+"/v1/eval", map[string]any{
+					"gate": "xor", "inputs": []bool{true, true},
+				})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("eval status %d: %s", resp.StatusCode, body)
+				}
+				er = evalResponse{}
+				if err := json.Unmarshal(body, &er); err != nil {
+					t.Fatal(err)
+				}
+				if len(er.Results) != 1 || er.Results[0].Run == "" {
+					t.Fatalf("eval response missing run ID: %s", body)
+				}
 			}
-			lines = append(lines, l)
-		}
-		done <- sc.Err()
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("tail did not terminate after run completion")
-	}
-	if len(lines) < 2 {
-		t.Fatalf("tail delivered %d events, want at least start+done", len(lines))
-	}
-	var last uint64
-	for _, l := range lines {
-		if l.Seq <= last {
-			t.Fatalf("sequence not strictly increasing: %d after %d", l.Seq, last)
-		}
-		last = l.Seq
-		if l.Run != runID {
-			t.Errorf("event %q for run %q leaked into tail of %q", l.Event, l.Run, runID)
-		}
-	}
-	var sawStart bool
-	for _, l := range lines {
-		if l.Event == "engine.eval.start" {
-			sawStart = true
-		}
-	}
-	if !sawStart {
-		t.Error("tail missing engine.eval.start")
-	}
-	if lines[len(lines)-1].Event != "engine.eval.done" {
-		t.Errorf("last event %q, want engine.eval.done", lines[len(lines)-1].Event)
+			if tc.source != "" && er.Results[0].Source != tc.source {
+				t.Fatalf("tailed result source %q, want %q", er.Results[0].Source, tc.source)
+			}
+			runID := er.Results[0].Run
+
+			tr, err := http.Get(ts.URL + "/v1/runs/" + runID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Body.Close()
+			if tr.StatusCode != http.StatusOK {
+				t.Fatalf("tail status %d", tr.StatusCode)
+			}
+			if ct := tr.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+				t.Errorf("tail content-type %q", ct)
+			}
+			// The run is complete, so the replay must terminate the stream on
+			// its own (no cancel needed) — read to EOF with a deadline guard.
+			type line struct {
+				Seq    uint64 `json:"seq"`
+				Run    string `json:"run"`
+				Event  string `json:"event"`
+				Fields struct {
+					Result string `json:"result"`
+				} `json:"fields"`
+			}
+			var lines []line
+			done := make(chan error, 1)
+			go func() {
+				sc := bufio.NewScanner(tr.Body)
+				for sc.Scan() {
+					var l line
+					if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+						done <- err
+						return
+					}
+					lines = append(lines, l)
+				}
+				done <- sc.Err()
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("tail did not terminate after run completion")
+			}
+			if len(lines) < tc.minLines {
+				t.Fatalf("tail delivered %d events, want at least %d", len(lines), tc.minLines)
+			}
+			var last uint64
+			for _, l := range lines {
+				if l.Seq <= last {
+					t.Fatalf("sequence not strictly increasing: %d after %d", l.Seq, last)
+				}
+				last = l.Seq
+				if l.Run != runID {
+					t.Errorf("event %q for run %q leaked into tail of %q", l.Event, l.Run, runID)
+				}
+			}
+			var sawStart bool
+			for _, l := range lines {
+				if l.Event == "engine.eval.start" {
+					sawStart = true
+				}
+			}
+			if tc.wantStart && !sawStart {
+				t.Error("tail missing engine.eval.start")
+			}
+			final := lines[len(lines)-1]
+			if final.Event != tc.last {
+				t.Errorf("last event %q, want %s", final.Event, tc.last)
+			}
+			if tc.result != "" && final.Fields.Result != tc.result {
+				t.Errorf("last event result %q, want %s", final.Fields.Result, tc.result)
+			}
+		})
 	}
 }
 
-// TestRunEventsHeartbeat tails a run with no events: the stream must
-// carry periodic heartbeat lines and shut down when the client goes
-// away.
-func TestRunEventsHeartbeat(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.heartbeat = 20 * time.Millisecond
+// tailEndpoints are the two NDJSON tails, one stream loop behind
+// both: each tails an ID with no events and names it in its heartbeat
+// and drain lines under its own field.
+var tailEndpoints = []struct {
+	name, path, field, id string
+}{
+	{"run", "/v1/runs/ridle/events", "run", "ridle"},
+	{"fleet", "/v1/fleet/jobs/tidle/events", "trace", "tidle"},
+}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/runs/ridle/events", nil)
-	if err != nil {
-		t.Fatal(err)
+// TestRunEventsHeartbeat tails an ID with no events on both endpoints:
+// the stream must carry periodic heartbeat lines and shut down when the
+// client goes away.
+func TestRunEventsHeartbeat(t *testing.T) {
+	for _, ep := range tailEndpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			srv, ts := newObsFleetServer(t)
+			srv.heartbeat = 20 * time.Millisecond
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+ep.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			sc := bufio.NewScanner(resp.Body)
+			if !sc.Scan() {
+				t.Fatalf("no heartbeat before stream end: %v", sc.Err())
+			}
+			var hb map[string]any
+			if err := json.Unmarshal(sc.Bytes(), &hb); err != nil {
+				t.Fatalf("heartbeat is not JSON: %q", sc.Text())
+			}
+			if ns, _ := hb["time_ns"].(float64); hb["event"] != "heartbeat" || ns == 0 || hb[ep.field] != ep.id {
+				t.Errorf("unexpected heartbeat %v", hb)
+			}
+			cancel()
+			// After cancel the server side must unwind; draining the body ends.
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		})
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatalf("no heartbeat before stream end: %v", sc.Err())
-	}
-	var hb struct {
-		Event  string `json:"event"`
-		TimeNS int64  `json:"time_ns"`
-		Run    string `json:"run"`
-	}
-	if err := json.Unmarshal(sc.Bytes(), &hb); err != nil {
-		t.Fatalf("heartbeat is not JSON: %q", sc.Text())
-	}
-	if hb.Event != "heartbeat" || hb.TimeNS == 0 || hb.Run != "ridle" {
-		t.Errorf("unexpected heartbeat %+v", hb)
-	}
-	cancel()
-	// After cancel the server side must unwind; draining the body ends.
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 }
 
 // TestRunProbesEndpoint publishes a hand-fed recorder and fetches it

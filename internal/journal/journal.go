@@ -3,7 +3,8 @@
 // run start, transient settled, lock-in window, adaptive accept/reject
 // stats, engine cache provenance, completion or error — emitted by the
 // core backends and the evaluation engine, and delivered in order to
-// pluggable sinks (JSONL writer, in-memory ring, live streaming hub).
+// pluggable sinks (JSONL writer, in-memory ring). Hub is the keyed
+// fan-out that feeds live tails from a sink.
 //
 // Every event carries a monotonic sequence number, a wall-clock
 // timestamp, and the run ID of the evaluation that produced it. The

@@ -182,13 +182,13 @@ func TestRingSink(t *testing.T) {
 }
 
 // TestHubBackpressure verifies a slow subscriber drops instead of
-// blocking the emitter, and that drops are counted.
+// blocking the publisher, and that drops are counted.
 func TestHubBackpressure(t *testing.T) {
-	h := NewHub()
+	h := NewHub[Event]()
 	ch, dropped, cancel := h.Subscribe("", 2)
 	defer cancel()
 	for i := 1; i <= 5; i++ {
-		h.Emit(Event{Seq: uint64(i)}) // must never block
+		h.Publish("r1", Event{Seq: uint64(i)}) // must never block
 	}
 	if d := dropped(); d != 3 {
 		t.Errorf("dropped %d events, want 3", d)
@@ -198,21 +198,21 @@ func TestHubBackpressure(t *testing.T) {
 	}
 }
 
-// TestHubRunFilterAndCancel covers per-run filtering and concurrent
-// emit/cancel under -race.
+// TestHubRunFilterAndCancel covers per-key filtering and concurrent
+// publish/cancel under -race.
 func TestHubRunFilterAndCancel(t *testing.T) {
-	h := NewHub()
+	h := NewHub[Event]()
 	ch, _, cancel := h.Subscribe("r1", 16)
-	h.Emit(Event{Seq: 1, Run: "r1"})
-	h.Emit(Event{Seq: 2, Run: "r2"})
-	h.Emit(Event{Seq: 3, Run: "r1"})
+	h.Publish("r1", Event{Seq: 1, Run: "r1"})
+	h.Publish("r2", Event{Seq: 2, Run: "r2"})
+	h.Publish("r1", Event{Seq: 3, Run: "r1"})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			h.Emit(Event{Seq: uint64(10 + i), Run: "r1"})
+			h.Publish("r1", Event{Seq: uint64(10 + i), Run: "r1"})
 		}
 	}()
 	cancel()
@@ -228,6 +228,74 @@ func TestHubRunFilterAndCancel(t *testing.T) {
 	}
 	if h.Subscribers() != 0 {
 		t.Errorf("%d subscribers after cancel, want 0", h.Subscribers())
+	}
+}
+
+// TestHubEnd pins End's contract: subscribers on the key receive the
+// final event and then a closed channel; other keys are untouched; a
+// wildcard subscriber sees the final event and stays open.
+func TestHubEnd(t *testing.T) {
+	h := NewHub[string]()
+	mine, _, cancelMine := h.Subscribe("t1", 4)
+	other, _, cancelOther := h.Subscribe("t2", 4)
+	all, _, cancelAll := h.Subscribe("", 4)
+	defer cancelOther()
+	defer cancelAll()
+	h.Publish("t1", "a")
+	h.End("t1", "end")
+	var got []string
+	for e := range mine {
+		got = append(got, e)
+	}
+	if len(got) != 2 || got[0] != "a" || got[1] != "end" {
+		t.Fatalf("t1 tail saw %v, want [a end]", got)
+	}
+	cancelMine() // after End: a no-op, not a double close
+	select {
+	case e := <-other:
+		t.Fatalf("t2 subscriber got %q from t1", e)
+	default:
+	}
+	if a, b := <-all, <-all; a != "a" || b != "end" {
+		t.Fatalf("wildcard saw %q, %q; want a, end", a, b)
+	}
+	if h.Subscribers() != 2 {
+		t.Fatalf("%d subscribers after End, want 2 (t2 and wildcard)", h.Subscribers())
+	}
+}
+
+// TestHubEndRacesCancelAndPublish runs End, cancel and Publish on one
+// key at once, many times over: every channel must close exactly once
+// (a double close panics) and a send must never hit a closed channel.
+// Meant for -race.
+func TestHubEndRacesCancelAndPublish(t *testing.T) {
+	h := NewHub[int]()
+	for round := 0; round < 200; round++ {
+		ch, dropped, cancel := h.Subscribe("t1", 2)
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() { defer wg.Done(); h.End("t1", -1) }()
+		go func() { defer wg.Done(); cancel() }()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				h.Publish("t1", i)
+			}
+			dropped()
+		}()
+		wg.Wait()
+		n := 0
+		for range ch {
+			n++
+		}
+		if n > 2 {
+			t.Fatalf("round %d: %d events through a 2-slot buffer", round, n)
+		}
+		cancel()
+		h.End("t1", -1)
+	}
+	if h.Subscribers() != 0 {
+		t.Fatalf("%d subscribers left, want 0", h.Subscribers())
 	}
 }
 

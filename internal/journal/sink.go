@@ -109,75 +109,98 @@ func (s *RingSink) EventsFor(run string) []Event {
 }
 
 // Hub fans events out to live subscribers over bounded buffered
-// channels — the delivery mechanism behind swserve's NDJSON tail. A
-// subscriber that cannot keep up has events dropped (counted per
-// subscriber) rather than stalling the emitting solver: journal
-// delivery must never exert backpressure on the physics loop.
-type Hub struct {
+// channels, keyed by run ID (swserve's run tail) or trace ID (the fleet
+// tail). A subscriber that cannot keep up has events dropped (counted
+// per subscriber) rather than stalling the publisher: delivery must
+// never exert backpressure on the physics loop. The hub's mutex is a
+// leaf held only around non-blocking sends, so Publish and End may run
+// under the caller's own lock.
+type Hub[E any] struct {
 	mu   sync.Mutex
-	subs map[int]*subscriber
+	subs map[int]*subscriber[E]
 	next int
 }
 
 // subscriber is one live tail.
-type subscriber struct {
-	run     string // filter; "" matches all runs
-	ch      chan Event
+type subscriber[E any] struct {
+	key     string // filter; "" matches every key
+	ch      chan E
 	dropped int64
 }
 
-// NewHub builds an empty hub.
-func NewHub() *Hub { return &Hub{subs: make(map[int]*subscriber)} }
+// send delivers e without blocking, counting a drop on a full buffer.
+func (sub *subscriber[E]) send(e E) {
+	select {
+	case sub.ch <- e:
+	default:
+		sub.dropped++
+	}
+}
 
-// Emit implements Sink: non-blocking delivery to every matching
+// NewHub builds an empty hub.
+func NewHub[E any]() *Hub[E] { return &Hub[E]{subs: make(map[int]*subscriber[E])} }
+
+// Publish delivers e to every subscriber on key and to every wildcard
 // subscriber, dropping on a full buffer.
-func (h *Hub) Emit(e Event) {
+func (h *Hub[E]) Publish(key string, e E) {
 	h.mu.Lock()
 	for _, sub := range h.subs {
-		if sub.run != "" && sub.run != e.Run {
-			continue
-		}
-		select {
-		case sub.ch <- e:
-		default:
-			sub.dropped++
+		if sub.key == "" || sub.key == key {
+			sub.send(e)
 		}
 	}
 	h.mu.Unlock()
 }
 
-// Subscribe registers a live tail for one run ID ("" = all runs) with
-// the given channel buffer (clamped to ≥1). It returns the delivery
-// channel, a function reporting how many events were dropped on buffer
-// overflow, and a cancel function that unregisters and closes the
-// channel. Cancel is idempotent.
-func (h *Hub) Subscribe(run string, buffer int) (events <-chan Event, dropped func() int64, cancel func()) {
+// End publishes a final event on key, then closes every subscription on
+// that key. Wildcard subscribers receive last and stay open.
+func (h *Hub[E]) End(key string, last E) {
+	h.mu.Lock()
+	for id, sub := range h.subs {
+		if sub.key != "" && sub.key != key {
+			continue
+		}
+		sub.send(last)
+		if sub.key == key {
+			delete(h.subs, id)
+			close(sub.ch)
+		}
+	}
+	h.mu.Unlock()
+}
+
+// Subscribe registers a live tail for one key ("" = every key) with the
+// given channel buffer (clamped to ≥1). It returns the delivery channel,
+// a function reporting how many events were dropped on buffer overflow,
+// and a cancel function that unregisters and closes the channel. Cancel
+// is idempotent; whichever of cancel and End removes the subscription
+// closes its channel, so it closes exactly once.
+func (h *Hub[E]) Subscribe(key string, buffer int) (events <-chan E, dropped func() int64, cancel func()) {
 	if buffer < 1 {
 		buffer = 1
 	}
-	sub := &subscriber{run: run, ch: make(chan Event, buffer)}
+	sub := &subscriber[E]{key: key, ch: make(chan E, buffer)}
 	h.mu.Lock()
 	id := h.next
 	h.next++
 	h.subs[id] = sub
 	h.mu.Unlock()
-	var once sync.Once
 	return sub.ch, func() int64 {
 			h.mu.Lock()
 			defer h.mu.Unlock()
 			return sub.dropped
 		}, func() {
-			once.Do(func() {
-				h.mu.Lock()
+			h.mu.Lock()
+			if _, open := h.subs[id]; open {
 				delete(h.subs, id)
-				h.mu.Unlock()
 				close(sub.ch)
-			})
+			}
+			h.mu.Unlock()
 		}
 }
 
 // Subscribers returns the number of live subscriptions.
-func (h *Hub) Subscribers() int {
+func (h *Hub[E]) Subscribers() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.subs)

@@ -28,8 +28,10 @@ import (
 // mutex. The HTTP handler that ingests worker batches emits the
 // fleet.journal_shipped receipt after Append returns.
 //
-// A Store is safe for concurrent use; its mutex is a leaf — no journal
-// or queue lock is ever taken under it.
+// Accepted events are published on the store's journal.Hub, keyed by
+// trace, which feeds the fleet tail. A Store is safe for concurrent
+// use; no journal or queue lock is ever taken under its mutex, only the
+// hub's leaf mutex.
 type Store struct {
 	dir string
 
@@ -37,24 +39,8 @@ type Store struct {
 	lastSeq map[string]map[string]uint64 // trace → node → highest stored seq
 	logs    map[string]*durable.Log      // trace files already scanned
 	removed map[string]bool              // traces Remove deleted since open
-	subs    map[int]*storeSub
-	nextSub int
+	hub     *journal.Hub[ShippedEvent]
 	shipped int64 // events accepted since open
-}
-
-// storeSub is one live tail subscription on a trace.
-type storeSub struct {
-	trace   string
-	ch      chan ShippedEvent
-	dropped int64
-	closed  sync.Once
-}
-
-// shut closes the subscription channel exactly once — both the
-// subscriber's own cancel and a retention Remove may race to end the
-// tail, and close must win only once.
-func (sub *storeSub) shut() {
-	sub.closed.Do(func() { close(sub.ch) })
 }
 
 // OpenStore opens (creating if needed) the fleet journal directory.
@@ -74,7 +60,7 @@ func OpenStore(dir string) (*Store, error) {
 		lastSeq: make(map[string]map[string]uint64),
 		logs:    make(map[string]*durable.Log),
 		removed: make(map[string]bool),
-		subs:    make(map[int]*storeSub),
+		hub:     journal.NewHub[ShippedEvent](),
 	}, nil
 }
 
@@ -88,7 +74,7 @@ func (s *Store) fileFor(trace string) string {
 
 // Append merges one node's events into the trace's journal file,
 // dropping events whose sequence number is not beyond the node's stored
-// watermark (idempotent re-ship) and fanning the accepted ones out to
+// watermark (idempotent re-ship) and publishing the accepted ones to
 // live subscribers. The write is one durable.Log append, so a crash
 // tears at most the final line — which Events tolerates on read and the
 // next Append steps past. The log is closed again after each append:
@@ -145,17 +131,8 @@ func (s *Store) Append(trace, node string, events []journal.Event) (accepted int
 	}
 	nodes[node] = last
 	s.shipped += int64(len(fresh))
-	for _, sub := range s.subs {
-		if sub.trace != trace {
-			continue
-		}
-		for _, se := range fresh {
-			select {
-			case sub.ch <- se:
-			default:
-				sub.dropped++
-			}
-		}
+	for _, se := range fresh {
+		s.hub.Publish(trace, se)
 	}
 	return len(fresh), nil
 }
@@ -262,28 +239,10 @@ func MergeEvents(events []ShippedEvent) []ShippedEvent {
 
 // Subscribe registers a live tail on one trace with the given channel
 // buffer (clamped to ≥1): every event accepted by Append after this
-// call is delivered, dropping (counted) on a full buffer — the same
-// never-block contract as journal.Hub. Cancel is idempotent.
+// call is delivered, dropping (counted) on a full buffer, under
+// journal.Hub's contract. Cancel is idempotent.
 func (s *Store) Subscribe(trace string, buffer int) (events <-chan ShippedEvent, dropped func() int64, cancel func()) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	sub := &storeSub{trace: trace, ch: make(chan ShippedEvent, buffer)}
-	s.mu.Lock()
-	id := s.nextSub
-	s.nextSub++
-	s.subs[id] = sub
-	s.mu.Unlock()
-	return sub.ch, func() int64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return sub.dropped
-		}, func() {
-			s.mu.Lock()
-			delete(s.subs, id)
-			s.mu.Unlock()
-			sub.shut()
-		}
+	return s.hub.Subscribe(trace, buffer)
 }
 
 // RemovedEventName is the synthetic terminal event a live subscriber
@@ -330,23 +289,11 @@ func (s *Store) Remove(trace string) (int64, error) {
 	delete(s.lastSeq, trace)
 	delete(s.logs, trace)
 	s.removed[trace] = true
-	term := ShippedEvent{Node: CoordinatorNode, Trace: trace, Event: journal.Event{
+	s.hub.End(trace, ShippedEvent{Node: CoordinatorNode, Trace: trace, Event: journal.Event{
 		Seq:    maxSeq + 1,
 		TimeNS: time.Now().UnixNano(),
 		Name:   RemovedEventName,
-	}}
-	for id, sub := range s.subs {
-		if sub.trace != trace {
-			continue
-		}
-		select {
-		case sub.ch <- term:
-		default:
-			sub.dropped++
-		}
-		delete(s.subs, id)
-		sub.shut()
-	}
+	}})
 	return size, nil
 }
 
@@ -405,11 +352,7 @@ func (s *Store) Shipped() int64 {
 }
 
 // Subscribers returns the number of live tail subscriptions.
-func (s *Store) Subscribers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
-}
+func (s *Store) Subscribers() int { return s.hub.Subscribers() }
 
 // WritableProbe verifies the journal directory still accepts writes —
 // surfaced by swserve's deep health check beside the queue's probe.

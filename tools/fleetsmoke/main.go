@@ -20,7 +20,9 @@
 // multi-node journal is downloaded from /v1/fleet/jobs/{id}/events and
 // the assembled Chrome trace from /v1/fleet/jobs/{id}/trace — and the
 // run fails unless the SIGKILLed worker's shipped events survived at
-// the coordinator and the trace spans at least two nodes. Both
+// the coordinator and the trace spans at least two nodes. The follow
+// tail of the completed request must also end by itself at its
+// fleet.request complete line. Both
 // downloads are left behind as artifacts for journalcheck -fleet,
 // swdoctor -fleet, and CI upload.
 //
@@ -235,8 +237,9 @@ func run(journalPath, eventsPath, tracePath string, timeout time.Duration) error
 
 // observabilityPhase downloads the completed request's merged fleet
 // journal and assembled Chrome trace, saves both as artifacts, and
-// fails unless the SIGKILLed worker's shipped events are present and
-// the trace spans at least two nodes.
+// fails unless the SIGKILLed worker's shipped events are present, the
+// trace spans at least two nodes, and the request's follow tail ends by
+// itself at its completion.
 func observabilityPhase(base, reqID, victim, eventsPath, tracePath string) error {
 	// The trace ID travels on the request status — a post-mortem can
 	// start from either ID, but the smoke asserts the correlation chain.
@@ -287,6 +290,9 @@ func observabilityPhase(base, reqID, victim, eventsPath, tracePath string) error
 	if len(nodes) < 2 {
 		return fmt.Errorf("fleet journal spans %d node(s), want at least 2 (nodes: %v)", len(nodes), nodes)
 	}
+	if err := followTail(base, reqID); err != nil {
+		return err
+	}
 
 	// Assembled Chrome trace: well-formed JSON with events, naming the
 	// dead worker's row.
@@ -308,6 +314,33 @@ func observabilityPhase(base, reqID, victim, eventsPath, tracePath string) error
 	}
 	log.Printf("post-mortem gate: trace %s spans %d nodes incl. dead %s (%d events from it); artifacts %s, %s",
 		withTrace.Trace, len(nodes), victim, nodes[victim], eventsPath, tracePath)
+	return nil
+}
+
+// followTail reads the follow-mode NDJSON tail of a completed request
+// and requires it to end by itself, within a deadline, at the request's
+// fleet.request complete line.
+func followTail(base, reqID string) error {
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Get(base + "/v1/fleet/jobs/" + reqID + "/events")
+	if err != nil {
+		return fmt.Errorf("fleet follow tail: %w", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("fleet follow tail did not end by itself: %w", err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	var end struct {
+		Event  string `json:"event"`
+		Fields struct{ Status string }
+	}
+	json.Unmarshal(lines[len(lines)-1], &end) //nolint:errcheck
+	if end.Event != "fleet.request" || end.Fields.Status != "complete" {
+		return fmt.Errorf("fleet follow tail (%s) ended at %q, want the fleet.request complete line", resp.Status, lines[len(lines)-1])
+	}
+	log.Printf("follow tail of %s ended by itself at fleet.request complete after %d lines", reqID, len(lines))
 	return nil
 }
 
