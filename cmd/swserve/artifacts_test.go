@@ -152,7 +152,7 @@ func TestArtifactBadNamesRejected(t *testing.T) {
 
 func TestArtifactPutStaysOpenWhileDraining(t *testing.T) {
 	srv, ts := newArtifactServer(t)
-	srv.draining.Store(true)
+	srv.drain()
 	resp, body := putArtifact(t, ts.URL+"/v1/runs/r-drain/artifacts/ck-000000000001.json", "{}")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("draining put status %d: %s (a draining server must still accept checkpoints)", resp.StatusCode, body)

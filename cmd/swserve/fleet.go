@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -19,9 +20,9 @@ import (
 // worker-facing endpoints (register/claim/heartbeat/results). All of
 // them answer failures with the v1 error envelope. The drain rules are
 // asymmetric on purpose: submission, registration and claims refuse
-// while draining (no new work enters a dying coordinator), but
-// heartbeats and result posts stay open so in-flight compute is not
-// lost at shutdown.
+// while draining (no new work enters a dying coordinator, and a drain
+// ends every waiting claim), but heartbeats and result posts stay open
+// so in-flight compute is not lost at shutdown.
 
 // initFleet opens the durable queue at dir and mounts the coordinator
 // on the server. shard is the default cases-per-job split applied to
@@ -47,7 +48,7 @@ func (s *server) fleetRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/fleet/jobs/{id}", s.withMetrics("/v1/fleet/jobs/id", s.handleFleetStatus))
 	mux.HandleFunc("GET /v1/fleet/workers", s.withMetrics("/v1/fleet/workers", s.handleFleetWorkers))
 	mux.HandleFunc("POST /v1/fleet/register", s.withMetrics("/v1/fleet/register", s.handleFleetRegister))
-	mux.HandleFunc("POST /v1/fleet/claim", s.withMetrics("/v1/fleet/claim", s.handleFleetClaim))
+	mux.HandleFunc("POST "+claimRoute, s.withMetrics(claimRoute, s.handleFleetClaim))
 	mux.HandleFunc("POST /v1/fleet/heartbeat", s.withMetrics("/v1/fleet/heartbeat", s.handleFleetHeartbeat))
 	mux.HandleFunc("POST /v1/fleet/results", s.withMetrics("/v1/fleet/results", s.handleFleetResults))
 }
@@ -215,11 +216,14 @@ func (s *server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, fleet.RegisterResponse{
 		Worker:      id,
 		LeaseMS:     lease.Milliseconds(),
-		PollMS:      (lease / 10).Milliseconds(),
 		HeartbeatMS: (lease / 3).Milliseconds(),
 	})
 }
 
+// handleFleetClaim is a long-poll over Coordinator.Claim: it answers a
+// job as soon as one is pending, or 204 when the coordinator's wait
+// passes empty. The wait ends early when the worker goes away or the
+// server starts draining; a drain answers 503 and hands out no job.
 func (s *server) handleFleetClaim(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	if s.refuseDraining(w) {
@@ -233,13 +237,20 @@ func (s *server) handleFleetClaim(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("claim needs a worker id"))
 		return
 	}
-	job, err := s.fleet.Claim(req.Worker)
+	// Derived from the drain context, so a drain cancels the wait
+	// before drain() returns; the worker going away cancels it too.
+	ctx, cancel := context.WithCancel(s.drainCtx)
+	defer cancel()
+	defer context.AfterFunc(r.Context(), cancel)()
+	job, err := s.fleet.Claim(ctx, req.Worker)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	if job == nil {
-		w.WriteHeader(http.StatusNoContent)
+		if !s.refuseDraining(w) {
+			w.WriteHeader(http.StatusNoContent)
+		}
 		return
 	}
 	// Answer with the claimed job's trace in the header too, so even a

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -480,6 +481,9 @@ func TestFleetMatchesLocalMicromag(t *testing.T) {
 		t.Skip("micromagnetic integration test")
 	}
 	srv, ts := newFleetServer(t)
+	// The local tables get the fleet path's budget (waitFleetComplete
+	// below): under -race the 8 MAJ3 cases outrun the fixture's 30 s.
+	srv.defaultTimeout = 2 * time.Minute
 	// Its own engine and memo: the worker recomputes instead of reading
 	// the cache the local table fills.
 	startFleetWorker(t, srv, ts, &fleet.Worker{ID: "pin-w",
@@ -575,6 +579,66 @@ func TestFleetHealthAndSLOSurface(t *testing.T) {
 	resp.Body.Close()
 	if slo.Fleet == nil || slo.Fleet.Queue.Pending != 1 {
 		t.Fatalf("slo fleet snapshot = %+v", slo.Fleet)
+	}
+}
+
+// TestFleetDrainEndsClaimWaits: a drain ends an open claim wait at once
+// with the 503 draining envelope, and a job that becomes pending as the
+// drain starts stays pending — a dying coordinator hands out no work.
+func TestFleetDrainEndsClaimWaits(t *testing.T) {
+	srv, ts := newFleetServer(t) // claims wait up to 3 s
+	got := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/fleet/claim", "application/json",
+			strings.NewReader(`{"worker":"idle"}`))
+		if err != nil {
+			resp = nil
+		}
+		got <- resp
+	}()
+	time.Sleep(20 * time.Millisecond) // the claim is waiting
+	srv.drain()
+	if _, err := srv.fleet.Submit(fleet.JobSpec{Gate: "xor"}, [][]bool{{true, false}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case resp := <-got:
+		if resp == nil {
+			t.Fatal("claim failed in transport")
+		}
+		raw := readAll(t, resp)
+		if resp.StatusCode != http.StatusServiceUnavailable || decodeEnvelope(t, raw).Code != codeDraining {
+			t.Fatalf("claim across a drain: %d %s, want 503 %s", resp.StatusCode, raw, codeDraining)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("drain did not end the claim wait")
+	}
+	if st := srv.fleet.Queue().Stats(); st.Pending != 1 || st.Claimed != 0 {
+		t.Fatalf("queue after drain = %+v, want the job pending", st)
+	}
+}
+
+// TestFleetIdleClaimBurnsNoLatencyBudget: an idle claim waits out its
+// lease-derived bound and answers 204. The wait is idle time, not
+// service time, so even a latency threshold far below it scores the
+// claim good; other routes still burn the budget.
+func TestFleetIdleClaimBurnsNoLatencyBudget(t *testing.T) {
+	srv, ts := newFleetServer(t, fleet.WithLease(500*time.Millisecond)) // 50 ms wait
+	srv.slo = newSLOTracker(0, 0, time.Millisecond)
+	start := time.Now()
+	resp, raw := postJSON(t, ts.URL+"/v1/fleet/claim", map[string]any{"worker": "idle"})
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("idle claim: %d %s, want 204", resp.StatusCode, raw)
+	}
+	if took := time.Since(start); took < 50*time.Millisecond {
+		t.Fatalf("idle claim answered after %v, before its wait", took)
+	}
+	if ep := srv.slo.endpoint(claimRoute); ep.Requests != 1 || ep.Slow != 0 || ep.SlowBurnRate != 0 {
+		t.Fatalf("idle claim SLO = %+v, want one good request", ep)
+	}
+	srv.slo.record("/v1/table", http.StatusOK, 10*time.Millisecond)
+	if ep := srv.slo.endpoint("/v1/table"); ep.Slow != 1 {
+		t.Fatalf("slow table SLO = %+v, want it slow", ep)
 	}
 }
 

@@ -74,7 +74,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"go_version":     goVersion,
 		"vcs_revision":   revision,
 		"uptime_seconds": time.Since(s.started).Seconds(),
-		"draining":       s.draining.Load(),
+		"draining":       s.draining(),
 	}
 	if r.URL.Query().Get("deep") == "" {
 		s.reply(w, resp)

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"spinwave/internal/obsplane"
 )
 
 // TestHealthzShallowFields pins the extended liveness response: the
@@ -174,16 +172,14 @@ func TestRunEventsDrainingEvent(t *testing.T) {
 		t.Run(ep.name, func(t *testing.T) {
 			srv, ts := newObsFleetServer(t)
 			srv.heartbeat = 20 * time.Millisecond
-			if ep.name == "fleet" {
-				shipBatch(t, ts, obsplane.ShipRequest{Node: "w1", Events: victimEvents(ep.id, 1)})
-			}
+			seedTail(t, ts, ep.name, ep.id)
 
 			resp, err := http.Get(ts.URL + ep.path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			srv.draining.Store(true)
+			srv.drain()
 
 			var lines []map[string]any
 			done := make(chan error, 1)

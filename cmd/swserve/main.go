@@ -213,7 +213,7 @@ func main() {
 	case <-ctx.Done():
 	}
 	log.Print("shutting down, draining in-flight requests ...")
-	srv.draining.Store(true)
+	srv.drain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
@@ -236,7 +236,10 @@ type server struct {
 	defaultTimeout time.Duration
 	maxBatch       int
 	pprofOn        bool
-	draining       atomic.Bool
+	// drainCtx ends when the server starts draining after SIGTERM
+	// (drain): open claim waits and live tails end with it.
+	drainCtx context.Context
+	drain    context.CancelFunc
 
 	// backends memoizes the backend of every resolved request, so eval
 	// and table requests skip construction (rasterization) after the
@@ -286,6 +289,7 @@ func newServer(eng *spinwave.Engine, defaultTimeout time.Duration) *server {
 		heartbeat: 5 * time.Second,
 		slo:       newSLOTracker(defaultSLOWindow, defaultSLOObjective, defaultSLOLatency),
 		started:   time.Now()}
+	s.drainCtx, s.drain = context.WithCancel(context.Background())
 	s.detachJournal = s.attachJournal()
 	return s
 }

@@ -93,10 +93,13 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.Default().WritePrometheus(w) //nolint:errcheck
 }
 
+// draining reports whether the server has started draining.
+func (s *server) draining() bool { return s.drainCtx.Err() != nil }
+
 // refuseDraining answers a 503 draining envelope with a Retry-After
 // when the server is draining after SIGTERM; reports whether it did.
 func (s *server) refuseDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
+	if !s.draining() {
 		return false
 	}
 	w.Header().Set("Retry-After", "5")

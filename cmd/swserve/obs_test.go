@@ -186,7 +186,7 @@ func TestDrainGating(t *testing.T) {
 			t.Fatalf("%s pre-drain status %d", path, resp.StatusCode)
 		}
 	}
-	srv.draining.Store(true)
+	srv.drain()
 	for _, path := range []string{"/metrics", "/debug/vars"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -138,6 +138,12 @@ func (s *server) resolveTrace(id string) string {
 	return id
 }
 
+// traceActive reports whether a fleet request that has not completed
+// carries the trace.
+func (s *server) traceActive(trace string) bool {
+	return s.fleetEnabled() && s.fleet.ActiveTraces()[trace]
+}
+
 // fleetTerminalEvent reports whether e ends a fleet request's timeline:
 // the coordinator's request-complete (or failure) lifecycle event, or
 // the synthetic store-removal event the retention engine injects so a
@@ -189,7 +195,10 @@ func (s *server) handleFleetJobEvents(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	if len(stored) == 0 && !follow {
+	// An empty trace is gone (retention removed it) or unknown, and no
+	// event would ever end its tail — unless a request still running
+	// holds it, as right after submit.
+	if len(stored) == 0 && (!follow || !s.traceActive(trace)) {
 		s.failAs(w, http.StatusNotFound, codeNotFound, false,
 			fmt.Sprintf("no fleet journal for %q", trace))
 		return

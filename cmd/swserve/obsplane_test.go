@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -322,4 +323,58 @@ func TestFleetJournalUnknownTrace(t *testing.T) {
 			t.Fatalf("%s code = %s", path, e.Code)
 		}
 	}
+}
+
+// TestFleetFollowTailOfGoneTrace: a follow tail of a trace retention
+// already removed answers the 404 envelope, as the snapshot does — no
+// event would ever end it. A running request's trace still follows
+// even before any of its events reached the store.
+func TestFleetFollowTailOfGoneTrace(t *testing.T) {
+	t.Run("removed", func(t *testing.T) {
+		srv, ts := newObsFleetServer(t)
+		shipBatch(t, ts, obsplane.ShipRequest{Node: "w1", Events: victimEvents("tgone", 1)})
+		if _, err := srv.fjournal.Remove("tgone"); err != nil {
+			t.Fatal(err)
+		}
+		client := &http.Client{Timeout: 2 * time.Second}
+		resp, err := client.Get(ts.URL + "/v1/fleet/jobs/tgone/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := readAll(t, resp)
+		if resp.StatusCode != http.StatusNotFound || decodeEnvelope(t, raw).Code != codeNotFound {
+			t.Fatalf("follow tail of a removed trace: %d %s, want 404 %s", resp.StatusCode, raw, codeNotFound)
+		}
+	})
+
+	t.Run("running request", func(t *testing.T) {
+		srv, ts := newObsFleetServer(t)
+		srv.heartbeat = 20 * time.Millisecond
+		// Without the coordinator mirror the submission's events never
+		// reach the store: the trace stays empty while the request runs.
+		srv.detachMirror()
+		srv.detachMirror = nil
+		reqID := submitFleet(t, ts, map[string]any{"gate": "xor", "cases": [][]bool{{true, false}}})
+		trace := fleetTrace(t, ts, reqID)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/fleet/jobs/"+reqID+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("follow tail of a running request: status %d, want 200", resp.StatusCode)
+		}
+		sc := bufio.NewScanner(resp.Body)
+		var hb map[string]any
+		if !sc.Scan() || json.Unmarshal(sc.Bytes(), &hb) != nil || hb["event"] != "heartbeat" || hb["trace"] != trace {
+			t.Fatalf("first line %q, want a heartbeat for %s", sc.Text(), trace)
+		}
+	})
 }

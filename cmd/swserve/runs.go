@@ -64,9 +64,11 @@ func terminalEvent(e journal.Event) bool {
 }
 
 // handleRunEvents is the run's NDJSON live tail: replayed history, then
-// live events, until the run's terminal event (see stream). New tails
-// are refused while draining — the stream would be cut by shutdown
-// anyway.
+// live events, until the run's terminal event (see stream). A run with
+// no event left in the replay ring answers 404: unknown, or finished
+// with every event overwritten, so nothing would ever end its tail.
+// New tails are refused while draining — the stream would be cut by
+// shutdown anyway.
 func (s *server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
@@ -80,8 +82,14 @@ func (s *server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	// the seq guard drops the overlap.
 	events, _, cancel := s.hub.Subscribe(id, 256)
 	defer cancel()
+	replay := s.ring.EventsFor(id)
+	if len(replay) == 0 {
+		s.failAs(w, http.StatusNotFound, codeNotFound, false,
+			fmt.Sprintf("no retained journal events for run %q", id))
+		return
+	}
 	stream(s, w, r, tail[journal.Event]{
-		field: "run", id: id, replay: s.ring.EventsFor(id), live: events,
+		field: "run", id: id, replay: replay, live: events,
 		seq:      func(e journal.Event) (string, uint64) { return "", e.Seq },
 		terminal: terminalEvent,
 	})
@@ -99,10 +107,9 @@ type tail[E interface{ MarshalJSONL() []byte }] struct {
 
 // stream writes an NDJSON tail: headers, the replay, then live events
 // with a heartbeat line every s.heartbeat, until a terminal event, the
-// client going away, or a drain. Once draining starts, the next tick
-// writes one server_draining line and ends the stream, so open tails
-// never hold Shutdown hostage and a client can tell a drained stream
-// from a dead run.
+// client going away, or a drain. When draining starts the stream writes
+// one server_draining line and ends, so open tails never hold Shutdown
+// hostage and a client can tell a drained stream from a dead run.
 func stream[E interface{ MarshalJSONL() []byte }](s *server, w http.ResponseWriter, r *http.Request, t tail[E]) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
@@ -146,11 +153,10 @@ func stream[E interface{ MarshalJSONL() []byte }](s *server, w http.ResponseWrit
 		select {
 		case <-done:
 			return
+		case <-s.drainCtx.Done():
+			mark("server_draining") //nolint:errcheck // the stream ends either way
+			return
 		case <-hb.C:
-			if s.draining.Load() {
-				mark("server_draining") //nolint:errcheck // the stream ends either way
-				return
-			}
 			if mark("heartbeat") != nil {
 				return
 			}

@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"spinwave"
+	"spinwave/internal/journal"
+	"spinwave/internal/obsplane"
 	"spinwave/internal/probe"
 	"spinwave/internal/vec"
 )
@@ -20,12 +23,14 @@ import (
 // lifecycle in strictly increasing sequence order, and the stream
 // terminates by itself after the run's terminal event — the eval
 // completion for a recompute, the tier event for a case the cache
-// answered.
+// answered. A run whose events all left the replay ring answers 404:
+// no event would ever end its tail.
 func TestRunEventsTail(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		evals     int    // identical /v1/eval requests; the last one is tailed
 		source    string // the tailed result's source; "" skips the check
+		evicted   bool   // a full ring of later events overwrites the run's
 		wantStart bool   // the tail must carry engine.eval.start
 		last      string // the final event
 		result    string // the final event's result field; "" skips the check
@@ -33,6 +38,7 @@ func TestRunEventsTail(t *testing.T) {
 	}{
 		{name: "recompute", evals: 1, wantStart: true, last: "engine.eval.done", minLines: 2},
 		{name: "cache hit", evals: 2, source: "cache", last: "engine.cache", result: "hit", minLines: 1},
+		{name: "evicted from the ring", evals: 1, evicted: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ts := newTestServer(t)
@@ -56,12 +62,26 @@ func TestRunEventsTail(t *testing.T) {
 				t.Fatalf("tailed result source %q, want %q", er.Results[0].Source, tc.source)
 			}
 			runID := er.Results[0].Run
+			if tc.evicted {
+				for i := 0; i < eventRing; i++ {
+					journal.Default().Emit("rfiller", "test.filler")
+				}
+			}
 
 			tr, err := http.Get(ts.URL + "/v1/runs/" + runID + "/events")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer tr.Body.Close()
+			if tc.evicted {
+				if tr.StatusCode != http.StatusNotFound {
+					t.Fatalf("tail of an evicted run: status %d, want 404", tr.StatusCode)
+				}
+				if e := decodeEnvelope(t, readAll(t, tr)); e.Code != codeNotFound {
+					t.Fatalf("tail of an evicted run: code %q, want %s", e.Code, codeNotFound)
+				}
+				return
+			}
 			if tr.StatusCode != http.StatusOK {
 				t.Fatalf("tail status %d", tr.StatusCode)
 			}
@@ -134,8 +154,8 @@ func TestRunEventsTail(t *testing.T) {
 }
 
 // tailEndpoints are the two NDJSON tails, one stream loop behind
-// both: each tails an ID with no events and names it in its heartbeat
-// and drain lines under its own field.
+// both: each tails an ID that seedTail gives one non-terminal event and
+// names it in its heartbeat and drain lines under its own field.
 var tailEndpoints = []struct {
 	name, path, field, id string
 }{
@@ -143,14 +163,26 @@ var tailEndpoints = []struct {
 	{"fleet", "/v1/fleet/jobs/tidle/events", "trace", "tidle"},
 }
 
-// TestRunEventsHeartbeat tails an ID with no events on both endpoints:
-// the stream must carry periodic heartbeat lines and shut down when the
-// client goes away.
+// seedTail gives the endpoint's ID one non-terminal event, so its tail
+// stays open: an ID with no events answers 404.
+func seedTail(t *testing.T, ts *httptest.Server, name, id string) {
+	t.Helper()
+	if name == "fleet" {
+		shipBatch(t, ts, obsplane.ShipRequest{Node: "w1", Events: victimEvents(id, 1)})
+		return
+	}
+	journal.Default().Emit(id, "test.started")
+}
+
+// TestRunEventsHeartbeat tails an ID with one non-terminal event on
+// both endpoints: after the replayed event the stream must carry
+// periodic heartbeat lines and shut down when the client goes away.
 func TestRunEventsHeartbeat(t *testing.T) {
 	for _, ep := range tailEndpoints {
 		t.Run(ep.name, func(t *testing.T) {
 			srv, ts := newObsFleetServer(t)
 			srv.heartbeat = 20 * time.Millisecond
+			seedTail(t, ts, ep.name, ep.id)
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -163,13 +195,17 @@ func TestRunEventsHeartbeat(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
+			// The replayed seed comes first, then the heartbeats.
 			sc := bufio.NewScanner(resp.Body)
-			if !sc.Scan() {
-				t.Fatalf("no heartbeat before stream end: %v", sc.Err())
-			}
 			var hb map[string]any
-			if err := json.Unmarshal(sc.Bytes(), &hb); err != nil {
-				t.Fatalf("heartbeat is not JSON: %q", sc.Text())
+			for hb["event"] != "heartbeat" {
+				if !sc.Scan() {
+					t.Fatalf("no heartbeat before stream end: %v", sc.Err())
+				}
+				hb = nil
+				if err := json.Unmarshal(sc.Bytes(), &hb); err != nil {
+					t.Fatalf("line is not JSON: %q", sc.Text())
+				}
 			}
 			if ns, _ := hb["time_ns"].(float64); hb["event"] != "heartbeat" || ns == 0 || hb[ep.field] != ep.id {
 				t.Errorf("unexpected heartbeat %v", hb)

@@ -22,6 +22,11 @@ import (
 // (swserve_slo_error_burn_rate / swserve_slo_slow_burn_rate by path)
 // and the full per-endpoint breakdown is served at GET /v1/slo.
 
+// claimRoute is the fleet claim, scored for availability only: it waits
+// until a job is pending, so its duration measures an idle fleet, not
+// slow service.
+const claimRoute = "/v1/fleet/claim"
+
 // sloDefaults for the -slo-* flags.
 const (
 	defaultSLOWindow    = 5 * time.Minute
@@ -91,7 +96,7 @@ func (t *sloTracker) record(path string, status int, elapsed time.Duration) {
 	if status >= http.StatusInternalServerError {
 		b.errs++
 	}
-	if elapsed > t.latency {
+	if elapsed > t.latency && path != claimRoute {
 		b.slow++
 	}
 	t.mu.Unlock()

@@ -1,8 +1,11 @@
 // Command swworker is the fleet worker: it registers with a
-// coordinator (swserve started with -fleet-queue), polls for jobs,
+// coordinator (swserve started with -fleet-queue), claims jobs,
 // evaluates their cases through its own tiered engine — so the memory
 // cache, disk store, and admitted surrogates apply per node — and posts
-// results plus node health back over HTTP.
+// results plus node health back over HTTP. A claim waits at the
+// coordinator until a job is queued, so an idle worker starts new work
+// at once and runs no poll timer; -poll is only the pause before
+// retrying a failed call.
 //
 //	swworker -coordinator http://127.0.0.1:8080 -workers 8 -store /var/lib/spinwave
 //
@@ -42,7 +45,7 @@ func main() {
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = NumCPU)")
 	cacheSize := flag.Int("cache", 4096, "engine LRU capacity in cached case readouts (0 disables)")
 	storeDir := flag.String("store", "", "disk-backed result store directory (per-node tier; empty disables)")
-	poll := flag.Duration("poll", 0, "idle re-poll interval (0 = coordinator-suggested)")
+	poll := flag.Duration("poll", 0, "pause before retrying a failed coordinator call: register, an errored claim, a result post (0 = 500ms). Idle workers do not poll, a claim waits at the coordinator; the flag stays only because the benchmark's fleet-table workload passes it")
 	caseDelay := flag.Duration("case-delay", 0, "artificial per-case delay (test/smoke aid: makes mid-job kills reliable)")
 	journalFile := flag.String("journal", "", "write the structured run journal (JSON lines) to this file")
 	shipJournal := flag.Bool("ship-journal", true, "batch-forward journal events to the coordinator's durable fleet journal")

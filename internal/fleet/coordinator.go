@@ -505,12 +505,35 @@ func (c *Coordinator) Register(workerID, host string, pid int) (string, error) {
 	return workerID, nil
 }
 
-// Claim hands the next job to the worker (nil when the queue is idle)
-// and refreshes the worker's liveness.
-func (c *Coordinator) Claim(workerID string) (*Job, error) {
-	c.touch(workerID, nil)
-	return c.q.Claim(workerID)
+// Claim hands the worker the oldest pending job, waiting at most
+// claimWait for one to become pending (submitted, chained or requeued).
+// It returns (nil, nil) when the wait passes empty or ctx ends; once ctx
+// has ended it leases nothing, so a caller that went away mid-wait
+// never holds a job. Every attempt refreshes the worker's liveness.
+// swserve's POST /v1/fleet/claim is a thin wrapper over it.
+func (c *Coordinator) Claim(ctx context.Context, workerID string) (*Job, error) {
+	bound := time.NewTimer(c.claimWait())
+	defer bound.Stop()
+	for ctx.Err() == nil {
+		c.touch(workerID, nil)
+		job, wake, err := c.q.Claim(workerID)
+		if job != nil || err != nil {
+			return job, err
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		case <-bound.C:
+			return nil, nil
+		}
+	}
+	return nil, nil
 }
+
+// claimWait bounds one claim's wait: a tenth of the lease (3 s at the
+// default), so an idle worker refreshes its liveness well inside
+// lostAfter.
+func (c *Coordinator) claimWait() time.Duration { return c.q.Lease() / 10 }
 
 // Heartbeat extends the worker's lease on a job and records the
 // worker's self-reported health snapshot.
@@ -763,8 +786,8 @@ func (c *Coordinator) Snapshot() Snapshot {
 
 // Run sweeps expired leases periodically until ctx is cancelled — the
 // background recovery loop swserve starts alongside the HTTP surface.
-// (Claims also sweep lazily, so tests driving a fake clock need no
-// ticker.)
+// A requeue it makes wakes waiting claims. (Claims also sweep lazily,
+// so tests driving a fake clock need no ticker.)
 func (c *Coordinator) Run(ctx context.Context, every time.Duration) {
 	if every <= 0 {
 		every = c.q.Lease() / 4
@@ -781,7 +804,7 @@ func (c *Coordinator) Run(ctx context.Context, every time.Duration) {
 		case <-t.C:
 			c.q.Sweep()
 			// Recomputing worker states here ages lost nodes' federated
-			// gauges out of /metrics even when no one is polling.
+			// gauges out of /metrics even when no worker calls in.
 			c.Workers()
 		}
 	}

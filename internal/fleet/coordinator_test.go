@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -49,13 +50,10 @@ func TestCoordinatorShardsSubmission(t *testing.T) {
 // drain claims and completes every pending job as the given worker.
 func drain(t *testing.T, c *Coordinator, workerID, fp string) {
 	t.Helper()
-	for {
-		j, err := c.Claim(workerID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j == nil {
-			return
+	for c.Queue().Stats().Pending > 0 {
+		j, err := c.Claim(context.Background(), workerID)
+		if err != nil || j == nil {
+			t.Fatalf("Claim = %v, %v", j, err)
 		}
 		if _, err := c.IngestResult(workerID, j.ID, fp, testOutcomes(j.Cases), ""); err != nil {
 			t.Fatal(err)
@@ -102,7 +100,7 @@ func TestCoordinatorDuplicateIngestIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := c.Claim("w1")
+	j, err := c.Claim(context.Background(), "w1")
 	if err != nil || j == nil {
 		t.Fatalf("Claim = %v, %v", j, err)
 	}
@@ -136,7 +134,7 @@ func TestCoordinatorRequeueOnLostWorker(t *testing.T) {
 	if _, err := c.Register("w1", "", 0); err != nil {
 		t.Fatal(err)
 	}
-	j, err := c.Claim("w1")
+	j, err := c.Claim(context.Background(), "w1")
 	if err != nil || j == nil {
 		t.Fatalf("Claim = %v, %v", j, err)
 	}
@@ -156,7 +154,7 @@ func TestCoordinatorRequeueOnLostWorker(t *testing.T) {
 	if _, err := c.Register("w2", "", 0); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := c.Claim("w2")
+	j2, err := c.Claim(context.Background(), "w2")
 	if err != nil || j2 == nil || j2.ID != j.ID {
 		t.Fatalf("peer Claim = %v, %v", j2, err)
 	}
@@ -179,7 +177,7 @@ func TestCoordinatorEvalErrorRequeuesThenFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		j, err := c.Claim("w1")
+		j, err := c.Claim(context.Background(), "w1")
 		if err != nil || j == nil {
 			t.Fatalf("claim %d = %v, %v", i, j, err)
 		}
@@ -205,7 +203,7 @@ func TestCoordinatorRebuildsFromQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Complete one of the two shards, then "restart" the coordinator.
-	j, err := c.Claim("w1")
+	j, err := c.Claim(context.Background(), "w1")
 	if err != nil || j == nil {
 		t.Fatalf("Claim = %v, %v", j, err)
 	}
@@ -289,7 +287,7 @@ func TestCoordinatorOnCompleteHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Register("w1", "", 0)
-	j, err := c.Claim("w1")
+	j, err := c.Claim(context.Background(), "w1")
 	if err != nil || j == nil {
 		t.Fatalf("claim: %v", err)
 	}

@@ -73,6 +73,10 @@ type Queue struct {
 	jobs        map[string]*Job
 	quarantined int
 	requeues    int64
+	// pending is closed, and replaced, each time a job becomes pending
+	// (submitted or requeued): the wake-up of claims waiting in
+	// Coordinator.Claim.
+	pending chan struct{}
 }
 
 // QueueOption configures OpenQueue.
@@ -104,6 +108,7 @@ func OpenQueue(dir string, opts ...QueueOption) (*Queue, error) {
 		lease:       DefaultLease,
 		maxAttempts: DefaultMaxAttempts,
 		jobs:        make(map[string]*Job),
+		pending:     make(chan struct{}),
 	}
 	for _, f := range opts {
 		f(q)
@@ -126,6 +131,13 @@ func (q *Queue) Dir() string { return q.dir }
 
 // Lease returns the claim lease duration granted per job.
 func (q *Queue) Lease() time.Duration { return q.lease }
+
+// wakeLocked wakes every waiting claim: a job just became pending.
+// Called with q.mu held.
+func (q *Queue) wakeLocked() {
+	close(q.pending)
+	q.pending = make(chan struct{})
+}
 
 // scan loads every *.json job file, quarantining defective ones.
 func (q *Queue) scan() error {
@@ -276,6 +288,7 @@ func (q *Queue) Submit(j *Job) error {
 		return err
 	}
 	q.jobs[cp.ID] = cp
+	q.wakeLocked()
 	mJobsSubmitted.Inc()
 	if jd := journal.Default(); jd.Enabled() {
 		jd.Emit("", "fleet.job", corrFields([]journal.Field{
@@ -288,9 +301,12 @@ func (q *Queue) Submit(j *Job) error {
 }
 
 // Claim hands the oldest pending job to the worker under a fresh lease,
-// first requeueing any expired leases (so a single polling worker also
-// drives recovery). Returns (nil, nil) when no work is available.
-func (q *Queue) Claim(workerID string) (*Job, error) {
+// first requeueing any expired leases (so a claiming worker also drives
+// recovery). It never waits: with no job pending it returns a nil job
+// and wake, the channel that closes when one next becomes pending —
+// taken under the same lock as the empty pick, so no wake-up falls
+// between the two. Coordinator.Claim waits on it.
+func (q *Queue) Claim(workerID string) (job *Job, wake <-chan struct{}, err error) {
 	now := q.clock.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -306,7 +322,7 @@ func (q *Queue) Claim(workerID string) (*Job, error) {
 		}
 	}
 	if pick == nil {
-		return nil, nil
+		return nil, q.pending, nil
 	}
 	pick.Status = JobClaimed
 	pick.Worker = workerID
@@ -319,7 +335,7 @@ func (q *Queue) Claim(workerID string) (*Job, error) {
 		pick.Worker = ""
 		pick.Attempts--
 		pick.LeaseUntilNS = 0
-		return nil, err
+		return nil, nil, err
 	}
 	mClaims.Inc()
 	if jd := journal.Default(); jd.Enabled() {
@@ -329,7 +345,7 @@ func (q *Queue) Claim(workerID string) (*Job, error) {
 			journal.F("attempt", pick.Attempts),
 		}, pick.Request, pick.Trace)...)
 	}
-	return pick.clone(), nil
+	return pick.clone(), nil, nil
 }
 
 // Heartbeat extends the lease of a job the worker holds. ErrStaleClaim
@@ -432,6 +448,9 @@ func (q *Queue) Fail(jobID, workerID, reason string) error {
 		*j = prev
 		return err
 	}
+	if j.Status == JobPending {
+		q.wakeLocked()
+	}
 	if jd := journal.Default(); jd.Enabled() {
 		jd.Emit("", "fleet.job", corrFields([]journal.Field{
 			journal.F("job", j.ID),
@@ -488,6 +507,9 @@ func (q *Queue) sweepLocked(now time.Time) []string {
 				journal.F("reason", "lease_expired"),
 			}, j.Request, j.Trace)...)
 		}
+	}
+	if len(requeued) > 0 {
+		q.wakeLocked()
 	}
 	sort.Strings(requeued)
 	return requeued

@@ -46,7 +46,7 @@ func TestQueueLifecycle(t *testing.T) {
 		t.Fatal("Submit did not assign an ID")
 	}
 
-	claimed, err := q.Claim("w1")
+	claimed, _, err := q.Claim("w1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestQueueLifecycle(t *testing.T) {
 	}
 
 	// Second claim finds nothing: the only job is leased.
-	if again, err := q.Claim("w2"); err != nil || again != nil {
+	if again, _, err := q.Claim("w2"); err != nil || again != nil {
 		t.Fatalf("second Claim = %v, %v; want nil, nil", again, err)
 	}
 
@@ -90,7 +90,7 @@ func TestQueueDuplicateCompleteIsDropped(t *testing.T) {
 	if err := q.Submit(job); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Claim("w1"); err != nil {
+	if _, _, err := q.Claim("w1"); err != nil {
 		t.Fatal(err)
 	}
 	res := testOutcomes(job.Cases)
@@ -117,7 +117,7 @@ func TestQueueLeaseExpiryRequeues(t *testing.T) {
 	if err := q.Submit(job); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Claim("w1"); err != nil {
+	if _, _, err := q.Claim("w1"); err != nil {
 		t.Fatal(err)
 	}
 	// Freeze heartbeats (the clock only moves when advanced) and expire
@@ -136,7 +136,7 @@ func TestQueueLeaseExpiryRequeues(t *testing.T) {
 	}
 
 	// A peer claims it (attempt 2) and completes it.
-	claimed, err := q.Claim("w2")
+	claimed, _, err := q.Claim("w2")
 	if err != nil || claimed == nil {
 		t.Fatalf("peer Claim = %v, %v", claimed, err)
 	}
@@ -159,7 +159,7 @@ func TestQueueExhaustedAttemptsFailTerminally(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if j, err := q.Claim("w1"); err != nil || j == nil {
+		if j, _, err := q.Claim("w1"); err != nil || j == nil {
 			t.Fatalf("claim %d = %v, %v", i, j, err)
 		}
 		clock.Advance(2 * time.Second)
@@ -189,7 +189,7 @@ func TestQueueRestartRecovers(t *testing.T) {
 	if err := q.Submit(j2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Claim("w1"); err != nil {
+	if _, _, err := q.Claim("w1"); err != nil {
 		t.Fatal(err)
 	}
 	if applied, err := q.Complete(j1.ID, "w1", "fp", testOutcomes(j1.Cases)); err != nil || !applied {
@@ -342,7 +342,7 @@ func TestQueueCompleteValidatesResults(t *testing.T) {
 	if err := q.Submit(job); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Claim("w1"); err != nil {
+	if _, _, err := q.Claim("w1"); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong count.

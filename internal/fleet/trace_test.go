@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,7 +99,7 @@ func TestChainedSegmentKeepsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := c.Claim("w1")
+	j, err := c.Claim(context.Background(), "w1")
 	if err != nil || j == nil {
 		t.Fatalf("Claim = %v, %v", j, err)
 	}
@@ -111,7 +112,7 @@ func TestChainedSegmentKeepsTrace(t *testing.T) {
 	if _, err := c.IngestResult("w1", j.ID, "fp", partial, ""); err != nil {
 		t.Fatal(err)
 	}
-	next, err := c.Claim("w1")
+	next, err := c.Claim(context.Background(), "w1")
 	if err != nil || next == nil {
 		t.Fatalf("chained Claim = %v, %v", next, err)
 	}
@@ -141,12 +142,12 @@ func TestFleetEventsCarryRequestAndTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace = st.Trace
-		if _, err := c.Claim("w1"); err != nil {
+		if _, err := c.Claim(context.Background(), "w1"); err != nil {
 			t.Fatal(err)
 		}
 		clock.Advance(6 * time.Second) // expire the lease → requeue
 		q.Sweep()
-		j, err := c.Claim("w2")
+		j, err := c.Claim(context.Background(), "w2")
 		if err != nil || j == nil {
 			t.Fatalf("peer claim = %v, %v", j, err)
 		}

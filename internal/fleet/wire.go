@@ -17,16 +17,18 @@ type RegisterRequest struct {
 }
 
 // RegisterResponse confirms registration and hands the worker its
-// operating intervals, all derived from the coordinator's lease.
+// lease and heartbeat interval, the latter derived from the former.
 type RegisterResponse struct {
 	Worker      string `json:"worker"`
 	LeaseMS     int64  `json:"lease_ms"`
-	PollMS      int64  `json:"poll_ms"`
 	HeartbeatMS int64  `json:"heartbeat_ms"`
 }
 
-// ClaimRequest asks for the next job. The response is a Job (HTTP 200)
-// or no content (HTTP 204) when the queue is idle.
+// ClaimRequest asks for the next job. The call is a bounded long-poll:
+// the response is a Job (HTTP 200) as soon as one is pending, or no
+// content (HTTP 204) when nothing became pending within the
+// coordinator's wait (a tenth of its lease). A worker claims again at
+// once after a 204.
 type ClaimRequest struct {
 	Worker string `json:"worker"`
 }

@@ -31,8 +31,9 @@ func (f EvaluatorFunc) Evaluate(ctx context.Context, spec JobSpec, cases [][]boo
 	return f(ctx, spec, cases)
 }
 
-// Worker is the fleet client loop: register, poll for claims, evaluate
-// under a heartbeat, post results. It is deliberately tolerant — any
+// Worker is the fleet client loop: register, claim (a long-poll that
+// waits at the coordinator until a job is pending), evaluate under a
+// heartbeat, post results. It is deliberately tolerant — any
 // individual HTTP call may fail (or be dropped/delayed/duplicated by
 // the faults harness) and the loop carries on; the queue's leases and
 // idempotent ingestion make that safe.
@@ -47,7 +48,9 @@ type Worker struct {
 	// ID is the worker's preferred ID; empty asks the coordinator to
 	// assign one. Updated to the assigned ID after registration.
 	ID string
-	// Poll is the idle re-poll interval (default 500ms).
+	// Poll is the delay before retrying a failed coordinator call
+	// (register, an errored claim, the result post); default 500ms. An
+	// idle worker does not poll: its claim waits at the coordinator.
 	Poll time.Duration
 	// CaseDelay stretches each case's evaluation, so tests and the smoke
 	// harness can reliably kill a worker mid-job.
@@ -149,24 +152,28 @@ func (w *Worker) register(ctx context.Context) error {
 			if resp.HeartbeatMS > 0 {
 				w.heartbeat = time.Duration(resp.HeartbeatMS) * time.Millisecond
 			}
-			if w.Poll <= 0 && resp.PollMS > 0 {
-				w.Poll = time.Duration(resp.PollMS) * time.Millisecond
-			}
 			return nil
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(w.pollInterval()):
+		if err := w.retryPause(ctx); err != nil {
+			return err
 		}
 	}
 }
 
-func (w *Worker) pollInterval() time.Duration {
-	if w.Poll > 0 {
-		return w.Poll
+// retryPause waits the retry delay after a failed coordinator call; it
+// returns ctx.Err() when ctx ends first. Idle workers never reach it:
+// their claim waits at the coordinator.
+func (w *Worker) retryPause(ctx context.Context) error {
+	d := w.Poll
+	if d <= 0 {
+		d = 500 * time.Millisecond
 	}
-	return 500 * time.Millisecond
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(d):
+		return nil
+	}
 }
 
 func (w *Worker) heartbeatInterval() time.Duration {
@@ -190,28 +197,19 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		job, ok := w.claim(ctx)
-		if !ok {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(w.pollInterval()):
+		var job Job
+		status, err := w.post(ctx, "/v1/fleet/claim", ClaimRequest{Worker: w.ID}, &job)
+		switch {
+		case err != nil:
+			if err := w.retryPause(ctx); err != nil {
+				return err
 			}
-			continue
+		case status == http.StatusOK:
+			w.serve(ctx, &job)
 		}
-		w.serve(ctx, job)
+		// A 204 means the coordinator's wait passed with nothing
+		// pending: claim again at once.
 	}
-}
-
-// claim asks for one job; false means idle (or a transient error, which
-// the caller treats the same — wait and re-poll).
-func (w *Worker) claim(ctx context.Context) (*Job, bool) {
-	var job Job
-	status, err := w.post(ctx, "/v1/fleet/claim", ClaimRequest{Worker: w.ID}, &job)
-	if err != nil || status != http.StatusOK {
-		return nil, false
-	}
-	return &job, true
 }
 
 // serve evaluates one claimed job under a heartbeat and posts its
@@ -295,10 +293,8 @@ func (w *Worker) serve(ctx context.Context, job *Job) {
 			}
 			return
 		}
-		select {
-		case <-ctx.Done():
+		if w.retryPause(ctx) != nil {
 			return
-		case <-time.After(w.pollInterval()):
 		}
 	}
 	if jd := journal.Default(); jd.Enabled() {

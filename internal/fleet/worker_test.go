@@ -38,8 +38,7 @@ func coordMux(c *Coordinator) *http.ServeMux {
 		}
 		lease := c.Queue().Lease()
 		reply(w, RegisterResponse{
-			Worker: id, LeaseMS: lease.Milliseconds(),
-			PollMS: lease.Milliseconds() / 10, HeartbeatMS: lease.Milliseconds() / 3,
+			Worker: id, LeaseMS: lease.Milliseconds(), HeartbeatMS: lease.Milliseconds() / 3,
 		})
 	})
 	mux.HandleFunc("POST /v1/fleet/claim", func(w http.ResponseWriter, r *http.Request) {
@@ -48,7 +47,7 @@ func coordMux(c *Coordinator) *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		job, err := c.Claim(req.Worker)
+		job, err := c.Claim(r.Context(), req.Worker)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -94,6 +93,16 @@ func coordMux(c *Coordinator) *http.ServeMux {
 	return mux
 }
 
+// coordServer serves h until the test ends. Its Close is a cleanup,
+// so it runs after runWorker's stop: Close waits for open requests, and
+// an idle worker always holds a claim open at the coordinator.
+func coordServer(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 // echoEvaluator fabricates per-case outcomes like a real backend would.
 func echoEvaluator(fp string) Evaluator {
 	return EvaluatorFunc(func(ctx context.Context, spec JobSpec, cases [][]bool) (string, []CaseOutcome, error) {
@@ -118,9 +127,9 @@ func runWorker(t *testing.T, w *Worker) (stop func()) {
 }
 
 func TestWorkerDrainsQueue(t *testing.T) {
+	t.Parallel()
 	c := newTestCoordinator(t)
-	ts := httptest.NewServer(coordMux(c))
-	defer ts.Close()
+	ts := coordServer(t, coordMux(c))
 
 	st, err := c.Submit(JobSpec{Gate: "xor", Table: true}, xorCases(), 2)
 	if err != nil {
@@ -158,10 +167,11 @@ func TestWorkerDrainsQueue(t *testing.T) {
 }
 
 func TestWorkerRegisterRetries(t *testing.T) {
+	t.Parallel()
 	c := newTestCoordinator(t)
 	mux := coordMux(c)
 	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := coordServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// First registration attempt fails; the worker must retry.
 		if r.URL.Path == "/v1/fleet/register" && calls.Add(1) == 1 {
 			http.Error(w, "warming up", http.StatusServiceUnavailable)
@@ -169,7 +179,6 @@ func TestWorkerRegisterRetries(t *testing.T) {
 		}
 		mux.ServeHTTP(w, r)
 	}))
-	defer ts.Close()
 
 	st, err := c.Submit(JobSpec{Gate: "xor"}, xorCases(), 4)
 	if err != nil {
@@ -194,12 +203,13 @@ func TestWorkerRegisterRetries(t *testing.T) {
 }
 
 func TestWorkerStaleHeartbeatCancelsEvaluation(t *testing.T) {
+	t.Parallel()
 	clock := faults.NewClock(time.Now())
 	c := newTestCoordinator(t, WithClock(clock), WithLease(10*time.Second))
 	mux := coordMux(c)
 	// Advertise a fast heartbeat so the 409 arrives promptly: rewrite the
 	// register response instead of waiting the real lease/3.
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := coordServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/fleet/register" {
 			var req RegisterRequest
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -213,13 +223,12 @@ func TestWorkerStaleHeartbeatCancelsEvaluation(t *testing.T) {
 			}
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(RegisterResponse{ //nolint:errcheck
-				Worker: id, LeaseMS: 10_000, PollMS: 2, HeartbeatMS: 20,
+				Worker: id, LeaseMS: 10_000, HeartbeatMS: 20,
 			})
 			return
 		}
 		mux.ServeHTTP(w, r)
 	}))
-	defer ts.Close()
 
 	if _, err := c.Submit(JobSpec{Gate: "xor"}, xorCases(), 4); err != nil {
 		t.Fatal(err)
@@ -250,7 +259,7 @@ func TestWorkerStaleHeartbeatCancelsEvaluation(t *testing.T) {
 	if _, err := c.Register("peer", "", 0); err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.Claim("peer")
+	job, err := c.Claim(context.Background(), "peer")
 	if err != nil || job == nil {
 		t.Fatalf("peer claim: %v, %v", job, err)
 	}
@@ -271,9 +280,9 @@ func TestWorkerStaleHeartbeatCancelsEvaluation(t *testing.T) {
 }
 
 func TestWorkerRetriesDroppedResultPost(t *testing.T) {
+	t.Parallel()
 	c := newTestCoordinator(t)
-	ts := httptest.NewServer(coordMux(c))
-	defer ts.Close()
+	ts := coordServer(t, coordMux(c))
 
 	st, err := c.Submit(JobSpec{Gate: "xor"}, xorCases(), 4)
 	if err != nil {
@@ -312,9 +321,9 @@ func TestWorkerRetriesDroppedResultPost(t *testing.T) {
 }
 
 func TestWorkerReportsEvalFailure(t *testing.T) {
+	t.Parallel()
 	c := newTestCoordinator(t, WithMaxAttempts(1))
-	ts := httptest.NewServer(coordMux(c))
-	defer ts.Close()
+	ts := coordServer(t, coordMux(c))
 
 	st, err := c.Submit(JobSpec{Gate: "xor"}, xorCases(), 4)
 	if err != nil {

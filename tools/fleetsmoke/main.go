@@ -137,7 +137,6 @@ func run(journalPath, eventsPath, tracePath string, timeout time.Duration) error
 			"-coordinator", base,
 			"-id", id,
 			"-workers", "2",
-			"-poll", "100ms",
 			"-case-delay", "1500ms",
 			"-journal", journals[id])
 		w.Stderr = os.Stderr

@@ -105,8 +105,7 @@ func run(journalPath, catalogPath string, timeout time.Duration) error {
 	worker := exec.Command(workerBin,
 		"-coordinator", base,
 		"-id", "smoke-h1",
-		"-workers", "2",
-		"-poll", "50ms")
+		"-workers", "2")
 	worker.Stderr = os.Stderr
 	if err := worker.Start(); err != nil {
 		return err
