@@ -42,7 +42,7 @@ func BenchmarkTableI_MajorityFO2_Behavioral(b *testing.B) {
 // full solver on the reduced device (calibration + 9 transient runs).
 func BenchmarkTableI_MajorityFO2_Micromagnetic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := NewMicromagnetic(MAJ3, MicromagConfig{Spec: ReducedSpec(), Mat: FeCoB()})
+		m, err := NewMicromagnetic(MAJ3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func BenchmarkTableII_XORFO2_Behavioral(b *testing.B) {
 // full solver on the reduced device (5 transient runs).
 func BenchmarkTableII_XORFO2_Micromagnetic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := NewMicromagnetic(XOR, MicromagConfig{Spec: ReducedSpec(), Mat: FeCoB()})
+		m, err := NewMicromagnetic(XOR)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,9 +109,7 @@ func BenchmarkXORCaseProbeOverhead(b *testing.B) {
 		{"stride1", ProbeConfig{Enabled: true, Stride: 1}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			m, err := NewMicromagnetic(XOR, MicromagConfig{
-				Spec: ReducedSpec(), Mat: FeCoB(), Workers: 8, Probes: bc.probes,
-			})
+			m, err := NewMicromagnetic(XOR, WithWorkers(8), WithProbes(bc.probes))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -195,7 +193,7 @@ func BenchmarkFigure3_4_GateLayouts(b *testing.B) {
 // micromagnetic snapshot per MAJ3 input pattern, rendered as PNG.
 func BenchmarkFigure5_Snapshots(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := NewMicromagnetic(MAJ3, MicromagConfig{Spec: ReducedSpec(), Mat: FeCoB()})
+		m, err := NewMicromagnetic(MAJ3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -303,7 +301,7 @@ func BenchmarkParallelWordXOR_Micromagnetic(b *testing.B) {
 // through the serial core path.
 func BenchmarkXORTableMicromag_Serial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := NewMicromagnetic(XOR, MicromagConfig{Spec: ReducedSpec(), Mat: FeCoB()})
+		m, err := NewMicromagnetic(XOR)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,7 +324,7 @@ func BenchmarkXORTableMicromag_Serial(b *testing.B) {
 func BenchmarkXORTableMicromag_Engine8(b *testing.B) {
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		m, err := NewMicromagnetic(XOR, MicromagConfig{Spec: ReducedSpec(), Mat: FeCoB()})
+		m, err := NewMicromagnetic(XOR)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -347,7 +345,7 @@ func BenchmarkXORTableMicromag_Engine8(b *testing.B) {
 // requests.
 func BenchmarkXORTableMicromag_EngineWarm(b *testing.B) {
 	ctx := context.Background()
-	m, err := NewMicromagnetic(XOR, MicromagConfig{Spec: ReducedSpec(), Mat: FeCoB()})
+	m, err := NewMicromagnetic(XOR)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,9 +374,7 @@ func BenchmarkAblation_SchemeRK4vsHeun(b *testing.B) {
 	}{{"rk4", SchemeRK4}, {"heun", SchemeHeun}} {
 		b.Run(scheme.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := MicromagConfig{Spec: ReducedSpec(), Mat: FeCoB()}
-				cfg.Scheme = scheme.s
-				m, err := NewMicromagnetic(XOR, cfg)
+				m, err := NewMicromagnetic(XOR, WithScheme(scheme.s))
 				if err != nil {
 					b.Fatal(err)
 				}

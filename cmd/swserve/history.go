@@ -21,10 +21,10 @@ import (
 //
 //	GET /v1/history?gate=&verdict=&trace=&tier=&kind=&since=&limit=
 //
-// and the retention engine (-retain-* flags) sweeping the observability
-// data those records point at. Indexing is best effort: a catalog write
-// failure is logged and counted (spinwave_history_errors_total), never
-// a served-request failure. The deep health check probes the catalog
+// and the retention engine (-retain-traces, -retain-every) reclaiming
+// the oldest fleet-journal traces those records point at. Indexing is
+// best effort: a catalog write failure is logged and counted
+// (spinwave_history_errors_total), never a served-request failure. The deep health check probes the catalog
 // directory for writability — an instance that cannot remember what it
 // served is not ready.
 
@@ -237,26 +237,22 @@ func artifactClass(name string) runhistory.Class {
 	}
 }
 
-// initRetention constructs the GC over whatever stores are mounted and
-// wires the coordinator's in-flight protection. Returns nil when the
-// policy would never delete anything.
-func (s *server) initRetention(p runhistory.Policy) *runhistory.GC {
-	if !p.Active() {
+// initRetention constructs the GC that keeps the newest maxTraces
+// fleet-journal traces, and wires the coordinator's in-flight
+// protection. Returns nil when maxTraces is zero: nothing would ever be
+// deleted.
+func (s *server) initRetention(maxTraces int) *runhistory.GC {
+	if maxTraces <= 0 {
 		return nil
 	}
-	gc := &runhistory.GC{Policy: p, Catalog: s.history}
+	gc := &runhistory.GC{MaxTraces: maxTraces}
 	if s.fleetJournalEnabled() {
 		gc.Traces = s.fjournal
 	}
-	if s.artifactsEnabled() {
-		gc.ArtifactRoot = s.artifacts.Root()
-	}
 	if s.fleetEnabled() {
-		// Active requests' traces and runs must never be reclaimed from
-		// under the workers still writing them.
-		gc.Protected = func() (map[string]bool, map[string]bool) {
-			return s.fleet.ActiveTraces(), s.fleet.ActiveRuns()
-		}
+		// Active requests' traces must never be reclaimed from under
+		// the workers still writing them.
+		gc.Protected = s.fleet.ActiveTraces
 	}
 	s.gc = gc
 	return gc
@@ -278,11 +274,11 @@ func (s *server) historyHealth() (section map[string]any, healthy bool) {
 	}
 	if s.gc != nil {
 		last, at, err, sweeps := s.gc.LastSweep()
-		ret := map[string]any{"sweeps": sweeps, "dry_run": s.gc.Policy.DryRun}
+		ret := map[string]any{"sweeps": sweeps}
 		if sweeps > 0 {
 			ret["last_at"] = at.Format(time.RFC3339)
-			ret["deleted"] = last.Deleted()
-			ret["bytes_reclaimed"] = last.BytesReclaimed()
+			ret["deleted"] = last.Deleted
+			ret["bytes_reclaimed"] = last.BytesReclaimed
 		}
 		if err != nil {
 			ret["error"] = err.Error()

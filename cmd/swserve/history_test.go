@@ -172,7 +172,7 @@ func TestHistoryHealthSection(t *testing.T) {
 	if err := srv.initHistory(dir); err != nil {
 		t.Fatal(err)
 	}
-	srv.initRetention(runhistory.Policy{HistoryMaxRecords: 10})
+	srv.initRetention(1)
 	ts := newHTTPTestServer(t, srv)
 
 	resp, err := http.Get(ts.URL + "/v1/healthz?deep=1")

@@ -76,19 +76,13 @@ func main() {
 	log.SetPrefix("swserve: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = NumCPU)")
-	stepWorkers := flag.Int("step-workers", 0, "LLG stepping workers per micromag transient (0/1 = serial; trajectories are bit-identical)")
 	cacheSize := flag.Int("cache", 4096, "engine LRU capacity in cached case readouts (0 disables)")
 	timeout := flag.Duration("timeout", 120*time.Second, "server-side per-request deadline")
-	maxBatch := flag.Int("max-batch", defaultMaxBatch, "maximum cases per /v1/eval request")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	probeOn := flag.Bool("probe", false, "record in-situ probe time-series for micromag runs (served at /v1/runs/{id}/probes)")
 	healthOn := flag.Bool("health", false, "attach the numerical health monitor to micromag runs (alerts + verdicts, DESIGN.md §12)")
-	sloWindow := flag.Duration("slo-window", defaultSLOWindow, "rolling SLO window")
-	sloObjective := flag.Float64("slo-objective", defaultSLOObjective, "SLO good-fraction objective in percent (availability and latency)")
-	sloLatency := flag.Duration("slo-latency", defaultSLOLatency, "SLO latency threshold (responses slower than this burn the latency budget)")
 	storeDir := flag.String("store", "", "disk-backed result store directory (persists expensive readouts across restarts; empty disables)")
-	surrogateGates := flag.String("surrogate", "", "comma-separated gates to build superposition surrogates for at startup (e.g. xor,maj3)")
-	surrogateBackend := flag.String("surrogate-backend", "micromag", "backend the startup surrogates are built from (micromag or behavioral)")
+	surrogateGates := flag.String("surrogate", "", "comma-separated gates to build micromag superposition surrogates for at startup (e.g. xor,maj3)")
 	fleetQueue := flag.String("fleet-queue", "", "durable fleet job-queue directory; enables the coordinator and the /v1/fleet endpoints")
 	fleetLease := flag.Duration("fleet-lease", fleet.DefaultLease, "fleet claim lease; a worker silent this long loses its job to a peer")
 	fleetShard := flag.Int("fleet-shard", 4, "default cases per fleet job (submissions may pick their own shard)")
@@ -96,14 +90,8 @@ func main() {
 	artifactsDir := flag.String("artifacts", "", "durable run-artifact store directory (checkpoints, probe CSVs, journals; serves /v1/runs/{id}/artifacts)")
 	journalFile := flag.String("journal", "", "append journal events as JSONL to this file (fleet.*, alert, run lifecycle)")
 	historyDir := flag.String("history", "", "durable run-history catalog directory; indexes every served eval, table and fleet request and serves GET /v1/history")
-	retainAge := flag.Duration("retain-age", 0, "retention: expire fleet-journal traces, probe CSVs and run-artifact directories older than this (0 = no age cap)")
-	retainTraces := flag.Int("retain-traces", 0, "retention: keep at most this many fleet-journal traces, newest first (0 = no count cap)")
-	retainCheckpoints := flag.Int("retain-checkpoints", 0, "retention: keep at most this many checkpoint pairs per run beyond the newest (0 = no cap; the newest pair always survives)")
-	retainRuns := flag.Int("retain-runs", 0, "retention: keep at most this many run-artifact directories, newest first (0 = no count cap)")
-	retainBytes := flag.Int64("retain-bytes", 0, "retention: cap the run-artifact store at this many cumulative bytes, newest runs first (0 = no byte cap)")
-	retainHistory := flag.Int("retain-history", 0, "retention: compact the history catalog down to this many records (0 = never compact)")
+	retainTraces := flag.Int("retain-traces", 0, "retention: keep at most this many fleet-journal traces, newest first (0 = keep all)")
 	retainEvery := flag.Duration("retain-every", time.Minute, "retention: sweep cadence of the periodic GC")
-	retainDryRun := flag.Bool("retain-dry-run", false, "retention: journal and report what a sweep would delete without deleting anything")
 	flag.Parse()
 
 	var opts []spinwave.EngineOption
@@ -120,10 +108,8 @@ func main() {
 	}
 	srv := newServer(spinwave.NewEngine(opts...), *timeout)
 	defer srv.close()
-	srv.backends.Options = backendspec.Options{StepWorkers: *stepWorkers, Probe: *probeOn, Health: *healthOn}
-	srv.maxBatch = *maxBatch
+	srv.backends.Options = backendspec.Options{Probe: *probeOn, Health: *healthOn}
 	srv.pprofOn = *pprofOn
-	srv.slo = newSLOTracker(*sloWindow, *sloObjective, *sloLatency)
 	srv.publishVars()
 	if *journalFile != "" {
 		// Attach before anything emits, so fleet/alert events from queue
@@ -138,7 +124,7 @@ func main() {
 	if *surrogateGates != "" {
 		// Build and gate the surrogates before accepting traffic, so a
 		// "surrogate"-mode request never races the admission verdict.
-		if err := srv.initSurrogates(context.Background(), *surrogateGates, *surrogateBackend); err != nil {
+		if err := srv.initSurrogates(context.Background(), *surrogateGates, "micromag"); err != nil {
 			log.Printf("surrogate: %v (serving exact tiers only; deep health degraded)", err)
 		}
 	}
@@ -179,18 +165,10 @@ func main() {
 			srv.fleet.OnComplete = srv.indexFleetRequest
 		}
 	}
-	policy := runhistory.Policy{
-		Traces:            runhistory.ClassPolicy{MaxAge: *retainAge, MaxCount: *retainTraces},
-		Checkpoints:       runhistory.ClassPolicy{MaxCount: *retainCheckpoints},
-		ProbeCSV:          runhistory.ClassPolicy{MaxAge: *retainAge},
-		Artifacts:         runhistory.ClassPolicy{MaxAge: *retainAge, MaxCount: *retainRuns, MaxBytes: *retainBytes},
-		HistoryMaxRecords: *retainHistory,
-		DryRun:            *retainDryRun,
-	}
-	if gc := srv.initRetention(policy); gc != nil {
-		// Periodic GC: reclaim expired observability data on a cadence,
+	if gc := srv.initRetention(*retainTraces); gc != nil {
+		// Periodic GC: reclaim old fleet-journal traces on a cadence,
 		// never racing active fleet requests (the coordinator's in-flight
-		// sets are protected).
+		// traces are protected).
 		go gc.Run(ctx, *retainEvery)
 	}
 
@@ -221,10 +199,10 @@ func main() {
 	}
 }
 
-// defaultMaxBatch bounds /v1/eval batches: enough for every input
+// maxBatch bounds /v1/eval batches: enough for every input
 // combination of the largest gate (MAJ5, 32 cases) several times over,
 // small enough that one request cannot monopolize the task pool.
-const defaultMaxBatch = 256
+const maxBatch = 256
 
 // maxTimeoutMS rejects nonsense client deadlines (greater than an hour);
 // the effective deadline is still capped by the server's -timeout flag.
@@ -234,7 +212,6 @@ const maxTimeoutMS = int64(time.Hour / time.Millisecond)
 type server struct {
 	eng            *spinwave.Engine
 	defaultTimeout time.Duration
-	maxBatch       int
 	pprofOn        bool
 	// drainCtx ends when the server starts draining after SIGTERM
 	// (drain): open claim waits and live tails end with it.
@@ -274,7 +251,7 @@ type server struct {
 	artifacts *checkpoint.ArtifactStore
 
 	// Run-history catalog and retention engine (history.go); nil unless
-	// -history / the -retain-* flags are set.
+	// -history / -retain-traces are set.
 	history *runhistory.Catalog
 	gc      *runhistory.GC
 
@@ -285,7 +262,7 @@ type server struct {
 }
 
 func newServer(eng *spinwave.Engine, defaultTimeout time.Duration) *server {
-	s := &server{eng: eng, defaultTimeout: defaultTimeout, maxBatch: defaultMaxBatch,
+	s := &server{eng: eng, defaultTimeout: defaultTimeout,
 		heartbeat: 5 * time.Second,
 		slo:       newSLOTracker(defaultSLOWindow, defaultSLOObjective, defaultSLOLatency),
 		started:   time.Now()}
@@ -317,7 +294,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("/metrics", s.withMetrics("/metrics", s.handleMetrics))
 	mux.HandleFunc("/debug/vars", s.withMetrics("/debug/vars", s.handleVars))
 	mux.HandleFunc("GET /v1/runs", s.withMetrics("/v1/runs", s.handleRuns))
-	mux.HandleFunc("GET /v1/runs/{id}/events", s.withMetrics("/v1/runs/events", s.handleRunEvents))
+	mux.HandleFunc("GET /v1/runs/{id}/events", s.withMetrics(runTailRoute, s.handleRunEvents))
 	mux.HandleFunc("GET /v1/runs/{id}/probes", s.withMetrics("/v1/runs/probes", s.handleRunProbes))
 	if s.fleetEnabled() {
 		s.fleetRoutes(mux)
@@ -443,8 +420,8 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("need inputs or cases"))
 		return
 	}
-	if len(cases) > s.maxBatch {
-		s.badRequest(w, fmt.Errorf("batch of %d cases exceeds the limit of %d", len(cases), s.maxBatch))
+	if len(cases) > maxBatch {
+		s.badRequest(w, fmt.Errorf("batch of %d cases exceeds the limit of %d", len(cases), maxBatch))
 		return
 	}
 	if !s.validTimeout(w, req.TimeoutMS) {

@@ -14,10 +14,9 @@ import (
 // malformed request must come back as the JSON error envelope with the
 // right status and stable code, never a 500 or a hang.
 func TestRequestValidation(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.maxBatch = 4
+	_, ts := newTestServer(t)
 
-	bigBatch := make([][]bool, 5)
+	bigBatch := make([][]bool, maxBatch+1)
 	for i := range bigBatch {
 		bigBatch[i] = []bool{i%2 == 0, true}
 	}
@@ -35,7 +34,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown field", "/v1/eval", `{"gate": "xor", "bogus": 1}`, http.StatusBadRequest, codeBadRequest, "bad request body"},
 		{"empty eval", "/v1/eval", `{"gate": "xor"}`, http.StatusBadRequest, codeBadRequest, "need inputs or cases"},
 		{"oversized batch", "/v1/eval", mustJSON(t, map[string]any{"gate": "xor", "cases": bigBatch}),
-			http.StatusBadRequest, codeBadRequest, "exceeds the limit of 4"},
+			http.StatusBadRequest, codeBadRequest, "exceeds the limit of 256"},
 		{"negative timeout", "/v1/eval", `{"gate": "xor", "inputs": [true, false], "timeout_ms": -5}`,
 			http.StatusBadRequest, codeBadRequest, "timeout_ms"},
 		{"absurd timeout", "/v1/table", `{"gate": "xor", "timeout_ms": 999999999999}`,

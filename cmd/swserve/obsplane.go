@@ -65,7 +65,7 @@ func (m coordinatorMirror) Emit(e journal.Event) {
 // called when the fleet journal is enabled.
 func (s *server) fleetJournalRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/fleet/journal", s.withMetrics("/v1/fleet/journal", s.handleFleetJournalShip))
-	mux.HandleFunc("GET /v1/fleet/jobs/{id}/events", s.withMetrics("/v1/fleet/jobs/events", s.handleFleetJobEvents))
+	mux.HandleFunc("GET /v1/fleet/jobs/{id}/events", s.withMetrics(fleetTailRoute, s.handleFleetJobEvents))
 	mux.HandleFunc("GET /v1/fleet/jobs/{id}/trace", s.withMetrics("/v1/fleet/jobs/trace", s.handleFleetJobTrace))
 }
 

@@ -217,6 +217,45 @@ func TestRunEventsHeartbeat(t *testing.T) {
 	}
 }
 
+// TestTailsBurnNoLatencyBudget: a live tail held open past the latency
+// threshold is scored for availability only, on both tail endpoints —
+// it streams for as long as its run lasts, which is not slow service.
+func TestTailsBurnNoLatencyBudget(t *testing.T) {
+	routes := map[string]string{"run": "/v1/runs/events", "fleet": "/v1/fleet/jobs/events"}
+	for _, ep := range tailEndpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			srv, ts := newObsFleetServer(t)
+			srv.slo = newSLOTracker(0, 0, 50*time.Millisecond)
+			seedTail(t, ts, ep.name, ep.id)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+ep.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("tail status %d, want 200", resp.StatusCode)
+			}
+			time.Sleep(200 * time.Millisecond) // four thresholds
+			cancel()
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+
+			route := routes[ep.name]
+			waitFor(t, 2*time.Second, func() bool { return srv.slo.endpoint(route).Requests == 1 },
+				"the closed tail was never scored")
+			if e := srv.slo.endpoint(route); e.Slow != 0 || e.SlowBurnRate != 0 {
+				t.Fatalf("tail SLO = %+v, want no latency burn", e)
+			}
+		})
+	}
+}
+
 // TestRunProbesEndpoint publishes a hand-fed recorder and fetches it
 // back as JSON and CSV.
 func TestRunProbesEndpoint(t *testing.T) {

@@ -22,12 +22,24 @@ import (
 // (swserve_slo_error_burn_rate / swserve_slo_slow_burn_rate by path)
 // and the full per-endpoint breakdown is served at GET /v1/slo.
 
-// claimRoute is the fleet claim, scored for availability only: it waits
-// until a job is pending, so its duration measures an idle fleet, not
-// slow service.
-const claimRoute = "/v1/fleet/claim"
+// Routes that wait on something other than the server: the fleet claim
+// waits until a job is pending, and the two NDJSON tails stream until
+// their run or request ends. Their durations measure an idle fleet or a
+// long run, not slow service, so the SLO scores them for availability
+// only.
+const (
+	claimRoute     = "/v1/fleet/claim"
+	runTailRoute   = "/v1/runs/events"
+	fleetTailRoute = "/v1/fleet/jobs/events"
+)
 
-// sloDefaults for the -slo-* flags.
+// availabilityOnly reports whether a route is exempt from latency
+// scoring.
+func availabilityOnly(path string) bool {
+	return path == claimRoute || path == runTailRoute || path == fleetTailRoute
+}
+
+// The SLO window, objective and latency threshold.
 const (
 	defaultSLOWindow    = 5 * time.Minute
 	defaultSLOObjective = 99.0 // percent, both availability and latency
@@ -96,7 +108,7 @@ func (t *sloTracker) record(path string, status int, elapsed time.Duration) {
 	if status >= http.StatusInternalServerError {
 		b.errs++
 	}
-	if elapsed > t.latency && path != claimRoute {
+	if elapsed > t.latency && !availabilityOnly(path) {
 		b.slow++
 	}
 	t.mu.Unlock()

@@ -102,7 +102,7 @@ func (s *server) handleSpec(w http.ResponseWriter, r *http.Request) {
 			codeDraining, codeDeadline, codeCancelled, codeSurrogateUnavailable,
 			codeHealthAbort, codeStaleClaim, codeInternal,
 		},
-		MaxBatch:         s.maxBatch,
+		MaxBatch:         maxBatch,
 		DefaultTimeoutMS: s.defaultTimeout.Milliseconds(),
 		MaxTimeoutMS:     maxTimeoutMS,
 	})

@@ -14,7 +14,7 @@ import (
 
 // Surrogate serving state. At startup (-surrogate xor,maj3) the server
 // builds one superposition surrogate per listed gate from the
-// -surrogate-backend solver, runs each through the engine's admission
+// micromag solver, runs each through the engine's admission
 // gate, and records the verdicts in this ledger. The ledger is what
 // GET /v1/healthz?deep=1 and GET /v1/slo expose: any rejected, failed
 // or stale (dropped from the engine after admission) entry degrades

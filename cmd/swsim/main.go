@@ -26,7 +26,6 @@ import (
 	"spinwave/internal/detect"
 	"spinwave/internal/grid"
 	"spinwave/internal/layout"
-	"spinwave/internal/material"
 	"spinwave/internal/report"
 	"spinwave/internal/sweep"
 )
@@ -268,12 +267,10 @@ func demoInterference() {
 }
 
 func runSweep(kind string, seed int64) {
-	spec := spinwave.ReducedSpec()
-	mat := material.FeCoB()
 	switch kind {
 	case "width":
-		res, err := sweep.Width(spec, []float64{0.8, 0.9, 1.0, 1.1}, func(s layout.Spec) (*core.TruthTable, error) {
-			m, err := core.NewMicromagnetic(core.XOR, core.MicromagConfig{Spec: s, Mat: mat})
+		res, err := sweep.Width(spinwave.ReducedSpec(), []float64{0.8, 0.9, 1.0, 1.1}, func(s layout.Spec) (*core.TruthTable, error) {
+			m, err := core.NewMicromagnetic(core.XOR, core.WithSpec(s))
 			if err != nil {
 				return nil, err
 			}
@@ -285,7 +282,7 @@ func runSweep(kind string, seed int64) {
 		printSweep("XOR width variability (scale on 24.75 nm)", "width scale", res)
 	case "roughness":
 		res, err := sweep.Roughness([]float64{0, 0.1, 0.2}, seed, func(mut func(grid.Mesh, grid.Region) grid.Region) (*core.TruthTable, error) {
-			m, err := core.NewMicromagnetic(core.XOR, core.MicromagConfig{Spec: spec, Mat: mat, RegionMutator: mut})
+			m, err := core.NewMicromagnetic(core.XOR, core.WithRegionMutator(mut))
 			if err != nil {
 				return nil, err
 			}
@@ -315,10 +312,8 @@ func runSweep(kind string, seed int64) {
 		printSweep("MAJ3 trunk-length error sensitivity", "error (λ)", res)
 	case "thermal":
 		res, err := sweep.Thermal([]float64{0, 100, 300}, func(T float64) (*core.TruthTable, error) {
-			m, err := core.NewMicromagnetic(core.XOR, core.MicromagConfig{
-				Spec: spec, Mat: mat, Temperature: T, Seed: seed,
-				DriveField: 20e-3, MeasurePeriods: 12,
-			})
+			m, err := core.NewMicromagnetic(core.XOR, core.WithTemperature(T, seed),
+				core.WithDriveField(20e-3), core.WithMeasurePeriods(12))
 			if err != nil {
 				return nil, err
 			}

@@ -32,7 +32,7 @@
 //     pass over row bands executed by a persistent worker pool, with
 //     zero per-step allocations and trajectories that are bit-for-bit
 //     identical for every worker count (see DESIGN.md §10 and
-//     MicromagConfig.Workers);
+//     WithWorkers);
 //   - a flight recorder and judging tier: a structured JSONL run
 //     journal with Chrome-trace export, a streaming numerical health
 //     monitor (alerts, per-run verdicts), and a rolling-window SLO

@@ -16,10 +16,8 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	m, err := spinwave.NewMicromagnetic(spinwave.XOR, spinwave.MicromagConfig{
-		Spec: spinwave.ReducedSpec(),
-		Mat:  spinwave.FeCoB(),
-	})
+	m, err := spinwave.NewMicromagnetic(spinwave.XOR,
+		spinwave.WithSpec(spinwave.ReducedSpec()), spinwave.WithMaterial(spinwave.FeCoB()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -162,17 +162,16 @@ func (e modeError) Unwrap() error { return layout.ErrUnknownComponent }
 func (k Key) Kind() core.GateKind { return gateKinds[k.Gate] }
 
 // Options are a process's micromagnetic build settings (swserve's
-// -step-workers, -probe and -health flags). None of them changes a
-// trajectory or a fingerprint.
+// -probe and -health flags). Neither changes a trajectory or a
+// fingerprint.
 type Options struct {
-	StepWorkers   int
 	Probe, Health bool
 }
 
 // Build constructs the backend the key names.
 func (k Key) Build(o Options) (core.Backend, error) {
 	if k.Backend != Behavioral {
-		opts := []core.MicromagOption{core.WithWorkers(o.StepWorkers)}
+		var opts []core.MicromagOption
 		if o.Probe {
 			opts = append(opts, core.WithProbes(probe.Config{Enabled: true}))
 		}

@@ -305,7 +305,7 @@ func TestBuildTrimFingerprint(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		b, err := k.Build(Options{StepWorkers: 4, Probe: true, Health: true})
+		b, err := k.Build(Options{Probe: true, Health: true})
 		if err != nil {
 			t.Fatalf("%+v: %v", k, err)
 		}
@@ -319,6 +319,40 @@ func TestBuildTrimFingerprint(t *testing.T) {
 		}
 		if raw, _ := untrimmed.Fingerprint(); raw == fp {
 			t.Errorf("%+v: the trimmed and untrimmed builds share fingerprint %s", k, fp)
+		}
+	}
+}
+
+// TestFingerprintPins pins the fingerprint of every micromagnetic
+// preset, with its committed I3 trim, to the hex string it had when the
+// solver's fixed timing and absorber settings became package constants.
+// Disk stores, checkpoint manifests and history records are keyed by
+// these strings, so any change to the canonical string a fingerprint
+// hashes shows up here as a re-key of stored answers.
+func TestFingerprintPins(t *testing.T) {
+	for _, tc := range []struct {
+		key  Key
+		want string
+	}{
+		{Key{"maj3", Micromagnetic, "reduced", "fecob"}, "a4f8d846670d8f991d3961e5c75a55d0"},
+		{Key{"maj3single", Micromagnetic, "reduced", "fecob"}, "419ece6ad2c419514cd8293fa9b19b73"},
+		{Key{"xor", Micromagnetic, "reduced", "fecob"}, "98dbf3b4f066c6f07ff023d15fefddfa"},
+		{Key{"maj5", Micromagnetic, "reduced", "fecob"}, "2647a93f0f9d21621cebd547b4161e00"},
+		{Key{"maj3", Micromagnetic, "paper-micromag", "fecob"}, "74153bdfd70f6ff10b12af78d2ebab87"},
+		{Key{"maj3single", Micromagnetic, "paper-micromag", "fecob"}, "ce9961a616083d9288b3153350ef9b20"},
+		{Key{"xor", Micromagnetic, "paper-micromag", "fecob"}, "9ccc50540f99143e7c51935833d47c9f"},
+		{Key{"maj5", Micromagnetic, "paper-micromag", "fecob"}, "d5d15045a5df86de318851f55c51d6c8"},
+		{Key{"maj3", Micromagnetic, "paper", "fecob"}, "d9a75e72fcc80fb2f9ff74030cc44e26"},
+		{Key{"maj3single", Micromagnetic, "paper", "fecob"}, "88edc361a6255d2bb9f927d69a27fc41"},
+		{Key{"xor", Micromagnetic, "paper", "fecob"}, "f4cf31d945574a0ee8d3587499049c74"},
+		{Key{"maj5", Micromagnetic, "paper", "fecob"}, "3188b221c305a422441e552413f12da8"},
+	} {
+		m, err := tc.key.Micromagnetic()
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.key, err)
+		}
+		if got, ok := m.Fingerprint(); !ok || got != tc.want {
+			t.Errorf("%+v: Fingerprint() = %q, %v; want %q", tc.key, got, ok, tc.want)
 		}
 	}
 }

@@ -52,7 +52,7 @@ const manifestVersion = 1
 var ErrPaused = errors.New("checkpoint: run paused at segment boundary")
 
 // Config enables periodic checkpointing for one micromagnetic run
-// (core.MicromagConfig.Checkpoint). Checkpointing observes the
+// (core.WithCheckpoint). Checkpointing observes the
 // trajectory without altering it, so the whole struct is excluded from
 // the backend fingerprint — a checkpointed run and a plain run share
 // cache entries.

@@ -12,14 +12,13 @@ import (
 	"testing"
 
 	"spinwave/internal/layout"
-	"spinwave/internal/material"
 )
 
 // destructiveRatio runs the XOR {0,0} and {1,0} cases and returns
 // destructive/constructive at O1.
 func destructiveRatio(t *testing.T, spec layout.Spec) float64 {
 	t.Helper()
-	m, err := NewMicromagnetic(XOR, MicromagConfig{Spec: spec, Mat: material.FeCoB()})
+	m, err := NewMicromagnetic(XOR, WithSpec(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestAblationMAJBalance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micromagnetic integration test")
 	}
-	m, err := NewMicromagnetic(MAJ3, MicromagConfig{Spec: layout.ReducedSpec(), Mat: material.FeCoB()})
+	m, err := NewMicromagnetic(MAJ3)
 	if err != nil {
 		t.Fatal(err)
 	}

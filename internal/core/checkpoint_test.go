@@ -8,17 +8,11 @@ import (
 
 	"spinwave/internal/checkpoint"
 	"spinwave/internal/detect"
-	"spinwave/internal/layout"
-	"spinwave/internal/material"
 )
 
 func checkpointedXOR(t *testing.T, cc checkpoint.Config) *Micromagnetic {
 	t.Helper()
-	m, err := NewMicromagnetic(XOR, MicromagConfig{
-		Spec:       layout.ReducedSpec(),
-		Mat:        material.FeCoB(),
-		Checkpoint: cc,
-	})
+	m, err := NewMicromagnetic(XOR, WithCheckpoint(cc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +78,8 @@ func TestCheckpointResumeGuards(t *testing.T) {
 	}
 
 	// Different trajectory (DtScale) — fingerprint mismatch.
-	drifted, err := NewMicromagnetic(XOR, MicromagConfig{
-		Spec: layout.ReducedSpec(), Mat: material.FeCoB(), DtScale: 0.5,
-		Checkpoint: checkpoint.Config{Dir: dir, Resume: true},
-	})
+	drifted, err := NewMicromagnetic(XOR, WithDtScale(0.5),
+		WithCheckpoint(checkpoint.Config{Dir: dir, Resume: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 
 	"spinwave/internal/health"
 	"spinwave/internal/journal"
-	"spinwave/internal/layout"
-	"spinwave/internal/material"
 	"spinwave/internal/obs"
 )
 
@@ -26,12 +24,8 @@ func TestHealthDestabilizedRunE2E(t *testing.T) {
 	critBefore := obs.Default().Counter("spinwave_health_alerts_total",
 		obs.L("rule", health.RuleSaturation), obs.L("severity", "critical")).Value()
 
-	m, err := NewMicromagnetic(XOR, MicromagConfig{
-		Spec:    layout.ReducedSpec(),
-		Mat:     material.FeCoB(),
-		DtScale: 20,
-		Health:  health.Config{Enabled: true, AbortOnCritical: true},
-	})
+	m, err := NewMicromagnetic(XOR, WithDtScale(20),
+		WithHealth(health.Config{Enabled: true, AbortOnCritical: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +81,7 @@ func TestHealthyRunVerdict(t *testing.T) {
 	}
 	ring := journal.NewRingSink(128)
 	defer journal.Default().Attach(ring)()
-	m, err := NewMicromagnetic(XOR, MicromagConfig{
-		Spec:   layout.ReducedSpec(),
-		Mat:    material.FeCoB(),
-		Health: health.Config{Enabled: true, AbortOnCritical: true},
-	})
+	m, err := NewMicromagnetic(XOR, WithHealth(health.Config{Enabled: true, AbortOnCritical: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +112,7 @@ func TestWorkerInvarianceWithMonitor(t *testing.T) {
 		t.Skip("micromagnetic integration test")
 	}
 	run := func(workers int, monitor bool) []float64 {
-		m, err := NewMicromagnetic(XOR, MicromagConfig{
-			Spec:    layout.ReducedSpec(),
-			Mat:     material.FeCoB(),
-			Workers: workers,
-			Health:  health.Config{Enabled: monitor},
-		})
+		m, err := NewMicromagnetic(XOR, WithWorkers(workers), WithHealth(health.Config{Enabled: monitor}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,9 +147,8 @@ func TestWorkerInvarianceWithMonitor(t *testing.T) {
 // enabling monitoring must not split the engine cache (observation
 // only), while DtScale — which changes the trajectory — must.
 func TestHealthExcludedFromFingerprint(t *testing.T) {
-	base := MicromagConfig{Spec: layout.ReducedSpec(), Mat: material.FeCoB()}
-	mk := func(cfg MicromagConfig) string {
-		m, err := NewMicromagnetic(XOR, cfg)
+	mk := func(opts ...MicromagOption) string {
+		m, err := NewMicromagnetic(XOR, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,15 +158,11 @@ func TestHealthExcludedFromFingerprint(t *testing.T) {
 		}
 		return fp
 	}
-	plain := mk(base)
-	withHealth := base
-	withHealth.Health = health.Config{Enabled: true, AbortOnCritical: true}
-	if mk(withHealth) != plain {
+	plain := mk()
+	if mk(WithHealth(health.Config{Enabled: true, AbortOnCritical: true})) != plain {
 		t.Error("enabling health monitoring changed the fingerprint")
 	}
-	scaled := base
-	scaled.DtScale = 0.5
-	if mk(scaled) == plain {
+	if mk(WithDtScale(0.5)) == plain {
 		t.Error("DtScale not reflected in the fingerprint")
 	}
 }

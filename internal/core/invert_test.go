@@ -97,13 +97,13 @@ func TestMicromagneticHalfWaveInvertsPhase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micromagnetic integration test")
 	}
-	normal, err := NewMicromagnetic(MAJ3, MicromagConfig{Spec: layout.ReducedSpec(), Mat: material.FeCoB()})
+	normal, err := NewMicromagnetic(MAJ3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	invSpec := layout.ReducedSpec()
 	invSpec.OutputHalfWave = true
-	inverted, err := NewMicromagnetic(MAJ3, MicromagConfig{Spec: invSpec, Mat: material.FeCoB()})
+	inverted, err := NewMicromagnetic(MAJ3, WithSpec(invSpec))
 	if err != nil {
 		t.Fatal(err)
 	}

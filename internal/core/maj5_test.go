@@ -78,10 +78,7 @@ func TestMicromagneticMAJ5Cases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micromagnetic integration test")
 	}
-	m, err := NewMicromagnetic(MAJ5, MicromagConfig{
-		Spec: layout.ReducedSpec(),
-		Mat:  material.FeCoB(),
-	})
+	m, err := NewMicromagnetic(MAJ5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,23 @@ import (
 	"spinwave/internal/vec"
 )
 
-// MicromagConfig tunes the micromagnetic backend.
-type MicromagConfig struct {
+// The solver's fixed timing and absorber settings. Each is part of the
+// canonical string Fingerprint hashes, so changing one re-keys every
+// stored answer.
+const (
+	// rampPeriods is the smooth turn-on length in drive periods.
+	rampPeriods float64 = 3
+	// settleFactor multiplies the longest-path travel time to decide how
+	// long to wait before measuring.
+	settleFactor float64 = 1.6
+	// sampleEvery records probe samples every N solver steps.
+	sampleEvery int = 4
+	// maxAlpha is the absorber peak damping.
+	maxAlpha float64 = 0.5
+)
+
+// micromagConfig is what the MicromagOptions set.
+type micromagConfig struct {
 	Spec layout.Spec
 	Mat  material.Params
 
@@ -35,18 +50,8 @@ type MicromagConfig struct {
 	// DriveField is the antenna RF amplitude in Tesla (default 2 mT,
 	// linear regime).
 	DriveField float64
-	// RampPeriods is the smooth turn-on length in drive periods
-	// (default 3).
-	RampPeriods float64
 	// MeasurePeriods is the lock-in window in drive periods (default 4).
 	MeasurePeriods int
-	// SettleFactor multiplies the longest-path travel time to decide how
-	// long to wait before measuring (default 1.6).
-	SettleFactor float64
-	// SampleEvery records probe samples every N solver steps (default 4).
-	SampleEvery int
-	// MaxAlpha is the absorber peak damping (default 0.5).
-	MaxAlpha float64
 	// Scheme selects the integrator (default RK4).
 	Scheme llg.Scheme
 	// Workers > 1 runs the LLG stepping kernels on a persistent pool of
@@ -104,27 +109,15 @@ type MicromagConfig struct {
 }
 
 // withDefaults fills zero fields with the documented defaults.
-func (c MicromagConfig) withDefaults() MicromagConfig {
+func (c micromagConfig) withDefaults() micromagConfig {
 	if c.CellSize == 0 {
 		c.CellSize = c.Spec.Lambda / 11
 	}
 	if c.DriveField == 0 {
 		c.DriveField = 2e-3
 	}
-	if c.RampPeriods == 0 {
-		c.RampPeriods = 3
-	}
 	if c.MeasurePeriods == 0 {
 		c.MeasurePeriods = 4
-	}
-	if c.SettleFactor == 0 {
-		c.SettleFactor = 1.6
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 4
-	}
-	if c.MaxAlpha == 0 {
-		c.MaxAlpha = 0.5
 	}
 	if c.DtScale == 0 {
 		c.DtScale = 1
@@ -138,7 +131,7 @@ func (c MicromagConfig) withDefaults() MicromagConfig {
 // the outputs.
 type Micromagnetic struct {
 	kind GateKind
-	cfg  MicromagConfig
+	cfg  micromagConfig
 
 	L      *layout.Layout
 	Mesh   grid.Mesh
@@ -164,17 +157,12 @@ type Micromagnetic struct {
 // not run anything yet.
 //
 // The options are applied in order onto a default config (ReducedSpec
-// geometry, FeCoB material): either a bare MicromagConfig (the legacy
-// form, which replaces the whole config) or functional options such as
-// WithSpec, WithScheme, and WithWorkers. With no options at all the
-// backend simulates the reduced-scale device in Fe60Co20B20.
+// geometry, FeCoB material); with none at all the backend simulates the
+// reduced-scale device in Fe60Co20B20.
 func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, error) {
-	// Defaults are seeded before the options run, so a legacy bare
-	// MicromagConfig replaces them wholesale — an explicitly zero spec or
-	// material still fails validation exactly as it always did.
-	cfg := MicromagConfig{Spec: layout.ReducedSpec(), Mat: material.FeCoB()}
+	cfg := micromagConfig{Spec: layout.ReducedSpec(), Mat: material.FeCoB()}
 	for _, o := range opts {
-		o.applyMicromag(&cfg)
+		o(&cfg)
 	}
 	cfg = cfg.withDefaults()
 	if err := cfg.Spec.Validate(); err != nil {
@@ -218,7 +206,7 @@ func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, er
 	// Longest signal path: generous estimate from the layout bounds.
 	b := l.Bounds()
 	travel := (b.Width() + b.Height()) / vg
-	duration := cfg.RampPeriods*period + cfg.SettleFactor*travel + float64(cfg.MeasurePeriods+1)*period
+	duration := rampPeriods*period + settleFactor*travel + float64(cfg.MeasurePeriods+1)*period
 
 	m := &Micromagnetic{
 		kind:     kind,
@@ -287,7 +275,7 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool) (*llg.Sol
 	}
 	for _, ti := range m.L.Terminations() {
 		n := m.L.Nodes[ti]
-		s.AddAbsorberTowards(n.Pos.X, n.Pos.Y, ramp, m.cfg.MaxAlpha)
+		s.AddAbsorberTowards(n.Pos.X, n.Pos.Y, ramp, maxAlpha)
 	}
 
 	// Input antennas: a disc of radius w/2 at each input node end.
@@ -312,7 +300,7 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool) (*llg.Sol
 		if name == "I3" {
 			ant.Phase += m.cfg.I3PhaseTrim
 		}
-		ant.Env = excite.RampEnvelope(m.cfg.RampPeriods / m.Freq)
+		ant.Env = excite.RampEnvelope(rampPeriods / m.Freq)
 		s.Eval.Sources = append(s.Eval.Sources, ant)
 	}
 
@@ -371,8 +359,8 @@ func (m *Micromagnetic) computeFingerprint() (string, bool) {
 	// existing disk stores, checkpoint manifests and history records stay
 	// keyed.
 	return hashKey(fmt.Sprintf("micromag/v1|%d|%+v|%+v|cell=%g|drive=%g|ramp=%g|meas=%d|settle=%g|sample=%d|alpha=%g|scheme=%d|T=%g|seed=%d|trim=%g|ref=false|dts=%g",
-		int(m.kind), c.Spec, c.Mat, c.CellSize, c.DriveField, c.RampPeriods,
-		c.MeasurePeriods, c.SettleFactor, c.SampleEvery, c.MaxAlpha,
+		int(m.kind), c.Spec, c.Mat, c.CellSize, c.DriveField, rampPeriods,
+		c.MeasurePeriods, settleFactor, sampleEvery, maxAlpha,
 		int(c.Scheme), c.Temperature, c.Seed, c.I3PhaseTrim, c.DtScale)), true
 }
 
@@ -586,7 +574,6 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 		}
 	}
 
-	every := m.cfg.SampleEvery
 	abortPoll := mon != nil && mon.Config().AbortOnCritical
 	var paused bool
 	var ckErr error
@@ -596,7 +583,7 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 	// same steps whether or not the run was ever interrupted.
 	err = s.RunSteps(ctx, total-startStep, func(step int) bool {
 		abs := startStep + step
-		if abs%every == 0 {
+		if abs%sampleEvery == 0 {
 			for _, p := range probes {
 				p.Sample(s.Time, s.M)
 			}

@@ -10,10 +10,7 @@ import (
 
 func reducedMicromag(t *testing.T, kind GateKind) *Micromagnetic {
 	t.Helper()
-	m, err := NewMicromagnetic(kind, MicromagConfig{
-		Spec: layout.ReducedSpec(),
-		Mat:  material.FeCoB(),
-	})
+	m, err := NewMicromagnetic(kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,14 +18,14 @@ func reducedMicromag(t *testing.T, kind GateKind) *Micromagnetic {
 }
 
 func TestNewMicromagneticValidation(t *testing.T) {
-	if _, err := NewMicromagnetic(MAJ3, MicromagConfig{Spec: layout.Spec{}, Mat: material.FeCoB()}); err == nil {
+	if _, err := NewMicromagnetic(MAJ3, WithSpec(layout.Spec{})); err == nil {
 		t.Error("invalid spec accepted")
 	}
-	if _, err := NewMicromagnetic(MAJ3, MicromagConfig{Spec: layout.ReducedSpec(), Mat: material.Params{}}); err == nil {
+	if _, err := NewMicromagnetic(MAJ3, WithMaterial(material.Params{})); err == nil {
 		t.Error("invalid material accepted")
 	}
 	// Permalloy has no PMA: forward-volume configuration impossible.
-	if _, err := NewMicromagnetic(MAJ3, MicromagConfig{Spec: layout.ReducedSpec(), Mat: material.Permalloy()}); err == nil {
+	if _, err := NewMicromagnetic(MAJ3, WithMaterial(material.Permalloy())); err == nil {
 		t.Error("in-plane material accepted")
 	}
 }
@@ -157,9 +154,7 @@ func TestCalibrateI3RefreshesFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewMicromagnetic(MAJ3, MicromagConfig{
-		Spec: layout.ReducedSpec(), Mat: material.FeCoB(), I3PhaseTrim: trim,
-	})
+	fresh, err := NewMicromagnetic(MAJ3, WithI3PhaseTrim(trim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,18 +196,15 @@ func TestMicromagneticSnapshot(t *testing.T) {
 }
 
 func TestMicromagConfigDefaults(t *testing.T) {
-	cfg := MicromagConfig{Spec: layout.ReducedSpec(), Mat: material.FeCoB()}.withDefaults()
+	cfg := micromagConfig{Spec: layout.ReducedSpec(), Mat: material.FeCoB()}.withDefaults()
 	if cfg.CellSize != layout.ReducedSpec().Lambda/11 {
 		t.Errorf("CellSize default = %g", cfg.CellSize)
 	}
-	if cfg.DriveField != 2e-3 || cfg.RampPeriods != 3 || cfg.MeasurePeriods != 4 {
+	if cfg.DriveField != 2e-3 || cfg.MeasurePeriods != 4 || cfg.DtScale != 1 {
 		t.Errorf("drive defaults wrong: %+v", cfg)
 	}
-	if cfg.SettleFactor != 1.6 || cfg.SampleEvery != 4 || cfg.MaxAlpha != 0.5 {
-		t.Errorf("timing defaults wrong: %+v", cfg)
-	}
 	// Explicit values survive.
-	c2 := MicromagConfig{Spec: layout.ReducedSpec(), Mat: material.FeCoB(), DriveField: 7e-3}.withDefaults()
+	c2 := micromagConfig{Spec: layout.ReducedSpec(), Mat: material.FeCoB(), DriveField: 7e-3}.withDefaults()
 	if c2.DriveField != 7e-3 {
 		t.Errorf("explicit drive overridden: %g", c2.DriveField)
 	}
@@ -220,7 +212,7 @@ func TestMicromagConfigDefaults(t *testing.T) {
 
 // TestMicromagFingerprintPinned pins the default XOR and MAJ3 micromag
 // fingerprints to their values from before the reference-stepper switch
-// left MicromagConfig: the canonical string keeps its frozen "ref=false",
+// left the micromag config: the canonical string keeps its frozen "ref=false",
 // so no disk store, checkpoint manifest or history record is re-keyed.
 func TestMicromagFingerprintPinned(t *testing.T) {
 	for _, tc := range []struct {

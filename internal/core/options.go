@@ -35,63 +35,44 @@ func WithAttenuationLength(l float64) BehavioralOption {
 
 // MicromagOption customizes NewMicromagnetic. Options are applied in
 // order onto a default config (ReducedSpec geometry, FeCoB material).
-//
-// MicromagConfig itself implements MicromagOption by replacing the whole
-// config, so the pre-options call sites
-//
-//	NewMicromagnetic(kind, MicromagConfig{Spec: ..., Mat: ...})
-//
-// keep compiling and behaving exactly as before. That form is the
-// deprecated path; new code should pass WithSpec/WithMaterial/... options.
-type MicromagOption interface {
-	applyMicromag(*MicromagConfig)
-}
-
-// applyMicromag implements MicromagOption: a bare config replaces the
-// accumulated one wholesale (legacy constructor semantics).
-func (c MicromagConfig) applyMicromag(dst *MicromagConfig) { *dst = c }
-
-// micromagOptionFunc adapts a mutation function to MicromagOption.
-type micromagOptionFunc func(*MicromagConfig)
-
-func (f micromagOptionFunc) applyMicromag(c *MicromagConfig) { f(c) }
+type MicromagOption func(*micromagConfig)
 
 // WithSpec sets the gate geometry (default layout.ReducedSpec).
 func WithSpec(s layout.Spec) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.Spec = s })
+	return func(c *micromagConfig) { c.Spec = s }
 }
 
 // WithMaterial sets the film material (default material.FeCoB).
 func WithMaterial(m material.Params) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.Mat = m })
+	return func(c *micromagConfig) { c.Mat = m }
 }
 
 // WithScheme selects the LLG integrator (default RK4).
 func WithScheme(s llg.Scheme) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.Scheme = s })
+	return func(c *micromagConfig) { c.Scheme = s }
 }
 
 // WithWorkers runs each transient's LLG stepping kernels on a persistent
 // pool of n goroutines, banded over mesh rows. Trajectories are
 // bit-identical for any worker count (see DESIGN.md §10).
 func WithWorkers(n int) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.Workers = n })
+	return func(c *micromagConfig) { c.Workers = n }
 }
 
 // WithCellSize sets the square cell edge in meters (default λ/11).
 func WithCellSize(d float64) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.CellSize = d })
+	return func(c *micromagConfig) { c.CellSize = d }
 }
 
 // WithDriveField sets the antenna RF amplitude in Tesla (default 2 mT).
 func WithDriveField(b float64) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.DriveField = b })
+	return func(c *micromagConfig) { c.DriveField = b }
 }
 
 // WithTemperature enables the stochastic thermal field at T kelvin with
 // the given noise seed.
 func WithTemperature(t float64, seed int64) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.Temperature = t; c.Seed = seed })
+	return func(c *micromagConfig) { c.Temperature = t; c.Seed = seed }
 }
 
 // WithRegionMutator post-processes the rasterized material region (edge
@@ -99,18 +80,18 @@ func WithTemperature(t float64, seed int64) MicromagOption {
 // hook. A backend with a mutator is not cacheable by the engine (the
 // function has no canonical identity).
 func WithRegionMutator(f func(grid.Mesh, grid.Region) grid.Region) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.RegionMutator = f })
+	return func(c *micromagConfig) { c.RegionMutator = f }
 }
 
-// WithI3PhaseTrim sets the I3 drive-phase trim in radians (see
-// MicromagConfig.I3PhaseTrim and CalibrateI3).
+// WithI3PhaseTrim sets the I3 drive-phase trim in radians: a sub-λ
+// trim of the d2 trunk length, which CalibrateI3 measures.
 func WithI3PhaseTrim(rad float64) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.I3PhaseTrim = rad })
+	return func(c *micromagConfig) { c.I3PhaseTrim = rad }
 }
 
 // WithMeasurePeriods sets the lock-in window length in drive periods.
 func WithMeasurePeriods(n int) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.MeasurePeriods = n })
+	return func(c *micromagConfig) { c.MeasurePeriods = n }
 }
 
 // WithProbes configures the in-situ flight recorder (DESIGN.md §11).
@@ -119,7 +100,7 @@ func WithMeasurePeriods(n int) MicromagOption {
 // Probing never alters the trajectory and does not affect the backend's
 // cache fingerprint.
 func WithProbes(pc probe.Config) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.Probes = pc })
+	return func(c *micromagConfig) { c.Probes = pc }
 }
 
 // WithHealth configures the numerical health monitor (DESIGN.md §12).
@@ -129,7 +110,7 @@ func WithProbes(pc probe.Config) MicromagOption {
 // the abort policy stops a run, monitoring never alters the trajectory
 // and does not affect the backend's cache fingerprint.
 func WithHealth(hc health.Config) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.Health = hc })
+	return func(c *micromagConfig) { c.Health = hc }
 }
 
 // WithCheckpoint enables periodic checkpointing and exact resume for
@@ -139,7 +120,7 @@ func WithHealth(hc health.Config) MicromagOption {
 // segment boundary with checkpoint.ErrPaused. Checkpointing never alters
 // the trajectory and does not affect the backend's cache fingerprint.
 func WithCheckpoint(cc checkpoint.Config) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.Checkpoint = cc })
+	return func(c *micromagConfig) { c.Checkpoint = cc }
 }
 
 // WithDtScale multiplies the stability-bounded LLG time step (default
@@ -147,5 +128,5 @@ func WithCheckpoint(cc checkpoint.Config) MicromagOption {
 // health-smoke knob; values < 1 trade speed for accuracy. DtScale
 // changes the trajectory, so it is part of the cache fingerprint.
 func WithDtScale(s float64) MicromagOption {
-	return micromagOptionFunc(func(c *MicromagConfig) { c.DtScale = s })
+	return func(c *micromagConfig) { c.DtScale = s }
 }

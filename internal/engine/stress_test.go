@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"spinwave/internal/core"
-	"spinwave/internal/layout"
-	"spinwave/internal/material"
 	"spinwave/internal/obs"
 )
 
@@ -141,11 +139,7 @@ func TestConcurrentBandedSolversRace(t *testing.T) {
 	e := New(WithWorkers(2), WithCacheSize(0))
 	mk := func() core.Backend {
 		t.Helper()
-		m, err := core.NewMicromagnetic(core.XOR, core.MicromagConfig{
-			Spec:    layout.ReducedSpec(),
-			Mat:     material.FeCoB(),
-			Workers: 3,
-		})
+		m, err := core.NewMicromagnetic(core.XOR, core.WithWorkers(3))
 		if err != nil {
 			t.Fatal(err)
 		}

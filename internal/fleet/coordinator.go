@@ -671,21 +671,6 @@ func (c *Coordinator) ActiveTraces() map[string]bool {
 	return out
 }
 
-// ActiveRuns returns the transient run IDs of requests that have not
-// yet completed — their checkpoints and artifacts are resume state, not
-// garbage, and the retention sweeper must leave them alone.
-func (c *Coordinator) ActiveRuns() map[string]bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]bool)
-	for _, r := range c.requests {
-		if r.completedAt == 0 && r.run != "" {
-			out[r.run] = true
-		}
-	}
-	return out
-}
-
 // touch refreshes a worker's liveness (and health snapshot, when given).
 // A health snapshot also feeds the federated spinwave_fleet_node_*
 // gauges, so every worker heartbeat refreshes the coordinator's

@@ -2,11 +2,11 @@ package runhistory
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
+
+	"spinwave/internal/journal"
+	"spinwave/internal/obsplane"
 )
 
 // BenchmarkCatalogAppend measures the per-record indexing cost on the
@@ -68,32 +68,23 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// BenchmarkSweepSteadyState measures one GC sweep over an artifact
-// store with nothing to reclaim — the cost every idle cadence pays.
+// BenchmarkSweepSteadyState measures one GC sweep over a trace store
+// with nothing to reclaim — the cost every idle cadence pays.
 func BenchmarkSweepSteadyState(b *testing.B) {
-	root := b.TempDir()
-	for r := 0; r < 20; r++ {
-		dir := filepath.Join(root, fmt.Sprintf("run-%02d", r))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+	st, err := obsplane.OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		ev := []journal.Event{{Seq: 1, TimeNS: int64(i + 1), Name: "fleet.claim"}}
+		if _, err := st.Append(fmt.Sprintf("t%02d", i), "w1", ev); err != nil {
 			b.Fatal(err)
 		}
-		for f := 0; f < 5; f++ {
-			name := filepath.Join(dir, fmt.Sprintf("ck-%06d.json", f))
-			if err := os.WriteFile(name, []byte(`{"step":1}`), 0o644); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
-	gc := &GC{
-		Policy: Policy{
-			Checkpoints: ClassPolicy{MaxCount: 10},
-			Artifacts:   ClassPolicy{MaxCount: 100},
-		},
-		ArtifactRoot: root,
-	}
+	gc := &GC{MaxTraces: 100, Traces: st}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gc.Sweep(time.Now()); err != nil {
+		if _, err := gc.Sweep(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,10 @@
 package runhistory
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/maphash"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -317,62 +315,6 @@ func (c *Catalog) Query(f Filter) ([]Record, error) {
 		out = out[:f.Limit]
 	}
 	return out, nil
-}
-
-// Compact rewrites the catalog keeping only the newest maxRecords
-// records (by IndexedNS), by durable.Log.Rewrite so readers never
-// observe a partial catalog. Returns how many records were dropped and
-// how many bytes the file shrank by. A maxRecords of zero or a catalog
-// already within the cap is a no-op.
-func (c *Catalog) Compact(maxRecords int) (removed int, bytes int64, err error) {
-	if maxRecords <= 0 {
-		return 0, 0, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	recs, err := c.load()
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(recs) <= maxRecords {
-		return 0, 0, nil
-	}
-	var before int64
-	if fi, err := os.Stat(c.Path()); err == nil {
-		before = fi.Size()
-	}
-	sort.SliceStable(recs, func(i, j int) bool {
-		return recs[i].IndexedNS > recs[j].IndexedNS
-	})
-	keep := recs[:maxRecords]
-	removed = len(recs) - maxRecords
-
-	err = c.log.Rewrite(func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		// Rewrite oldest-first so the on-disk order stays append order.
-		for i := len(keep) - 1; i >= 0; i-- {
-			line, err := json.Marshal(keep[i])
-			if err != nil {
-				return err
-			}
-			bw.Write(line)
-			bw.WriteByte('\n')
-		}
-		return bw.Flush()
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("runhistory: compact: %w", err)
-	}
-
-	c.index(keep)
-	var after int64
-	if fi, err := os.Stat(c.Path()); err == nil {
-		after = fi.Size()
-	}
-	if bytes = before - after; bytes < 0 {
-		bytes = 0
-	}
-	return removed, bytes, nil
 }
 
 // WritableProbe verifies the catalog directory accepts writes — the

@@ -133,51 +133,6 @@ func TestCatalogTornTailTolerated(t *testing.T) {
 	}
 }
 
-func TestCatalogCompact(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		c.Append(Record{ID: "r" + string(rune('0'+i)), Kind: "eval", IndexedNS: int64(i + 1)})
-	}
-	before, _ := os.Stat(c.Path())
-	removed, bytes, err := c.Compact(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 7 {
-		t.Fatalf("removed = %d, want 7", removed)
-	}
-	after, _ := os.Stat(c.Path())
-	if bytes <= 0 || after.Size() >= before.Size() {
-		t.Fatalf("compact reclaimed %d bytes (file %d → %d)", bytes, before.Size(), after.Size())
-	}
-	recs, _ := c.Records()
-	if len(recs) != 3 || recs[0].ID != "r9" || recs[2].ID != "r7" {
-		t.Fatalf("compact kept wrong records: %+v", recs)
-	}
-	// Compacted-away IDs may be re-indexed; kept IDs stay deduped.
-	if n, _ := c.Append(Record{ID: "r0", Kind: "eval"}); n != 1 {
-		t.Fatal("compacted-away ID still deduped")
-	}
-	if n, _ := c.Append(Record{ID: "r9", Kind: "eval"}); n != 0 {
-		t.Fatal("kept ID lost from dedup set")
-	}
-	// Under the cap: no-op.
-	if removed, _, _ := c.Compact(100); removed != 0 {
-		t.Fatalf("no-op compact removed %d", removed)
-	}
-	// No temp litter.
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".") {
-			t.Fatalf("compact left temp file %s", e.Name())
-		}
-	}
-}
-
 func TestCatalogWritableProbe(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)

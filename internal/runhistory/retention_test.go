@@ -61,14 +61,13 @@ func TestSweepTracesCountCap(t *testing.T) {
 	ring := journal.NewRingSink(32)
 	defer journal.Default().Attach(ring)()
 
-	g := &GC{Policy: Policy{Traces: ClassPolicy{MaxCount: 1}}, Traces: st}
-	res, err := g.Sweep(time.Now())
+	g := &GC{MaxTraces: 1, Traces: st}
+	res, err := g.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := res.Classes[ClassTrace]
-	if cr.Examined != 3 || cr.Deleted != 2 || cr.BytesReclaimed <= 0 {
-		t.Fatalf("trace sweep = %+v", cr)
+	if res.Examined != 3 || res.Deleted != 2 || res.BytesReclaimed <= 0 {
+		t.Fatalf("trace sweep = %+v", res)
 	}
 	traces, _ := st.Traces()
 	if len(traces) != 1 || traces[0] != "t3" {
@@ -102,7 +101,7 @@ func TestSweepTracesCountCap(t *testing.T) {
 func TestSweepLateAppendKeepsNewerTrace(t *testing.T) {
 	sweep := func(t *testing.T, g *GC) {
 		t.Helper()
-		if _, err := g.Sweep(time.Now()); err != nil {
+		if _, err := g.Sweep(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +112,7 @@ func TestSweepLateAppendKeepsNewerTrace(t *testing.T) {
 		}
 		seedTrace(t, st, "q1", 2*time.Minute)
 		seedTrace(t, st, "q2", time.Minute)
-		g := &GC{Policy: Policy{Traces: ClassPolicy{MaxCount: 1}}, Traces: st}
+		g := &GC{MaxTraces: 1, Traces: st}
 		if removeFirst {
 			sweep(t, g) // reclaims q1
 		}
@@ -129,32 +128,31 @@ func TestSweepLateAppendKeepsNewerTrace(t *testing.T) {
 	}
 }
 
+// TestSweepTracesAgeAndProtection: the cap keeps the youngest trace,
+// and an older trace past the cap survives while the Protected hook
+// claims it (an active request).
 func TestSweepTracesAgeAndProtection(t *testing.T) {
 	st, err := obsplane.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedTrace(t, st, "t1", 3*time.Hour) // expired
-	seedTrace(t, st, "t2", 3*time.Hour) // expired but protected (active request)
-	seedTrace(t, st, "t3", time.Minute) // fresh
+	seedTrace(t, st, "t1", 3*time.Hour) // past the cap
+	seedTrace(t, st, "t2", 3*time.Hour) // past the cap but protected
+	seedTrace(t, st, "t3", time.Minute) // youngest: kept by the cap
 
 	g := &GC{
-		Policy: Policy{Traces: ClassPolicy{MaxAge: time.Hour}},
-		Traces: st,
-		Protected: func() (map[string]bool, map[string]bool) {
-			return map[string]bool{"t2": true}, nil
-		},
+		MaxTraces: 1,
+		Traces:    st,
+		Protected: func() map[string]bool { return map[string]bool{"t2": true} },
 	}
-	res, err := g.Sweep(time.Now())
+	res, err := g.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := res.Classes[ClassTrace]
-	if cr.Deleted != 1 || cr.SkippedProtected != 1 {
-		t.Fatalf("trace sweep = %+v", cr)
+	if res.Deleted != 1 || res.SkippedProtected != 1 {
+		t.Fatalf("trace sweep = %+v", res)
 	}
-	traces, _ := st.Traces()
-	if len(traces) != 2 {
+	if traces, _ := st.Traces(); len(traces) != 2 || traces[0] == "t1" || traces[1] == "t1" {
 		t.Fatalf("surviving traces = %v, want t2+t3", traces)
 	}
 }
@@ -167,179 +165,18 @@ func TestSweepQuarantinedNeverDeleted(t *testing.T) {
 	}
 	mkfile(t, filepath.Join(dir, "t9.jsonl.quarantined"), 64, 100*time.Hour)
 	seedTrace(t, st, "t1", 100*time.Hour)
+	seedTrace(t, st, "t2", time.Hour)
 
-	g := &GC{Policy: Policy{Traces: ClassPolicy{MaxAge: time.Hour}}, Traces: st}
-	res, err := g.Sweep(time.Now())
+	g := &GC{MaxTraces: 1, Traces: st}
+	res, err := g.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := res.Classes[ClassTrace]
-	if cr.SkippedQuarantined != 1 || cr.Deleted != 1 {
-		t.Fatalf("trace sweep = %+v", cr)
+	if res.SkippedQuarantined != 1 || res.Deleted != 1 {
+		t.Fatalf("trace sweep = %+v", res)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "t9.jsonl.quarantined")); err != nil {
 		t.Fatal("quarantined file was deleted by retention")
-	}
-}
-
-func TestSweepCheckpointsKeepNewestPair(t *testing.T) {
-	root := t.TempDir()
-	run := filepath.Join(root, "r1")
-	for i, age := range []time.Duration{3 * time.Hour, 2 * time.Hour, time.Hour} {
-		stem := filepath.Join(run, "ck-"+string(rune('1'+i)))
-		mkfile(t, stem+".json", 100, age)
-		mkfile(t, stem+".ovf", 1000, age)
-	}
-	g := &GC{
-		Policy:       Policy{Checkpoints: ClassPolicy{MaxAge: time.Minute}},
-		ArtifactRoot: root,
-	}
-	res, err := g.Sweep(time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := res.Classes[ClassCheckpoint]
-	// Every pair is over-age, but the newest (ck-3) is the resume point
-	// and must survive any policy.
-	if cr.Deleted != 2 {
-		t.Fatalf("checkpoint sweep = %+v, want 2 deleted", cr)
-	}
-	if cr.BytesReclaimed != 2200 {
-		t.Fatalf("reclaimed %d bytes, want 2200 (two json+ovf pairs)", cr.BytesReclaimed)
-	}
-	for _, stem := range []string{"ck-1", "ck-2"} {
-		if _, err := os.Stat(filepath.Join(run, stem+".json")); err == nil {
-			t.Fatalf("%s.json survived", stem)
-		}
-		if _, err := os.Stat(filepath.Join(run, stem+".ovf")); err == nil {
-			t.Fatalf("%s.ovf survived", stem)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(run, "ck-3.ovf")); err != nil {
-		t.Fatal("newest pair deleted — resume point lost")
-	}
-}
-
-func TestSweepProbeCSVAge(t *testing.T) {
-	root := t.TempDir()
-	mkfile(t, filepath.Join(root, "r1", "probes.csv"), 500, 2*time.Hour)
-	mkfile(t, filepath.Join(root, "r2", "probes.csv"), 500, time.Minute)
-	g := &GC{
-		Policy:       Policy{ProbeCSV: ClassPolicy{MaxAge: time.Hour}},
-		ArtifactRoot: root,
-	}
-	res, err := g.Sweep(time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := res.Classes[ClassProbeCSV]
-	if cr.Deleted != 1 || cr.BytesReclaimed != 500 {
-		t.Fatalf("probe sweep = %+v", cr)
-	}
-	if _, err := os.Stat(filepath.Join(root, "r2", "probes.csv")); err != nil {
-		t.Fatal("fresh probe CSV deleted")
-	}
-}
-
-func TestSweepArtifactDirsByteCap(t *testing.T) {
-	root := t.TempDir()
-	mkfile(t, filepath.Join(root, "r-old", "ck-1.ovf"), 4000, 2*time.Hour)
-	mkfile(t, filepath.Join(root, "r-new", "ck-1.ovf"), 4000, time.Minute)
-	g := &GC{
-		Policy:       Policy{Artifacts: ClassPolicy{MaxBytes: 5000}},
-		ArtifactRoot: root,
-	}
-	res, err := g.Sweep(time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := res.Classes[ClassArtifact]
-	if cr.Deleted != 1 || cr.BytesReclaimed != 4000 {
-		t.Fatalf("artifact sweep = %+v", cr)
-	}
-	if _, err := os.Stat(filepath.Join(root, "r-old")); err == nil {
-		t.Fatal("oldest run dir survived the byte cap")
-	}
-	if _, err := os.Stat(filepath.Join(root, "r-new", "ck-1.ovf")); err != nil {
-		t.Fatal("newest run dir deleted")
-	}
-}
-
-func TestSweepArtifactDirQuarantineBlocksRemoval(t *testing.T) {
-	root := t.TempDir()
-	mkfile(t, filepath.Join(root, "r1", "ck-1.ovf"), 100, 10*time.Hour)
-	mkfile(t, filepath.Join(root, "r1", "ck-0.json.quarantined"), 10, 10*time.Hour)
-	g := &GC{
-		Policy:       Policy{Artifacts: ClassPolicy{MaxAge: time.Hour}},
-		ArtifactRoot: root,
-	}
-	res, err := g.Sweep(time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := res.Classes[ClassArtifact]
-	if cr.Deleted != 0 || cr.SkippedQuarantined != 1 {
-		t.Fatalf("artifact sweep = %+v", cr)
-	}
-	if _, err := os.Stat(filepath.Join(root, "r1")); err != nil {
-		t.Fatal("run dir with quarantined data was deleted")
-	}
-}
-
-func TestSweepDryRun(t *testing.T) {
-	st, err := obsplane.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedTrace(t, st, "t1", 3*time.Hour)
-	ring := journal.NewRingSink(16)
-	defer journal.Default().Attach(ring)()
-
-	g := &GC{
-		Policy: Policy{Traces: ClassPolicy{MaxAge: time.Hour}, DryRun: true},
-		Traces: st,
-	}
-	res, err := g.Sweep(time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.DryRun || res.Deleted() != 1 || res.BytesReclaimed() <= 0 {
-		t.Fatalf("dry-run result = %+v", res)
-	}
-	if traces, _ := st.Traces(); len(traces) != 1 {
-		t.Fatal("dry run deleted a trace")
-	}
-	evs := gcEvents(ring)
-	if len(evs) != 1 || evs[0].Fields["dry_run"] != true {
-		t.Fatalf("dry-run gc events = %+v", evs)
-	}
-}
-
-func TestSweepCompactsCatalog(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		c.Append(Record{ID: "r" + string(rune('0'+i)), Kind: "eval", IndexedNS: int64(i + 1)})
-	}
-	ring := journal.NewRingSink(16)
-	defer journal.Default().Attach(ring)()
-
-	g := &GC{Policy: Policy{HistoryMaxRecords: 2}, Catalog: c}
-	res, err := g.Sweep(time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := res.Classes[ClassHistory]
-	if cr.Deleted != 4 || cr.BytesReclaimed <= 0 {
-		t.Fatalf("catalog compaction = %+v", cr)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("catalog Len = %d after compaction, want 2", c.Len())
-	}
-	if evs := gcEvents(ring); len(evs) != 1 || evs[0].Fields["class"] != string(ClassHistory) {
-		t.Fatalf("compaction gc events = %+v", evs)
 	}
 }
 
@@ -349,7 +186,8 @@ func TestSweepRunPeriodic(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedTrace(t, st, "t1", 3*time.Hour)
-	g := &GC{Policy: Policy{Traces: ClassPolicy{MaxAge: time.Hour}}, Traces: st}
+	seedTrace(t, st, "t2", time.Hour)
+	g := &GC{MaxTraces: 1, Traces: st}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -366,8 +204,8 @@ func TestSweepRunPeriodic(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if traces, _ := st.Traces(); len(traces) != 0 {
-		t.Fatal("periodic sweep did not delete the expired trace")
+	if traces, _ := st.Traces(); len(traces) != 1 || traces[0] != "t2" {
+		t.Fatalf("surviving traces = %v after a periodic sweep, want [t2]", traces)
 	}
 	cancel()
 	<-done

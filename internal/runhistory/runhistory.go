@@ -1,5 +1,5 @@
-// Package runhistory is the durable run-history index and the
-// retention/compaction engine behind it (DESIGN.md §17).
+// Package runhistory is the durable run-history index and the trace
+// retention sweeper behind it (DESIGN.md §17).
 //
 // The catalog indexes every completed run and fleet request into one
 // compact JSONL record: run/request ID, fleet trace, gate, backend
@@ -10,13 +10,12 @@
 // line, which reads tolerate and the next append steps past; records
 // are idempotent per ID, so a retried indexing call never duplicates.
 //
-// The retention engine sweeps the observability data those records
-// point at under per-class age/count/byte policies, deleting (or, for
-// the catalog itself, compacting by atomic rewrite) expired data. Every
+// The retention sweeper keeps the newest fleet-journal traces those
+// records point at under a count cap and removes the rest. Every
 // deletion is journaled as a `retention.gc` event with the bytes
-// reclaimed; dry-run mode journals without deleting; quarantined files
-// (durable.QuarantineSuffix) are never silently dropped — they block
-// deletion and are counted for the operator. The paired
+// reclaimed; quarantined trace files (durable.QuarantineSuffix) are
+// never silently dropped — they are skipped and counted for the
+// operator. The paired
 // `history.indexed` event records every catalog append, so the journal
 // itself tells the story of what was remembered and what was let go.
 package runhistory
@@ -75,7 +74,8 @@ type FileRef struct {
 }
 
 // Class names one retention class: a family of on-disk observability
-// data swept under its own policy.
+// data a run leaves behind. Records store the class of every file they
+// point at; the retention sweeper reclaims ClassTrace.
 type Class string
 
 // Retention classes.
@@ -92,9 +92,6 @@ const (
 	// ClassArtifact is whole run-artifact directories (everything a run
 	// uploaded).
 	ClassArtifact Class = "artifact"
-	// ClassHistory is the catalog itself, compacted (not deleted) when
-	// it exceeds its record cap.
-	ClassHistory Class = "history"
 )
 
 // InputsLabel renders an input case as the "10"-style bit label used in

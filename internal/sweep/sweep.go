@@ -129,7 +129,7 @@ func ThermalContext(ctx context.Context, eng *engine.Engine, temps []float64, ru
 }
 
 // Roughness sweeps the edge-roughness probability using a runner that
-// receives a core.MicromagConfig-compatible region mutator.
+// receives a region mutator for core.WithRegionMutator.
 func Roughness(probs []float64, seed int64, run func(mutator func(grid.Mesh, grid.Region) grid.Region) (*core.TruthTable, error)) ([]Result, error) {
 	return RoughnessContext(context.Background(), nil, probs, seed,
 		func(_ context.Context, mut func(grid.Mesh, grid.Region) grid.Region) (*core.TruthTable, error) {

@@ -192,14 +192,8 @@ func TestMicromagneticThermalXOR(t *testing.T) {
 	// SNR engineering: a 1 nm film at 300 K has a large thermal field per
 	// cell, so the readout needs a stronger drive (still small-angle) and
 	// a longer lock-in window than the noise-free runs.
-	m, err := core.NewMicromagnetic(core.XOR, core.MicromagConfig{
-		Spec:           layout.ReducedSpec(),
-		Mat:            material.FeCoB(),
-		Temperature:    300,
-		Seed:           42,
-		DriveField:     20e-3,
-		MeasurePeriods: 12,
-	})
+	m, err := core.NewMicromagnetic(core.XOR, core.WithTemperature(300, 42),
+		core.WithDriveField(20e-3), core.WithMeasurePeriods(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +221,7 @@ func TestMicromagneticRoughXOR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micromagnetic integration test")
 	}
-	m, err := core.NewMicromagnetic(core.XOR, core.MicromagConfig{
-		Spec:          layout.ReducedSpec(),
-		Mat:           material.FeCoB(),
-		RegionMutator: EdgeRoughness(0.15, 11),
-	})
+	m, err := core.NewMicromagnetic(core.XOR, core.WithRegionMutator(EdgeRoughness(0.15, 11)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,6 @@ type (
 	TruthTable = core.TruthTable
 	// CaseResult is one truth-table row.
 	CaseResult = core.CaseResult
-	// MicromagConfig tunes the micromagnetic backend.
-	MicromagConfig = core.MicromagConfig
 	// Micromagnetic is the full-simulation backend.
 	Micromagnetic = core.Micromagnetic
 	// Behavioral is the phasor-network backend.
@@ -75,7 +73,7 @@ const (
 	NOR = core.NOR
 )
 
-// Integration schemes for MicromagConfig.Scheme.
+// Integration schemes for WithScheme.
 const (
 	// SchemeRK4 is the classical 4th-order Runge–Kutta integrator.
 	SchemeRK4 = llg.RK4
@@ -102,10 +100,7 @@ func FeCoB() Material { return material.FeCoB() }
 // "permalloy").
 func MaterialByName(name string) (Material, error) { return material.ByName(name) }
 
-// Functional options for the backend constructors. MicromagConfig
-// itself implements MicromagOption (it replaces the accumulated config
-// wholesale), so pre-options call sites keep compiling; passing a bare
-// config is the deprecated path.
+// Functional options for the backend constructors.
 type (
 	// BehavioralOption customizes NewBehavioral.
 	BehavioralOption = core.BehavioralOption
@@ -158,9 +153,8 @@ func NewBehavioral(kind GateKind, spec Spec, mat Material, opts ...BehavioralOpt
 	return core.NewBehavioral(kind, spec, mat, opts...)
 }
 
-// NewMicromagnetic builds the full-simulation backend for a gate. Legacy
-// call sites passing a bare MicromagConfig keep working; new code should
-// pass WithSpec/WithMaterial/WithScheme/... options.
+// NewMicromagnetic builds the full-simulation backend for a gate,
+// configured by WithSpec/WithMaterial/WithScheme/... options.
 func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, error) {
 	return core.NewMicromagnetic(kind, opts...)
 }

@@ -188,7 +188,7 @@ func TestRenderSnapshotFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micromagnetic integration test")
 	}
-	m, err := NewMicromagnetic(XOR, MicromagConfig{Spec: ReducedSpec(), Mat: FeCoB()})
+	m, err := NewMicromagnetic(XOR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +267,13 @@ func TestFunctionalOptionsFacade(t *testing.T) {
 	if _, err := NewMicromagnetic(XOR, WithScheme(SchemeHeun), WithWorkers(2)); err != nil {
 		t.Fatal(err)
 	}
-	// Legacy bare-config form still validates explicit zeros.
-	if _, err := NewMicromagnetic(XOR, MicromagConfig{}); err == nil {
-		t.Fatal("zero legacy config accepted")
+	// An explicitly zero spec or material fails validation (an error,
+	// not a panic).
+	if _, err := NewMicromagnetic(XOR, WithSpec(Spec{})); err == nil || !strings.Contains(err.Error(), "wavelength 0 must be positive") {
+		t.Fatalf("zero spec: err = %v, want the spec validation error", err)
+	}
+	if _, err := NewMicromagnetic(XOR, WithMaterial(Material{})); err == nil || !strings.Contains(err.Error(), "Ms = 0 must be positive") {
+		t.Fatalf("zero material: err = %v, want the material validation error", err)
 	}
 }
 

@@ -384,9 +384,7 @@ func transientPhase(base string, workers map[string]*exec.Cmd, journals map[stri
 
 	// The golden readouts: the identical configuration run uninterrupted
 	// in-process. Checkpoint segmentation must not change a single bit.
-	m, err := spinwave.NewMicromagnetic(spinwave.XOR, spinwave.MicromagConfig{
-		Spec: spinwave.ReducedSpec(), Mat: spinwave.FeCoB(), DtScale: dtScale,
-	})
+	m, err := spinwave.NewMicromagnetic(spinwave.XOR, spinwave.WithDtScale(dtScale))
 	if err != nil {
 		return err
 	}
