@@ -112,11 +112,12 @@ func mustJSON(t *testing.T, v any) string {
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	// Same case twice: one miss then one hit; then one micromagnetic
-	// case for the LLG totals.
+	// complement pair, one solver run, for the LLG totals and the
+	// complement counter.
 	for _, req := range []map[string]any{
 		{"gate": "xor", "inputs": []bool{true, false}},
 		{"gate": "xor", "inputs": []bool{true, false}},
-		{"gate": "xor", "backend": "micromag", "inputs": []bool{true, false}},
+		{"gate": "xor", "backend": "micromag", "cases": [][]bool{{true, false}, {false, true}}},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/eval", req)
 		if resp.StatusCode != http.StatusOK {
@@ -144,12 +145,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		`spinwave_engine_evals_total{result="ok"}`,
 		"spinwave_engine_eval_seconds_bucket",
 		"spinwave_llg_steps_total",
+		"# TYPE spinwave_engine_complements_total counter",
 		`swserve_http_requests_total{path="/v1/eval",status="200"}`,
 		`swserve_http_request_seconds_bucket{path="/v1/eval",le="+Inf"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if strings.Contains(out, "\nspinwave_engine_complements_total 0\n") {
+		t.Error("/metrics counts no complement after a paired micromagnetic batch")
 	}
 }
 

@@ -23,12 +23,14 @@ import (
 // lifecycle in strictly increasing sequence order, and the stream
 // terminates by itself after the run's terminal event — the eval
 // completion for a recompute, the tier event for a case the cache
-// answered. A run whose events all left the replay ring answers 404:
-// no event would ever end its tail.
+// answered or its complement partner's run derived. A run whose events
+// all left the replay ring answers 404: no event would ever end its
+// tail.
 func TestRunEventsTail(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		evals     int    // identical /v1/eval requests; the last one is tailed
+		pair      bool   // one micromag batch of 00 and 11; the derived 11 is tailed
 		source    string // the tailed result's source; "" skips the check
 		evicted   bool   // a full ring of later events overwrites the run's
 		wantStart bool   // the tail must carry engine.eval.start
@@ -38,15 +40,18 @@ func TestRunEventsTail(t *testing.T) {
 	}{
 		{name: "recompute", evals: 1, wantStart: true, last: "engine.eval.done", minLines: 2},
 		{name: "cache hit", evals: 2, source: "cache", last: "engine.cache", result: "hit", minLines: 1},
+		{name: "complement", evals: 1, pair: true, source: "micromag", last: "engine.tier", result: "hit", minLines: 1},
 		{name: "evicted from the ring", evals: 1, evicted: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ts := newTestServer(t)
 			var er evalResponse
+			req := map[string]any{"gate": "xor", "inputs": []bool{true, true}}
+			if tc.pair {
+				req = map[string]any{"gate": "xor", "backend": "micromag", "cases": [][]bool{{false, false}, {true, true}}}
+			}
 			for i := 0; i < tc.evals; i++ {
-				resp, body := postJSON(t, ts.URL+"/v1/eval", map[string]any{
-					"gate": "xor", "inputs": []bool{true, true},
-				})
+				resp, body := postJSON(t, ts.URL+"/v1/eval", req)
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("eval status %d: %s", resp.StatusCode, body)
 				}
@@ -54,14 +59,15 @@ func TestRunEventsTail(t *testing.T) {
 				if err := json.Unmarshal(body, &er); err != nil {
 					t.Fatal(err)
 				}
-				if len(er.Results) != 1 || er.Results[0].Run == "" {
+				if len(er.Results) == 0 || er.Results[len(er.Results)-1].Run == "" {
 					t.Fatalf("eval response missing run ID: %s", body)
 				}
 			}
-			if tc.source != "" && er.Results[0].Source != tc.source {
-				t.Fatalf("tailed result source %q, want %q", er.Results[0].Source, tc.source)
+			tailed := er.Results[len(er.Results)-1]
+			if tc.source != "" && tailed.Source != tc.source {
+				t.Fatalf("tailed result source %q, want %q", tailed.Source, tc.source)
 			}
-			runID := er.Results[0].Run
+			runID := tailed.Run
 			if tc.evicted {
 				for i := 0; i < eventRing; i++ {
 					journal.Default().Emit("rfiller", "test.filler")

@@ -76,6 +76,20 @@ func RunContext(ctx context.Context, b Backend, inputs []bool) (map[string]detec
 	return b.Run(inputs)
 }
 
+// Complementer is implemented by backends that can answer the
+// complemented case ¬c (every input inverted) from the one run of case
+// c. The engine pairs a table's cases through it, so a truth table
+// costs 2ⁿ⁻¹ runs instead of 2ⁿ.
+type Complementer interface {
+	// ComplementExact reports whether RunComplement's ¬c readouts equal a
+	// direct run of ¬c bit for bit. Only then may a caller serve them as
+	// that run's answer.
+	ComplementExact() bool
+	// RunComplement runs case c once and returns its readouts and those
+	// of ¬c.
+	RunComplement(ctx context.Context, inputs []bool) (c, notC map[string]detect.Readout, err error)
+}
+
 // Fingerprinter is implemented by backends whose evaluation is a pure
 // function of an enumerable configuration. Fingerprint returns a
 // canonical identity string covering everything the readout depends on

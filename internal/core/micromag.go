@@ -332,14 +332,43 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool) (*llg.Sol
 
 // Run implements Backend: a full transient simulation per case.
 func (m *Micromagnetic) Run(inputs []bool) (map[string]detect.Readout, error) {
-	return m.run(context.Background(), inputs, nil)
+	out, _, err := m.run(context.Background(), inputs, nil, false)
+	return out, err
 }
 
 // RunContext implements ContextBackend: the context is polled before
 // every integrator step, so cancellation aborts a multi-nanosecond
 // transient within one step instead of after the full run.
 func (m *Micromagnetic) RunContext(ctx context.Context, inputs []bool) (map[string]detect.Readout, error) {
-	return m.run(ctx, inputs, nil)
+	out, _, err := m.run(ctx, inputs, nil, false)
+	return out, err
+}
+
+// ComplementExact implements Complementer. Logic 1 is the antenna phase
+// π, applied as the exact negation of the logic-0 drive, so complementing
+// every input negates every drive field. The film's LLG has exchange,
+// local thin-film demag, anisotropy along z, no bias field and no DMI:
+// each term maps m rotated by π about z, (−mx, −my, mz), to the field
+// rotated the same way, and IEEE negation commutes with every sum and
+// product of them. Case ¬c is then case c with mx and my negated at
+// every step, bit for bit. A thermal field does not change sign with the
+// drive and an easy axis off z does not commute with the rotation;
+// either breaks the pairing.
+func (m *Micromagnetic) ComplementExact() bool {
+	u := m.cfg.Mat.AnisU
+	return m.cfg.Temperature == 0 && u.X == 0 && u.Y == 0
+}
+
+// RunComplement implements Complementer: it runs case c once and locks
+// in on the same probes' negated mx series as ¬c's readouts. Detrend and
+// Goertzel see exactly the series a direct run of ¬c records, so the
+// derived readouts equal that run's bit for bit. It refuses a backend
+// whose pairing is inexact (ComplementExact).
+func (m *Micromagnetic) RunComplement(ctx context.Context, inputs []bool) (c, notC map[string]detect.Readout, err error) {
+	if !m.ComplementExact() {
+		return nil, nil, fmt.Errorf("core: %s complement pairing is inexact with a thermal field or a tilted easy axis", m.kind)
+	}
+	return m.run(ctx, inputs, nil, true)
 }
 
 // Fingerprint implements Fingerprinter: a canonical hash of the gate
@@ -388,7 +417,8 @@ func (m *Micromagnetic) RunSingleContext(ctx context.Context, name string) (map[
 	if !found {
 		return nil, fmt.Errorf("core: %w: %s has no input %q", ErrUnknownComponent, m.kind, name)
 	}
-	return m.run(ctx, make([]bool, len(names)), mute)
+	out, _, err := m.run(ctx, make([]bool, len(names)), mute, false)
+	return out, err
 }
 
 // RunBackground simulates with every antenna muted — only the thermal
@@ -402,7 +432,8 @@ func (m *Micromagnetic) RunBackground() (map[string]detect.Readout, error) {
 	for _, n := range names {
 		mute[n] = true
 	}
-	return m.run(context.Background(), make([]bool, len(names)), mute)
+	out, _, err := m.run(context.Background(), make([]bool, len(names)), mute, false)
+	return out, err
 }
 
 // CalibrateI3 measures the phase offset between the I1 body path and the
@@ -479,7 +510,10 @@ func (m *Micromagnetic) newRecorder(s *llg.Solver, probes map[string]*detect.Pro
 	return probe.NewRecorder(pc, s.Eval, points)
 }
 
-func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]bool) (map[string]detect.Readout, error) {
+// run simulates one case and locks in on its output probes. With mirror
+// set it also returns the lock-in of the negated probe series: the
+// readouts of the complemented case (see RunComplement).
+func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]bool, mirror bool) (out, mirrored map[string]detect.Readout, err error) {
 	// One run ID correlates this run's journal events, span labels and
 	// log lines; the engine propagates its eval ID down via the context.
 	runID := journal.RunID(ctx)
@@ -503,9 +537,9 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 		}
 		j.Emit(runID, "run.start", fields...)
 	}
-	fail := func(err error) (map[string]detect.Readout, error) {
+	fail := func(err error) (map[string]detect.Readout, map[string]detect.Readout, error) {
 		j.Emit(runID, "run.error", journal.F("error", err.Error()))
-		return nil, err
+		return nil, nil, err
 	}
 
 	setup := obs.StartSpan("micromag.setup", gateL, runL)
@@ -626,7 +660,7 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 			journal.F("step", s.Steps()),
 			journal.F("total_steps", total),
 			journal.F("sim_time_s", s.Time))
-		return nil, checkpoint.ErrPaused
+		return nil, nil, checkpoint.ErrPaused
 	}
 	j.Emit(runID, "run.settled",
 		journal.F("steps", s.Steps()),
@@ -637,13 +671,21 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 	j.Emit(runID, "run.lockin",
 		journal.F("freq_hz", m.Freq),
 		journal.F("periods", m.cfg.MeasurePeriods))
-	out := make(map[string]detect.Readout, len(probes))
+	out = make(map[string]detect.Readout, len(probes))
+	if mirror {
+		mirrored = make(map[string]detect.Readout, len(probes))
+	}
 	for name, p := range probes {
 		r, err := p.LockIn(m.Freq, m.cfg.MeasurePeriods)
 		if err != nil {
 			return fail(err)
 		}
 		out[name] = r
+		if mirror {
+			if mirrored[name], err = p.Mirror().LockIn(m.Freq, m.cfg.MeasurePeriods); err != nil {
+				return fail(err)
+			}
+		}
 	}
 	if j.Enabled() {
 		names := make([]string, 0, len(out))
@@ -659,7 +701,7 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 		}
 		j.Emit(runID, "run.complete", fields...)
 	}
-	return out, nil
+	return out, mirrored, nil
 }
 
 // Snapshot runs the case and returns the final magnetization field along

@@ -84,6 +84,25 @@ func (p *Probe) MY() []float64 { return p.my }
 // MZ returns the recorded average z component.
 func (p *Probe) MZ() []float64 { return p.mz }
 
+// Mirror returns a copy of the probe with its mx and my series negated:
+// the trace the same probe records on the run whose magnetization is
+// this run's rotated by π about z.
+func (p *Probe) Mirror() *Probe {
+	q := &Probe{Name: p.Name, Cells: p.Cells,
+		times: append([]float64(nil), p.times...),
+		mx:    make([]float64, len(p.mx)),
+		my:    make([]float64, len(p.my)),
+		mz:    append([]float64(nil), p.mz...),
+	}
+	for i, v := range p.mx {
+		q.mx[i] = -v
+	}
+	for i, v := range p.my {
+		q.my[i] = -v
+	}
+	return q
+}
+
 // Readout is the lock-in result at one probe.
 type Readout struct {
 	Probe     string

@@ -2,8 +2,9 @@
 // truth-table cases, sweep points, and parallel-word channels out over a
 // bounded worker pool, plumbs context cancellation through to the LLG
 // step loop, memoizes readouts in an LRU cache keyed by a canonical
-// backend fingerprint, and de-duplicates identical in-flight requests
-// with singleflight.
+// backend fingerprint, de-duplicates identical in-flight requests
+// with singleflight, and answers each complemented case of a batch from
+// its partner's run where the backend's pairing is exact.
 //
 // Two separate semaphores bound the work:
 //
@@ -75,8 +76,9 @@ type Engine struct {
 	evalSlots  chan struct{}
 	taskSlots  chan struct{}
 	cache      *lruCache // nil when caching is disabled
-	flight     group
-	disk       *DiskStore // nil when the persistent tier is disabled
+	flight     group[map[string]detect.Readout]
+	pairs      group[pairRun] // complement pairs, keyed by the run case's key
+	disk       *DiskStore     // nil when the persistent tier is disabled
 	persistMin time.Duration
 
 	surrMu     sync.RWMutex
@@ -103,6 +105,7 @@ type Engine struct {
 	surrEvals     atomic.Int64
 	surrAdmitted  atomic.Int64
 	surrRejected  atomic.Int64
+	complements   atomic.Int64
 }
 
 // New builds an engine with the given options.
@@ -160,6 +163,8 @@ type Stats struct {
 	SurrogateAdmitted int64 // surrogate models that passed the admission gate
 	SurrogateRejected int64 // surrogate models rejected by the admission gate
 	SurrogateModels   int   // admitted models currently registered
+
+	Complements int64 // cases answered from their complement partner's run
 }
 
 // MeanLatency returns the average evaluation wall-clock time.
@@ -196,6 +201,8 @@ func (e *Engine) Stats() Stats {
 		SurrogateEvals:    e.surrEvals.Load(),
 		SurrogateAdmitted: e.surrAdmitted.Load(),
 		SurrogateRejected: e.surrRejected.Load(),
+
+		Complements: e.complements.Load(),
 	}
 	if e.cache != nil {
 		s.CacheEntries = e.cache.len()
@@ -242,10 +249,22 @@ func (e *Engine) Eval(ctx context.Context, b core.Backend, inputs []bool) (map[s
 // ID, and stamped as a pprof goroutine label so CPU profiles attribute
 // solver time to individual evaluations.
 func (e *Engine) runEval(ctx context.Context, b core.Backend, inputs []bool) (map[string]detect.Readout, error) {
+	var out map[string]detect.Readout
+	err := e.inSlot(ctx, b, inputs, func(ctx context.Context) (err error) {
+		out, err = core.RunContext(ctx, b, inputs)
+		return err
+	})
+	return out, err
+}
+
+// inSlot runs one evaluation of the case, run, in an eval slot with
+// runEval's run ID, profiling label, counters and journal events. A
+// complement pair is one evaluation: run answers both of its cases.
+func (e *Engine) inSlot(ctx context.Context, b core.Backend, inputs []bool, run func(context.Context) error) error {
 	if err := e.acquire(ctx, e.evalSlots); err != nil {
 		e.cancelled.Add(1)
 		mEvalsCancelled.Inc()
-		return nil, err
+		return err
 	}
 	defer func() { <-e.evalSlots }()
 	e.inFlight.Add(1)
@@ -266,10 +285,9 @@ func (e *Engine) runEval(ctx context.Context, b core.Backend, inputs []bool) (ma
 			journal.F("inputs", string(appendBits(nil, inputs))))
 	}
 	start := time.Now()
-	var out map[string]detect.Readout
 	var err error
 	pprof.Do(ctx, pprof.Labels("engine", "eval", "run", evalID), func(ctx context.Context) {
-		out, err = core.RunContext(ctx, b, inputs)
+		err = run(ctx)
 	})
 	elapsed := time.Since(start)
 	e.latNanos.Add(elapsed.Nanoseconds())
@@ -294,7 +312,7 @@ func (e *Engine) runEval(ctx context.Context, b core.Backend, inputs []bool) (ma
 			journal.F("status", status),
 			journal.F("elapsed_ms", elapsed.Seconds()*1e3))
 	}
-	return out, err
+	return err
 }
 
 // Ping verifies the eval pool is serviceable: it acquires and

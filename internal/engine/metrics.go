@@ -39,6 +39,7 @@ var (
 	mSurrogateSeconds   *obs.Histogram
 	mAdmissionsOK       *obs.Counter
 	mAdmissionsRejected *obs.Counter
+	mComplements        *obs.Counter
 )
 
 func initMetrics() {
@@ -87,5 +88,7 @@ func initMetrics() {
 		r.Describe("spinwave_engine_surrogate_admissions_total", "surrogate admission-gate verdicts")
 		mAdmissionsOK = r.Counter("spinwave_engine_surrogate_admissions_total", obs.L("verdict", "admitted"))
 		mAdmissionsRejected = r.Counter("spinwave_engine_surrogate_admissions_total", obs.L("verdict", "rejected"))
+		r.Describe("spinwave_engine_complements_total", "cases answered from their complement partner's run")
+		mComplements = r.Counter("spinwave_engine_complements_total")
 	})
 }

@@ -3,20 +3,18 @@ package engine
 import (
 	"context"
 	"sync"
-
-	"spinwave/internal/detect"
 )
 
 // group coalesces concurrent calls with the same key onto one execution
 // — a minimal, context-aware singleflight (no external dependency).
-type group struct {
+type group[V any] struct {
 	mu sync.Mutex
-	m  map[string]*call
+	m  map[string]*call[V]
 }
 
-type call struct {
+type call[V any] struct {
 	done chan struct{}
-	val  map[string]detect.Readout
+	val  V
 	err  error
 }
 
@@ -27,10 +25,10 @@ type call struct {
 // propagate its cancellation error to followers — callers that need a
 // fresh attempt simply call again (the key is cleared before done is
 // signalled).
-func (g *group) do(ctx context.Context, key string, fn func() (map[string]detect.Readout, error)) (val map[string]detect.Readout, err error, shared bool) {
+func (g *group[V]) do(ctx context.Context, key string, fn func() (V, error)) (val V, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*call)
+		g.m = make(map[string]*call[V])
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
@@ -38,10 +36,10 @@ func (g *group) do(ctx context.Context, key string, fn func() (map[string]detect
 		case <-c.done:
 			return c.val, c.err, true
 		case <-ctx.Done():
-			return nil, ctx.Err(), true
+			return val, ctx.Err(), true
 		}
 	}
-	c := &call{done: make(chan struct{})}
+	c := &call[V]{done: make(chan struct{})}
 	g.m[key] = c
 	g.mu.Unlock()
 

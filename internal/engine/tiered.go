@@ -162,10 +162,11 @@ func (e *Engine) Surrogates() []string {
 type plan struct {
 	b         core.Backend
 	mode      Mode
-	src       Source    // what a recompute on b reports
-	fp        string    // canonical fingerprint (when cacheable)
-	cacheable bool      // b is fingerprintable: results may be stored and coalesced
-	sur       Surrogate // admitted model for fp (auto and surrogate modes only)
+	src       Source            // what a recompute on b reports
+	fp        string            // canonical fingerprint (when cacheable)
+	cacheable bool              // b is fingerprintable: results may be stored and coalesced
+	sur       Surrogate         // admitted model for fp (auto and surrogate modes only)
+	pair      core.Complementer // b, when its complement pairing is exact
 }
 
 func (e *Engine) plan(b core.Backend, mode Mode) (plan, error) {
@@ -182,6 +183,9 @@ func (e *Engine) plan(b core.Backend, mode Mode) (plan, error) {
 	}
 	if p.cacheable && mode != ModeDirect {
 		p.sur, _ = e.SurrogateFor(p.fp)
+	}
+	if c, ok := b.(core.Complementer); ok && c.ComplementExact() {
+		p.pair = c
 	}
 	return p, nil
 }
@@ -233,8 +237,16 @@ func (e *Engine) EvalTiered(ctx context.Context, b core.Backend, inputs []bool, 
 // slot, so stored answers never queue behind multi-second solver runs
 // and the misses still run up to Workers at once.
 //
+// When the backend's complement pairing is exact (core.Complementer),
+// two misses c and ¬c are one recompute: the run of the case whose first
+// input is 0 answers both, in one eval slot, and both enter the store as
+// that backend's exact results. A truth table's misses therefore cost
+// 2ⁿ⁻¹ runs. A miss whose complement is not also a miss of the batch
+// runs on its own.
+//
 // runIDs, when non-nil, holds one journal run ID per case: its tier
-// events and, on a miss, its recompute journal under that ID. The
+// events and, on a miss, its recompute journal under that ID (the
+// derived case of a pair journals its engine.tier complement event). The
 // results are in case order; the first error fails the batch, and so
 // does a cancelled ctx.
 func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, mode Mode, runIDs []string) ([]EvalResult, error) {
@@ -271,22 +283,78 @@ func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, 
 	if len(misses) == 0 {
 		return out, nil
 	}
-	err = e.fanout(ctx, len(misses), func(ctx context.Context, m int) error {
-		i := misses[m]
+	jobs := p.pairMisses(cases, misses)
+	err = e.fanout(ctx, len(jobs), func(ctx context.Context, m int) error {
+		i, k := jobs[m].run, jobs[m].derived
 		if runIDs != nil {
 			ctx = journal.WithRunID(ctx, runIDs[i])
 		}
-		res, err := e.recompute(ctx, &p, cases[i])
-		if err != nil {
-			return fmt.Errorf("case %v: %w", cases[i], err)
+		if k < 0 {
+			res, err := e.recompute(ctx, &p, cases[i])
+			if err != nil {
+				return fmt.Errorf("case %v: %w", cases[i], err)
+			}
+			out[i] = res
+			return nil
 		}
-		out[i] = res
+		derivedRun := runID
+		if runIDs != nil {
+			derivedRun = runIDs[k]
+		}
+		res, not, err := e.recomputePair(ctx, &p, cases[i], derivedRun)
+		if err != nil {
+			return fmt.Errorf("cases %v and %v: %w", cases[i], cases[k], err)
+		}
+		out[i], out[k] = res, not
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	return out, nil
+}
+
+// missJob is one recompute of a batch: the case at index run, and the
+// index of its complement answered by the same run (-1 for none).
+type missJob struct{ run, derived int }
+
+// pairMisses groups a batch's misses into recomputes: with an exact
+// complement pairing, each miss c whose complement ¬c is also a miss
+// shares one job with it, run from the member whose first input is 0
+// (so concurrent batches pick the same run and coalesce); every other
+// miss is a job of its own. Jobs keep the order of their first case.
+func (p *plan) pairMisses(cases [][]bool, misses []int) []missJob {
+	jobs := make([]missJob, 0, len(misses))
+	var open map[string]int // unpaired miss by input bits → index into jobs
+	if p.pair != nil {
+		open = make(map[string]int, len(misses))
+	}
+	for _, i := range misses {
+		if open != nil {
+			not := string(appendBits(nil, complement(cases[i])))
+			if j, ok := open[not]; ok {
+				delete(open, not)
+				if cases[i][0] {
+					jobs[j].derived = i
+				} else {
+					jobs[j] = missJob{run: i, derived: jobs[j].run}
+				}
+				continue
+			}
+			open[string(appendBits(nil, cases[i]))] = len(jobs)
+		}
+		jobs = append(jobs, missJob{run: i, derived: -1})
+	}
+	return jobs
+}
+
+// complement returns the input vector with every bit inverted.
+func complement(inputs []bool) []bool {
+	out := make([]bool, len(inputs))
+	for i, v := range inputs {
+		out[i] = !v
+	}
+	return out
 }
 
 // lookup is the first half of a tiered evaluation: it counts the
@@ -381,38 +449,121 @@ func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool) (EvalRes
 		start := time.Now()
 		out, err := e.runEval(ctx, p.b, inputs)
 		if err == nil {
-			if e.cache != nil {
-				if n := e.cache.put(key, out); n > 0 {
-					e.evicted.Add(n)
-					mCacheEvictions.Add(n)
-				}
-			}
-			if e.disk != nil && time.Since(start) >= e.persistMin {
-				wStart := time.Now()
-				if perr := e.disk.Put(key, out); perr != nil {
-					e.diskWriteErrs.Add(1)
-					mDiskWriteErrs.Inc()
-				} else {
-					e.diskWrites.Add(1)
-					mDiskWrites.Inc()
-				}
-				mDiskSeconds.Observe(time.Since(wStart).Seconds())
-			}
+			e.store(key, out, time.Since(start))
 		}
 		return out, err
 	})
 	if shared {
-		e.deduped.Add(1)
-		mCoalesced.Inc()
-		if j := journal.Default(); j.Enabled() {
-			j.Emit(journal.RunID(ctx), "engine.cache",
-				journal.F("result", "coalesced"), journal.F("key", key))
-		}
+		e.coalesced(ctx, key)
 	}
 	if err != nil {
 		return EvalResult{}, err
 	}
 	return EvalResult{Readouts: cloneReadouts(v), Source: p.src, Fingerprint: p.fp}, nil
+}
+
+// pairRun is the outcome of one complement-pair evaluation: the run
+// case's readouts, its complement's, and the run ID that produced them.
+type pairRun struct {
+	out, not map[string]detect.Readout
+	run      string
+}
+
+// recomputePair is recompute for a complement pair on a backend whose
+// pairing is exact: one run of inputs, in one eval slot, answers inputs
+// and its complement. Both results are stored under their own keys and
+// reported as the backend's recompute source. The complement journals an
+// engine.tier complement hit under derivedRun, naming the run and the
+// key of its partner. Concurrent recomputes of the same pair coalesce.
+func (e *Engine) recomputePair(ctx context.Context, p *plan, inputs []bool, derivedRun string) (EvalResult, EvalResult, error) {
+	not := complement(inputs)
+	var key, notKey string
+	if p.cacheable {
+		key, notKey = p.key(inputs), p.key(not)
+	}
+	runID := journal.RunID(ctx)
+	if runID == "" {
+		runID = journal.NewRunID()
+		ctx = journal.WithRunID(ctx, runID)
+	}
+	eval := func() (pairRun, error) {
+		start := time.Now()
+		r := pairRun{run: runID}
+		err := e.inSlot(ctx, p.b, inputs, func(ctx context.Context) (err error) {
+			r.out, r.not, err = p.pair.RunComplement(ctx, inputs)
+			return err
+		})
+		if err == nil && p.cacheable {
+			cost := time.Since(start)
+			e.store(key, r.out, cost)
+			e.store(notKey, r.not, cost)
+		}
+		return r, err
+	}
+	var (
+		v      pairRun
+		err    error
+		shared bool
+	)
+	if p.cacheable {
+		v, err, shared = e.pairs.do(ctx, key, eval)
+	} else {
+		v, err = eval()
+	}
+	if shared {
+		e.coalesced(ctx, key)
+	}
+	if err != nil {
+		return EvalResult{}, EvalResult{}, err
+	}
+	e.complements.Add(1)
+	mComplements.Inc()
+	if j := journal.Default(); j.Enabled() {
+		fields := []journal.Field{
+			journal.F("tier", "complement"), journal.F("result", "hit"),
+			journal.F("inputs", string(appendBits(nil, not))),
+			journal.F("partner_run", v.run),
+		}
+		if p.cacheable {
+			fields = append(fields, journal.F("key", notKey), journal.F("partner_key", key))
+		}
+		j.Emit(derivedRun, "engine.tier", fields...)
+	}
+	return EvalResult{Readouts: cloneReadouts(v.out), Source: p.src, Fingerprint: p.fp},
+		EvalResult{Readouts: cloneReadouts(v.not), Source: p.src, Fingerprint: p.fp}, nil
+}
+
+// store memoizes an exact result under key: into the LRU, and onto the
+// disk tier when its evaluation cost clears the persist threshold.
+func (e *Engine) store(key string, out map[string]detect.Readout, cost time.Duration) {
+	if e.cache != nil {
+		if n := e.cache.put(key, out); n > 0 {
+			e.evicted.Add(n)
+			mCacheEvictions.Add(n)
+		}
+	}
+	if e.disk != nil && cost >= e.persistMin {
+		start := time.Now()
+		if err := e.disk.Put(key, out); err != nil {
+			e.diskWriteErrs.Add(1)
+			mDiskWriteErrs.Inc()
+		} else {
+			e.diskWrites.Add(1)
+			mDiskWrites.Inc()
+		}
+		mDiskSeconds.Observe(time.Since(start).Seconds())
+	}
+}
+
+// coalesced counts and journals a request served by another caller's
+// in-flight evaluation of key.
+func (e *Engine) coalesced(ctx context.Context, key string) {
+	e.deduped.Add(1)
+	mCoalesced.Inc()
+	if j := journal.Default(); j.Enabled() {
+		j.Emit(journal.RunID(ctx), "engine.cache",
+			journal.F("result", "coalesced"), journal.F("key", key))
+	}
 }
 
 // evalSurrogate answers one case from an admitted model, with tier

@@ -4,7 +4,10 @@
 //
 // An Antenna applies an in-plane RF field B(t) = B0·sin(2πft + φ)·env(t)
 // over a small set of cells. Logic values are encoded in the phase, as the
-// paper prescribes: phase 0 for logic 0 and phase π for logic 1.
+// paper prescribes: phase 0 for logic 0 and phase π for logic 1. A phase
+// of π is applied as the exact negation of the logic-0 field, so the
+// drive of a complemented input vector is bit-for-bit the mirror of the
+// original's.
 package excite
 
 import (
@@ -71,8 +74,12 @@ type Antenna struct {
 	Dir   vec.Vector // unit field direction (in-plane for FVSW excitation)
 	B0    float64    // field amplitude, T
 	Freq  float64    // drive frequency, Hz
-	Phase float64    // drive phase, rad (0 = logic 0, π = logic 1)
+	Phase float64    // drive phase trim, rad, on top of the logic encoding
 	Env   Envelope   // amplitude envelope; nil means constant
+
+	// one is the logic level: logic 1 negates the logic-0 field exactly,
+	// which sin(2πft+φ+π) would only do to round-off.
+	one bool
 }
 
 // NewAntenna validates and constructs an antenna.
@@ -109,6 +116,9 @@ func (a *Antenna) AddTo(t float64, B vec.Field) {
 		return
 	}
 	amp := a.B0 * env * math.Sin(2*math.Pi*a.Freq*t+a.Phase)
+	if a.one {
+		amp = -amp
+	}
 	for _, c := range a.Cells {
 		B[c] = B[c].MAdd(amp, a.Dir)
 	}
@@ -119,22 +129,10 @@ func (a *Antenna) AddTo(t float64, B vec.Field) {
 // sparse overlay instead of sweeping the whole mesh.
 func (a *Antenna) SourceCells() []int { return a.Cells }
 
-// SetLogic sets the antenna phase from a logic level: 0 ⇒ phase 0,
-// 1 ⇒ phase π (paper §III-A step (i)).
-func (a *Antenna) SetLogic(level bool) {
-	if level {
-		a.Phase = math.Pi
-	} else {
-		a.Phase = 0
-	}
-}
+// SetLogic sets the logic level (paper §III-A step (i)): 0 ⇒ phase 0,
+// 1 ⇒ phase π, applied as the exact negation of the logic-0 field.
+// Phase, the trim on top of the encoding, is left as it is.
+func (a *Antenna) SetLogic(level bool) { a.one = level }
 
-// Logic returns the logic level encoded by the antenna phase, true when
-// the phase is closer to π than to 0 (mod 2π).
-func (a *Antenna) Logic() bool {
-	p := math.Mod(a.Phase, 2*math.Pi)
-	if p < 0 {
-		p += 2 * math.Pi
-	}
-	return p > math.Pi/2 && p < 3*math.Pi/2
-}
+// Logic returns the logic level the antenna encodes.
+func (a *Antenna) Logic() bool { return a.one }

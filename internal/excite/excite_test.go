@@ -46,13 +46,14 @@ func TestAntennaPhaseEncoding(t *testing.T) {
 	a0, _ := NewAntenna("a0", []int{0}, vec.UnitX, 1e-3, 1e9, 0)
 	a1, _ := NewAntenna("a1", []int{0}, vec.UnitX, 1e-3, 1e9, 0)
 	a1.SetLogic(true)
-	// Logic-1 drive is exactly inverted relative to logic-0 drive.
+	// Logic-1 drive is the exact negation of the logic-0 drive, bit for
+	// bit: the complement symmetry of a whole run rests on it.
 	for _, tt := range []float64{0.1e-9, 0.3e-9, 0.77e-9} {
 		b0 := vec.NewField(1)
 		b1 := vec.NewField(1)
 		a0.AddTo(tt, b0)
 		a1.AddTo(tt, b1)
-		if math.Abs(b0[0].X+b1[0].X) > 1e-15 {
+		if b1[0].X != -b0[0].X {
 			t.Errorf("t=%g: fields not antiphase: %g vs %g", tt, b0[0].X, b1[0].X)
 		}
 	}
@@ -62,6 +63,16 @@ func TestAntennaPhaseEncoding(t *testing.T) {
 	a1.SetLogic(false)
 	if a1.Phase != 0 || a1.Logic() {
 		t.Error("SetLogic(false) wrong")
+	}
+	// A phase trim (the I3 trim) rides on both levels and keeps the
+	// negation exact.
+	a0.Phase, a1.Phase = -1.43, -1.43
+	a1.SetLogic(true)
+	b0, b1 := vec.NewField(1), vec.NewField(1)
+	a0.AddTo(0.3e-9, b0)
+	a1.AddTo(0.3e-9, b1)
+	if b1[0].X != -b0[0].X || !a1.Logic() {
+		t.Errorf("trimmed logic 1 %g is not the negation of logic 0 %g", b1[0].X, b0[0].X)
 	}
 }
 
