@@ -76,18 +76,31 @@ func RunContext(ctx context.Context, b Backend, inputs []bool) (map[string]detec
 	return b.Run(inputs)
 }
 
-// Complementer is implemented by backends that can answer the
-// complemented case ¬c (every input inverted) from the one run of case
-// c. The engine pairs a table's cases through it, so a truth table
-// costs 2ⁿ⁻¹ runs instead of 2ⁿ.
-type Complementer interface {
-	// ComplementExact reports whether RunComplement's ¬c readouts equal a
-	// direct run of ¬c bit for bit. Only then may a caller serve them as
-	// that run's answer.
-	ComplementExact() bool
-	// RunComplement runs case c once and returns its readouts and those
-	// of ¬c.
-	RunComplement(ctx context.Context, inputs []bool) (c, notC map[string]detect.Readout, err error)
+// Symmetric is implemented by backends whose solve has exact
+// symmetries mapping one input case onto others — the complement ¬c
+// (every input inverted) and the mirror image σc (I1↔I2, I4↔I5) on the
+// micromagnetic backend. One run of a case answers its whole orbit; the
+// engine groups a batch's misses through it, so a truth table costs one
+// run per orbit.
+type Symmetric interface {
+	// Orbit returns the cases whose readouts one run of inputs yields
+	// bit for bit, inputs first. Without an exact symmetry it is inputs
+	// alone.
+	Orbit(inputs []bool) [][]bool
+	// HalfDomain reports whether the run of inputs steps only half the
+	// film; the engine starts such runs after the whole-film ones.
+	HalfDomain(inputs []bool) bool
+	// RunOrbit runs inputs once and returns the readouts of every case
+	// of Orbit(inputs), in that order.
+	RunOrbit(ctx context.Context, inputs []bool) ([]map[string]detect.Readout, error)
+}
+
+// MirrorPorter is implemented by backends whose mirror symmetry is
+// exact: MirrorPort returns the mirror partner of an input port and the
+// partner's single-port readouts derived from out, port's own. ok is
+// false when there is no exact mirror or port is its own partner.
+type MirrorPorter interface {
+	MirrorPort(port string, out map[string]detect.Readout) (partner string, mirrored map[string]detect.Readout, ok bool)
 }
 
 // Fingerprinter is implemented by backends whose evaluation is a pure

@@ -22,8 +22,9 @@ func (m *Micromagnetic) restoreFrom(s *llg.Solver, probes map[string]*detect.Pro
 	if man.Inputs != "" && man.Inputs != inputString(inputs) {
 		return fmt.Errorf("core: checkpoint is for inputs %q, this run drives %q", man.Inputs, inputString(inputs))
 	}
-	if st.Mesh.NCells() != m.Mesh.NCells() {
-		return fmt.Errorf("core: checkpoint mesh has %d cells, this backend %d", st.Mesh.NCells(), m.Mesh.NCells())
+	if st.Mesh.NCells() != s.Mesh.NCells() || len(st.M) != s.Mesh.NCells() {
+		return fmt.Errorf("core: checkpoint holds a %d-cell field on a %d-cell mesh, this run steps %d cells (%s)",
+			len(st.M), st.Mesh.NCells(), s.Mesh.NCells(), m.domainName(s))
 	}
 	if err := s.Restore(st.M, man.SimTime, man.Step, man.Dt); err != nil {
 		return err
@@ -38,6 +39,14 @@ func (m *Micromagnetic) restoreFrom(s *llg.Solver, probes map[string]*detect.Pro
 		}
 	}
 	return nil
+}
+
+// domainName names the mesh a solver steps, for error messages.
+func (m *Micromagnetic) domainName(s *llg.Solver) string {
+	if s.Mesh.NCells() == m.Mesh.NCells() {
+		return "the whole film"
+	}
+	return "the mirror half of the film"
 }
 
 // saveCheckpoint commits one snapshot at absolute step abs and journals
@@ -57,7 +66,7 @@ func (m *Micromagnetic) saveCheckpoint(ck checkpoint.Config, s *llg.Solver, prob
 		Trace:       ck.Trace,
 		Probes:      probeStates(probes),
 	}
-	snap, err := checkpoint.Save(ck.Dir, man, m.Mesh, s.M, ck.Keep)
+	snap, err := checkpoint.Save(ck.Dir, man, s.Mesh, s.M, ck.Keep)
 	if err != nil {
 		return fmt.Errorf("core: checkpoint save: %w", err)
 	}

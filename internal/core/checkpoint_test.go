@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"spinwave/internal/checkpoint"
@@ -122,5 +124,77 @@ func TestCheckpointExcludedFromFingerprint(t *testing.T) {
 	fp2, ok2 := ckpt.Fingerprint()
 	if !ok1 || !ok2 || fp1 != fp2 {
 		t.Errorf("fingerprints differ: %q (%t) vs %q (%t)", fp1, ok1, fp2, ok2)
+	}
+}
+
+// TestCheckpointHalfDomainSegments: the mirror-symmetric XOR case 00
+// steps the half mesh; run in three checkpointed segments it reports
+// exactly the readouts of one unsegmented run.
+func TestCheckpointHalfDomainSegments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	inputs := []bool{false, false}
+	golden, err := checkpointedXOR(t, checkpoint.Config{}).Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	base := checkpointedXOR(t, checkpoint.Config{})
+	if !base.HalfDomain(inputs) {
+		t.Fatal("XOR 00 does not step the half mesh")
+	}
+	total := int(base.Duration() / base.Dt())
+	for seg, stop := range []int{total / 3, 2 * total / 3} {
+		m := checkpointedXOR(t, checkpoint.Config{Dir: dir, EverySteps: 500, StopAtStep: stop, Resume: seg > 0})
+		if _, err := m.Run(inputs); !errors.Is(err, checkpoint.ErrPaused) {
+			t.Fatalf("segment %d: %v, want ErrPaused", seg+1, err)
+		}
+		st, err := checkpoint.Latest(dir)
+		if err != nil || st == nil || st.Manifest.Step != stop {
+			t.Fatalf("segment %d: checkpoint %v, %v; want one at step %d", seg+1, st, err, stop)
+		}
+		if n := st.Mesh.NCells(); n != base.mir.half.NCells() {
+			t.Fatalf("segment %d saved a %d-cell mesh, the half mesh has %d", seg+1, n, base.mir.half.NCells())
+		}
+	}
+	resumed, err := checkpointedXOR(t, checkpoint.Config{Dir: dir, EverySteps: 500, Resume: true}).Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed, golden) {
+		t.Fatalf("three segments read %+v, one run %+v", resumed, golden)
+	}
+}
+
+// TestCheckpointDomainMismatch: a checkpoint whose field does not cover
+// the mesh a run steps — a whole-film snapshot offered to a half-mesh
+// run, or the reverse — is refused with an error, not resumed.
+func TestCheckpointDomainMismatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	inputs := []bool{false, false}
+	for _, tc := range []struct {
+		name        string
+		write, read func(*Micromagnetic) *Micromagnetic
+	}{
+		{"full-into-half", fullFilm, func(m *Micromagnetic) *Micromagnetic { return m }},
+		{"half-into-full", func(m *Micromagnetic) *Micromagnetic { return m }, fullFilm},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := checkpointedXOR(t, checkpoint.Config{})
+			total := int(base.Duration() / base.Dt())
+			w := tc.write(checkpointedXOR(t, checkpoint.Config{Dir: dir, StopAtStep: total / 10}))
+			if _, err := w.Run(inputs); !errors.Is(err, checkpoint.ErrPaused) {
+				t.Fatalf("segment run: %v", err)
+			}
+			r := tc.read(checkpointedXOR(t, checkpoint.Config{Dir: dir, Resume: true}))
+			_, err := r.Run(inputs)
+			if err == nil || !strings.Contains(err.Error(), "cells") {
+				t.Fatalf("mismatched checkpoint resumed: %v", err)
+			}
+		})
 	}
 }

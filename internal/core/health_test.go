@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"spinwave/internal/health"
 	"spinwave/internal/journal"
 	"spinwave/internal/obs"
+	"spinwave/internal/probe"
 )
 
 // TestHealthDestabilizedRunE2E is the acceptance end-to-end: a dt
@@ -164,5 +167,45 @@ func TestHealthExcludedFromFingerprint(t *testing.T) {
 	}
 	if mk(WithDtScale(0.5)) == plain {
 		t.Error("DtScale not reflected in the fingerprint")
+	}
+}
+
+// TestHalfDomainObservers: a mirror-symmetric case steps the half mesh,
+// and its observers still see the whole device — the flight recorder
+// publishes O2, sample for sample equal to O1, and the health monitor
+// watching the half mesh returns a healthy verdict.
+func TestHalfDomainObservers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	m, err := NewMicromagnetic(XOR,
+		WithProbes(probe.Config{Enabled: true}),
+		WithHealth(health.Config{Enabled: true, AbortOnCritical: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.HalfDomain([]bool{true, true}) {
+		t.Fatal("XOR 11 does not step the half mesh")
+	}
+	runID := journal.NewRunID()
+	if _, err := m.RunContext(journal.WithRunID(context.Background(), runID), []bool{true, true}); err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := probe.Default().Get(runID)
+	if !ok {
+		t.Fatal("no flight recorder published")
+	}
+	o1, ok1 := rec.Series("O1")
+	o2, ok2 := rec.Series("O2")
+	if !ok1 || !ok2 || len(o1.MX) == 0 {
+		t.Fatalf("recorder holds %v (O1 %v, O2 %v)", rec.Names(), ok1, ok2)
+	}
+	o2.Name = o1.Name
+	if !reflect.DeepEqual(o1, o2) {
+		t.Fatal("half-mesh O2 series differs from O1")
+	}
+	rep, ok := health.Default().Get(runID)
+	if !ok || rep.Verdict != "healthy" || len(rep.Alerts) > 0 {
+		t.Fatalf("health report %+v (published %v), want healthy without alerts", rep, ok)
 	}
 }

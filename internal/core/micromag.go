@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"spinwave/internal/checkpoint"
@@ -146,6 +147,18 @@ type Micromagnetic struct {
 	dt       float64
 	duration float64
 
+	// alpha is the per-cell damping (base plus the absorbers), and
+	// inCells and outCells the antenna and probe footprints by node
+	// name. They are built once, mirror-exact when mir is set: the
+	// damping below the axis copies its image above, a partner's
+	// footprint is the image of its partner's, cell for cell, and a node
+	// on the axis has a symmetric footprint.
+	alpha    []float64
+	inCells  map[string][]int
+	outCells map[string][]int
+	// mir is the exact mirror symmetry (nil without one; see MirrorExact).
+	mir *mirror
+
 	// fp and fpOK cache Fingerprint, a pure function of kind and cfg.
 	// Whatever changes cfg after construction (CalibrateI3) goes through
 	// setI3PhaseTrim, which recomputes them.
@@ -179,7 +192,10 @@ func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, er
 		return nil, err
 	}
 	// Snap the mirror axis onto a cell-center row so the rasterized top
-	// and bottom halves are exact mirror images (O1 ≡ O2 by construction).
+	// and bottom halves are exact mirror images. With the mirror-exact
+	// damping and footprints built below, a run of case (I1, I2, …) is
+	// cell for cell the mirror image of the run of (I2, I1, …), so O1 of
+	// one reads bit for bit what O2 of the other reads (checkMirror).
 	l.AlignAxisToCells(cfg.CellSize)
 	mesh, err := l.Mesh(cfg.CellSize, units.NM(1))
 	if err != nil {
@@ -219,8 +235,78 @@ func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, er
 		dt:       dt,
 		duration: duration,
 	}
+	if cfg.Temperature == 0 && cfg.RegionMutator == nil {
+		m.mir = findMirror(kind, l, mesh, region)
+	}
+	if err := m.buildCells(); err != nil {
+		return nil, err
+	}
 	m.fp, m.fpOK = m.computeFingerprint()
 	return m, nil
+}
+
+// buildCells computes the damping profile and the antenna and probe
+// footprints, mirror-exact when the backend has a mirror symmetry.
+func (m *Micromagnetic) buildCells() error {
+	m.alpha = make([]float64, m.Mesh.NCells())
+	for i := range m.alpha {
+		m.alpha[i] = m.cfg.Mat.Alpha
+	}
+	// Matched terminations at the layout's absorbing ends.
+	ramp := m.cfg.Spec.Tail
+	if ramp <= 0 {
+		ramp = 3 * m.cfg.Spec.Lambda
+	}
+	for _, ti := range m.L.Terminations() {
+		n := m.L.Nodes[ti]
+		llg.AddAbsorber(m.Mesh, m.Region, m.alpha, n.Pos.X, n.Pos.Y, ramp, maxAlpha)
+	}
+	if m.mir != nil {
+		m.mir.mirrorAlpha(m.alpha)
+	}
+
+	// Antennas and probes: a disc of radius w/2 at each node. A node
+	// whose mirror partner has its footprint takes the images of those
+	// cells; a node on the axis (its own partner) a symmetric footprint.
+	rAnt := math.Max(m.cfg.Spec.Width/2, 1.5*m.Mesh.Dx)
+	footprint := func(what, name, partner string, done map[string][]int) error {
+		cells, ok := done[partner]
+		if ok {
+			cells = m.mir.reflectAll(cells)
+		} else {
+			ni, err := m.L.NodeByName(name)
+			if err != nil {
+				return err
+			}
+			if cells = m.nodeCells(m.L.Nodes[ni], rAnt); partner == name {
+				cells = m.mir.symmetrize(cells)
+			}
+		}
+		if len(cells) == 0 {
+			return fmt.Errorf("core: %s %s has no cells", what, name)
+		}
+		done[name] = cells
+		return nil
+	}
+	names := m.kind.InputNames()
+	m.inCells = make(map[string][]int, len(names))
+	for k, name := range names {
+		partner := ""
+		if m.mir != nil {
+			partner = names[m.mir.input[k]]
+		}
+		if err := footprint("antenna", name, partner, m.inCells); err != nil {
+			return err
+		}
+	}
+	m.outCells = make(map[string][]int)
+	for _, oi := range m.L.Outputs() {
+		name := m.L.Nodes[oi].Name
+		if err := footprint("probe", name, m.mir.partnerOutput(name), m.outCells); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Name implements Backend.
@@ -255,42 +341,41 @@ func (m *Micromagnetic) nodeCells(n layout.Node, radius float64) []int {
 
 // newSolver builds a fresh solver with absorbers and the input antennas
 // configured for the given input levels. Inputs whose name appears in
-// mute are left out entirely (used by calibration runs).
-func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool) (*llg.Solver, map[string]*detect.Probe, error) {
+// mute are left out entirely (used by calibration runs). With half set
+// the solver steps the mirror's half mesh (see halfDomain): the antennas
+// keep their cells at or above the axis, and each probe reads its
+// cells' images there.
+func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool, half bool) (*llg.Solver, map[string]*detect.Probe, error) {
 	names := m.kind.InputNames()
 	if err := checkInputs(m.kind, inputs); err != nil {
 		return nil, nil, err
 	}
-	s, err := llg.New(m.Mesh, m.Region, m.cfg.Mat, m.dt)
+	mesh, region, off := m.Mesh, m.Region, 0
+	if half {
+		mesh, off = m.mir.half, m.mir.off
+		region = m.Region[off:]
+	}
+	s, err := llg.New(mesh, region, m.cfg.Mat, m.dt)
 	if err != nil {
 		return nil, nil, err
 	}
 	s.Scheme = m.cfg.Scheme
 	s.SetWorkers(m.cfg.Workers)
-
-	// Matched terminations at the layout's absorbing ends.
-	ramp := m.cfg.Spec.Tail
-	if ramp <= 0 {
-		ramp = 3 * m.cfg.Spec.Lambda
-	}
-	for _, ti := range m.L.Terminations() {
-		n := m.L.Nodes[ti]
-		s.AddAbsorberTowards(n.Pos.X, n.Pos.Y, ramp, maxAlpha)
+	copy(s.Alpha, m.alpha[off:])
+	s.InvalidatePrep()
+	if half {
+		s.SetMirrorBoundary()
 	}
 
-	// Input antennas: a disc of radius w/2 at each input node end.
-	rAnt := math.Max(m.cfg.Spec.Width/2, 1.5*m.Mesh.Dx)
 	for i, name := range names {
 		if mute[name] {
 			continue
 		}
-		ni, err := m.L.NodeByName(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		cells := m.nodeCells(m.L.Nodes[ni], rAnt)
-		if len(cells) == 0 {
-			return nil, nil, fmt.Errorf("core: antenna %s has no cells", name)
+		cells := m.inCells[name]
+		if half {
+			if cells = m.mir.sourceCells(cells); len(cells) == 0 {
+				continue // wholly below the axis: its image drives the half
+			}
 		}
 		ant, err := excite.NewAntenna(name, cells, vec.UnitX, m.cfg.DriveField, m.Freq, 0)
 		if err != nil {
@@ -304,7 +389,8 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool) (*llg.Sol
 		s.Eval.Sources = append(s.Eval.Sources, ant)
 	}
 
-	// Thermal field, if requested.
+	// Thermal field, if requested (never on the half mesh: a thermal
+	// backend has no mirror).
 	if m.cfg.Temperature > 0 {
 		th, err := thermal.New(m.Mesh, m.Region, m.cfg.Mat, m.cfg.Temperature, m.dt, m.cfg.Seed)
 		if err != nil {
@@ -314,20 +400,24 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool) (*llg.Sol
 	}
 
 	// Output probes.
-	probes := make(map[string]*detect.Probe)
-	for _, oi := range m.L.Outputs() {
-		n := m.L.Nodes[oi]
-		cells := m.nodeCells(n, rAnt)
-		if len(cells) == 0 {
-			return nil, nil, fmt.Errorf("core: probe %s has no cells", n.Name)
+	probes := make(map[string]*detect.Probe, len(m.outCells))
+	for name, cells := range m.outCells {
+		if half {
+			cells = m.mir.probeCells(cells)
 		}
-		p, err := detect.NewProbe(n.Name, cells)
+		p, err := detect.NewProbe(name, cells)
 		if err != nil {
 			return nil, nil, err
 		}
-		probes[n.Name] = p
+		probes[name] = p
 	}
 	return s, probes, nil
+}
+
+// halfDomain reports whether a drive is mirror-symmetric on a backend
+// with an exact mirror, so its run steps only the half mesh.
+func (m *Micromagnetic) halfDomain(inputs []bool, mute map[string]bool) bool {
+	return m.mir != nil && len(inputs) == len(m.mir.input) && m.mir.symmetric(inputs, m.kind.InputNames(), mute)
 }
 
 // Run implements Backend: a full transient simulation per case.
@@ -344,31 +434,108 @@ func (m *Micromagnetic) RunContext(ctx context.Context, inputs []bool) (map[stri
 	return out, err
 }
 
-// ComplementExact implements Complementer. Logic 1 is the antenna phase
-// π, applied as the exact negation of the logic-0 drive, so complementing
-// every input negates every drive field. The film's LLG has exchange,
-// local thin-film demag, anisotropy along z, no bias field and no DMI:
-// each term maps m rotated by π about z, (−mx, −my, mz), to the field
-// rotated the same way, and IEEE negation commutes with every sum and
-// product of them. Case ¬c is then case c with mx and my negated at
-// every step, bit for bit. A thermal field does not change sign with the
-// drive and an easy axis off z does not commute with the rotation;
-// either breaks the pairing.
+// ComplementExact reports whether the complement symmetry is exact.
+// Logic 1 is the antenna phase π, applied as the exact negation of the
+// logic-0 drive, so complementing every input negates every drive field.
+// The film's LLG has exchange, local thin-film demag, anisotropy along
+// z, no bias field and no DMI: each term maps m rotated by π about z,
+// (−mx, −my, mz), to the field rotated the same way, and IEEE negation
+// commutes with every sum and product of them. Case ¬c is then case c
+// with mx and my negated at every step, bit for bit. A thermal field
+// does not change sign with the drive and an easy axis off z does not
+// commute with the rotation; either breaks the pairing.
 func (m *Micromagnetic) ComplementExact() bool {
 	u := m.cfg.Mat.AnisU
 	return m.cfg.Temperature == 0 && u.X == 0 && u.Y == 0
 }
 
-// RunComplement implements Complementer: it runs case c once and locks
-// in on the same probes' negated mx series as ¬c's readouts. Detrend and
-// Goertzel see exactly the series a direct run of ¬c records, so the
-// derived readouts equal that run's bit for bit. It refuses a backend
-// whose pairing is inexact (ComplementExact).
-func (m *Micromagnetic) RunComplement(ctx context.Context, inputs []bool) (c, notC map[string]detect.Readout, err error) {
-	if !m.ComplementExact() {
-		return nil, nil, fmt.Errorf("core: %s complement pairing is inexact with a thermal field or a tilted easy axis", m.kind)
+// MirrorExact reports whether the mirror symmetry about the gate's axis
+// is exact: the run of a case is, cell for cell, the mirror image of the
+// run of the case with I1↔I2 (and I4↔I5) swapped. It holds at zero
+// temperature, without a RegionMutator, when the rasterized film and the
+// node set were found mirror-symmetric at construction. Every field term
+// is local or the isotropic exchange, whose two vertical neighbors are
+// summed as one commutative pair, so a tilted easy axis keeps it.
+func (m *Micromagnetic) MirrorExact() bool { return m.mir != nil }
+
+// Orbit implements Symmetric: case c, then ¬c when the complement is
+// exact, then the mirror image σc and ¬σc when the mirror is, without
+// repeats.
+func (m *Micromagnetic) Orbit(inputs []bool) [][]bool {
+	orbit := [][]bool{inputs}
+	add := func(c []bool) {
+		if !slices.ContainsFunc(orbit, func(o []bool) bool { return slices.Equal(o, c) }) {
+			orbit = append(orbit, c)
+		}
 	}
-	return m.run(ctx, inputs, nil, true)
+	comp := m.ComplementExact()
+	if comp {
+		add(complementInputs(inputs))
+	}
+	if m.mir != nil && len(inputs) == len(m.mir.input) {
+		sc := m.mir.swapInputs(inputs)
+		add(sc)
+		if comp {
+			add(complementInputs(sc))
+		}
+	}
+	return orbit
+}
+
+// HalfDomain implements Symmetric: a mirror-symmetric case (I1 = I2,
+// and I4 = I5 on MAJ5) steps only the half mesh.
+func (m *Micromagnetic) HalfDomain(inputs []bool) bool { return m.halfDomain(inputs, nil) }
+
+// RunOrbit implements Symmetric: it runs case c once and derives the
+// rest of Orbit(c). ¬c's readouts are the lock-in of the same probes'
+// negated mx series, which Detrend and Goertzel see exactly as a direct
+// run of ¬c records them; σc's are c's with every output reading its
+// partner's, the probes of a partner pair listing image cells in the
+// same order. Each equals a direct run bit for bit.
+func (m *Micromagnetic) RunOrbit(ctx context.Context, inputs []bool) ([]map[string]detect.Readout, error) {
+	if err := checkInputs(m.kind, inputs); err != nil {
+		return nil, err
+	}
+	orbit := m.Orbit(inputs)
+	comp, not := m.ComplementExact(), complementInputs(inputs)
+	out, notOut, err := m.run(ctx, inputs, nil, comp && len(orbit) > 1)
+	if err != nil {
+		return nil, err
+	}
+	res := make([]map[string]detect.Readout, len(orbit))
+	res[0] = out
+	for k, c := range orbit[1:] {
+		switch {
+		case comp && slices.Equal(c, not):
+			res[k+1] = notOut
+		case slices.Equal(c, m.mir.swapInputs(inputs)):
+			res[k+1] = m.mir.swapReadouts(out)
+		default: // ¬σc
+			res[k+1] = m.mir.swapReadouts(notOut)
+		}
+	}
+	return res, nil
+}
+
+// MirrorPort implements MirrorPorter: with an exact mirror, the
+// single-port run of port's partner reads port's readouts with every
+// output reading its partner's.
+func (m *Micromagnetic) MirrorPort(port string, out map[string]detect.Readout) (string, map[string]detect.Readout, bool) {
+	names := m.kind.InputNames()
+	k := slices.Index(names, port)
+	if m.mir == nil || k < 0 || m.mir.input[k] == k {
+		return "", nil, false
+	}
+	return names[m.mir.input[k]], m.mir.swapReadouts(out), true
+}
+
+// complementInputs returns the input vector with every bit inverted.
+func complementInputs(inputs []bool) []bool {
+	out := make([]bool, len(inputs))
+	for i, v := range inputs {
+		out[i] = !v
+	}
+	return out
 }
 
 // Fingerprint implements Fingerprinter: a canonical hash of the gate
@@ -510,10 +677,11 @@ func (m *Micromagnetic) newRecorder(s *llg.Solver, probes map[string]*detect.Pro
 	return probe.NewRecorder(pc, s.Eval, points)
 }
 
-// run simulates one case and locks in on its output probes. With mirror
-// set it also returns the lock-in of the negated probe series: the
-// readouts of the complemented case (see RunComplement).
-func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]bool, mirror bool) (out, mirrored map[string]detect.Readout, err error) {
+// run simulates one case and locks in on its output probes; a
+// mirror-symmetric drive steps only the half mesh. With complement set
+// it also returns the lock-in of the negated probe series: the readouts
+// of the complemented case (see RunOrbit).
+func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]bool, complement bool) (out, notOut map[string]detect.Readout, err error) {
 	// One run ID correlates this run's journal events, span labels and
 	// log lines; the engine propagates its eval ID down via the context.
 	runID := journal.RunID(ctx)
@@ -522,6 +690,7 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 	}
 	j := journal.Default()
 	gateL, runL := obs.L("gate", m.kind.String()), obs.L("run", runID)
+	half := m.halfDomain(inputs, mute)
 	if j.Enabled() {
 		fields := []journal.Field{
 			journal.F("gate", m.kind.String()),
@@ -531,6 +700,7 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 			journal.F("freq_hz", m.Freq),
 			journal.F("workers", m.cfg.Workers),
 			journal.F("probes", m.cfg.Probes.Enabled),
+			journal.F("half_domain", half),
 		}
 		if fp, ok := m.Fingerprint(); ok {
 			fields = append(fields, journal.F("fingerprint", fp))
@@ -543,7 +713,7 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 	}
 
 	setup := obs.StartSpan("micromag.setup", gateL, runL)
-	s, probes, err := m.newSolver(inputs, mute)
+	s, probes, err := m.newSolver(inputs, mute, half)
 	setup.End()
 	if err != nil {
 		return fail(err)
@@ -565,7 +735,7 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 	}
 	var mon *health.Monitor
 	if m.cfg.Health.Enabled {
-		mon = health.NewMonitor(m.cfg.Health, m.Region, runID,
+		mon = health.NewMonitor(m.cfg.Health, s.Region, runID,
 			health.WithEvaluator(s.Eval),
 			health.WithDriven(len(s.Eval.Sources) > 0))
 		observers = append(observers, mon)
@@ -672,8 +842,8 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 		journal.F("freq_hz", m.Freq),
 		journal.F("periods", m.cfg.MeasurePeriods))
 	out = make(map[string]detect.Readout, len(probes))
-	if mirror {
-		mirrored = make(map[string]detect.Readout, len(probes))
+	if complement {
+		notOut = make(map[string]detect.Readout, len(probes))
 	}
 	for name, p := range probes {
 		r, err := p.LockIn(m.Freq, m.cfg.MeasurePeriods)
@@ -681,8 +851,8 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 			return fail(err)
 		}
 		out[name] = r
-		if mirror {
-			if mirrored[name], err = p.Mirror().LockIn(m.Freq, m.cfg.MeasurePeriods); err != nil {
+		if complement {
+			if notOut[name], err = p.Mirror().LockIn(m.Freq, m.cfg.MeasurePeriods); err != nil {
 				return fail(err)
 			}
 		}
@@ -701,14 +871,14 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 		}
 		j.Emit(runID, "run.complete", fields...)
 	}
-	return out, mirrored, nil
+	return out, notOut, nil
 }
 
-// Snapshot runs the case and returns the final magnetization field along
-// with the mesh and material region — the raw material for the Figure 5
-// panels.
+// Snapshot runs the case on the whole film and returns the final
+// magnetization field along with the mesh and material region — the raw
+// material for the Figure 5 panels.
 func (m *Micromagnetic) Snapshot(inputs []bool) (vec.Field, grid.Mesh, grid.Region, error) {
-	s, _, err := m.newSolver(inputs, nil)
+	s, _, err := m.newSolver(inputs, nil, false)
 	if err != nil {
 		return nil, grid.Mesh{}, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -29,6 +30,22 @@ func micromagFor(t *testing.T, kind core.GateKind, opts ...core.MicromagOption) 
 	return m
 }
 
+// derivedFrom maps each derived case of the reduced XOR and MAJ3 tables
+// to its orbit's run case and the tier it journals.
+var derivedFrom = map[string][2]string{
+	"11": {"00", "complement"}, "10": {"01", "complement"},
+	"111": {"000", "complement"}, "110": {"001", "complement"},
+	"101": {"010", "complement"}, "100": {"010", "mirror"}, "011": {"010", "mirror"},
+}
+
+func bitsOf(s string) []bool {
+	out := make([]bool, len(s))
+	for i := range s {
+		out[i] = s[i] == '1'
+	}
+	return out
+}
+
 func caseKey(t *testing.T, b core.Backend, inputs []bool) string {
 	t.Helper()
 	fp, ok := b.(core.Fingerprinter).Fingerprint()
@@ -39,25 +56,27 @@ func caseKey(t *testing.T, b core.Backend, inputs []bool) string {
 }
 
 // TestEvalBatchPairsComplements runs the reduced XOR and MAJ3 tables
-// through EvalBatch: 2ⁿ⁻¹ solver runs answer all 2ⁿ cases, the results
-// equal per-case EvalTiered on a cache-less engine (2ⁿ runs) exactly,
-// both keys of every pair land in memory and on disk, a later eval of a
-// derived case is a cache hit, and each derived case journals its
-// complement provenance under its own run ID.
+// through EvalBatch: one solver run per orbit answers all 2ⁿ cases (2 on
+// XOR: 00 on the half film, 01 on the whole; 3 on MAJ3: 010 on the
+// whole film, 000 and 001 on the half), the results equal per-case
+// EvalTiered on a cache-less engine (2ⁿ runs) exactly, every key lands
+// in memory and on disk, a later eval of a derived case is a cache hit,
+// and each derived case journals its complement or mirror provenance
+// under its own run ID.
 func TestEvalBatchPairsComplements(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		kind core.GateKind
-		opts []core.MicromagOption
+		name                        string
+		kind                        core.GateKind
+		opts                        []core.MicromagOption
+		solves, complements, mirror int64
 	}{
-		{"xor", core.XOR, nil},
-		{"maj3", core.MAJ3, []core.MicromagOption{core.WithI3PhaseTrim(reducedMAJ3Trim)}},
+		{"xor", core.XOR, nil, 2, 2, 0},
+		{"maj3", core.MAJ3, []core.MicromagOption{core.WithI3PhaseTrim(reducedMAJ3Trim)}, 3, 3, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := micromagFor(t, tc.kind, tc.opts...)
 			ctx := context.Background()
 			cases := core.EnumerateInputs(tc.kind.NumInputs())
-			half := int64(len(cases) / 2)
 
 			ds, err := OpenDiskStore(t.TempDir())
 			if err != nil {
@@ -74,9 +93,9 @@ func TestEvalBatchPairsComplements(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := e.Stats(); s.Evals != half || s.Complements != half {
-				t.Fatalf("table of %d cases: %d solver runs and %d complements, want %d of each",
-					len(cases), s.Evals, s.Complements, half)
+			if s := e.Stats(); s.Evals != tc.solves || s.Complements != tc.complements || s.Mirrors != tc.mirror {
+				t.Fatalf("table of %d cases: %d solver runs, %d complements and %d mirrors, want %d, %d and %d",
+					len(cases), s.Evals, s.Complements, s.Mirrors, tc.solves, tc.complements, tc.mirror)
 			}
 
 			direct := New(WithWorkers(2), WithCacheSize(0))
@@ -101,20 +120,21 @@ func TestEvalBatchPairsComplements(t *testing.T) {
 				if v, ok := ds.Get(key); !ok || !reflect.DeepEqual(v, got[i].Readouts) {
 					t.Errorf("case %v: disk tier holds %v (ok=%v)", in, v, ok)
 				}
-				if !in[0] {
+				// A derived case: its run ID carries only the complement or
+				// mirror tier event, naming its partner's key and run. The
+				// run of each orbit is its member with the smallest bits.
+				partner, tier := derivedFrom[string(appendBits(nil, in))][0], derivedFrom[string(appendBits(nil, in))][1]
+				if partner == "" {
 					continue
 				}
-				// A derived case: its run ID carries only the complement tier
-				// event, naming its partner's key and run.
-				not := complement(in)
 				evs := ring.EventsFor(runIDs[i])
 				if len(evs) == 0 {
 					t.Fatalf("case %v journaled nothing", in)
 				}
 				last := evs[len(evs)-1]
-				if last.Name != "engine.tier" || last.Fields["tier"] != "complement" || last.Fields["result"] != "hit" ||
-					last.Fields["key"] != key || last.Fields["partner_key"] != caseKey(t, m, not) ||
-					last.Fields["partner_run"] != "pair-"+tc.name+"-"+string(appendBits(nil, not)) {
+				if last.Name != "engine.tier" || last.Fields["tier"] != tier || last.Fields["result"] != "hit" ||
+					last.Fields["key"] != key || last.Fields["partner_key"] != caseKey(t, m, bitsOf(partner)) ||
+					last.Fields["partner_run"] != "pair-"+tc.name+"-"+partner {
 					t.Errorf("case %v ends its journal on %s %v", in, last.Name, last.Fields)
 				}
 			}
@@ -124,7 +144,7 @@ func TestEvalBatchPairsComplements(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Source != SourceCache || e.Stats().Evals != half {
+			if res.Source != SourceCache || e.Stats().Evals != tc.solves {
 				t.Fatalf("derived case %v re-evaluated: source %s, %d solves", allOnes, res.Source, e.Stats().Evals)
 			}
 		})
@@ -181,54 +201,98 @@ func TestEvalBatchThermalRunsEveryCase(t *testing.T) {
 	}
 }
 
-// TestPairMisses pins the grouping rule on input bits alone: a pair
-// runs from its member whose first input is 0, whatever the batch
-// order; a miss without its complement in the batch runs alone; a
-// backend without an exact pairing never groups.
+// TestPairMisses pins the grouping rule on input bits alone: the misses
+// of one orbit run from the member with the smallest bits, whatever the
+// batch order; a miss alone in its orbit runs alone; whole-film jobs come
+// before half-film ones; a backend without symmetries never groups.
 func TestPairMisses(t *testing.T) {
-	cases := [][]bool{{true, true}, {false, true}, {false, false}, {true, false}}
-	paired := plan{pair: &core.Micromagnetic{}}
-	got := paired.pairMisses(cases, []int{0, 1, 2})
-	want := []missJob{{run: 2, derived: 0}, {run: 1, derived: -1}}
+	sym := plan{sym: fakeSymmetric{newFakeXOR("group", 0)}}
+	xor := [][]bool{{true, true}, {false, true}, {false, false}, {true, false}}
+	got := sym.groupMisses(xor, []int{0, 1, 2})
+	want := []missJob{{run: 1}, {run: 2, derived: []int{0}, half: true}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("paired jobs %+v, want %+v", got, want)
+		t.Fatalf("xor jobs %+v, want %+v", got, want)
 	}
-	got = paired.pairMisses(cases, []int{0, 1, 2, 3})
-	want = []missJob{{run: 2, derived: 0}, {run: 1, derived: 3}}
+	got = sym.groupMisses(xor, []int{0, 1, 2, 3})
+	want = []missJob{{run: 1, derived: []int{3}}, {run: 2, derived: []int{0}, half: true}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("paired jobs %+v, want %+v", got, want)
+		t.Fatalf("xor jobs %+v, want %+v", got, want)
 	}
-	var unpaired plan
-	got = unpaired.pairMisses(cases, []int{0, 2})
-	want = []missJob{{run: 0, derived: -1}, {run: 2, derived: -1}}
+	maj3 := core.EnumerateInputs(3)
+	all := make([]int, len(maj3))
+	for i := range all {
+		all[i] = len(maj3) - 1 - i // the table backwards
+	}
+	got = sym.groupMisses(maj3, all)
+	want = []missJob{ // case c has inputs[b] = bit b of c
+		{run: 2, derived: []int{5, 6, 1}},       // 010 answers 101, 011, 100
+		{run: 0, derived: []int{7}, half: true}, // 000 answers 111
+		{run: 4, derived: []int{3}, half: true}, // 001 answers 110
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("unpaired jobs %+v, want %+v", got, want)
+		t.Fatalf("maj3 jobs %+v, want %+v", got, want)
+	}
+	var plain plan
+	got = plain.groupMisses(xor, []int{0, 2})
+	want = []missJob{{run: 0}, {run: 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("plain jobs %+v, want %+v", got, want)
 	}
 }
 
-// fakeComplementer is a fakeBackend whose complement pairing is exact:
-// RunComplement is one counted run answering both cases.
-type fakeComplementer struct{ *fakeBackend }
+// fakeSymmetric is a fakeBackend with the micromagnetic backend's
+// orbits: complement, and the swap of the first two inputs. RunOrbit is
+// one counted run; a derived case reads the run's readouts with its
+// phase negated (complement) or its O1 and O2 swapped (mirror). Cases
+// with equal first inputs are half-film runs.
+type fakeSymmetric struct{ *fakeBackend }
 
-func (f fakeComplementer) ComplementExact() bool { return true }
-
-func (f fakeComplementer) RunComplement(ctx context.Context, inputs []bool) (c, notC map[string]detect.Readout, err error) {
-	if c, err = f.Run(inputs); err != nil {
-		return nil, nil, err
-	}
-	notC = make(map[string]detect.Readout, len(c))
-	for k, v := range c {
-		v.Phase = -v.Phase
-		notC[k] = v
-	}
-	return c, notC, nil
+func (f fakeSymmetric) swap(in []bool) []bool {
+	out := append([]bool(nil), in...)
+	out[0], out[1] = in[1], in[0]
+	return out
 }
 
-// TestEvalBatchPairCoalesces: concurrent batches of the same pair share
-// runs through the pair singleflight, whatever order each batch lists
+func (f fakeSymmetric) Orbit(in []bool) [][]bool {
+	orbit := [][]bool{in}
+	for _, c := range [][]bool{complement(in), f.swap(in), complement(f.swap(in))} {
+		if !slices.ContainsFunc(orbit, func(o []bool) bool { return slices.Equal(o, c) }) {
+			orbit = append(orbit, c)
+		}
+	}
+	return orbit
+}
+
+func (f fakeSymmetric) HalfDomain(in []bool) bool { return in[0] == in[1] }
+
+func (f fakeSymmetric) RunOrbit(ctx context.Context, in []bool) ([]map[string]detect.Readout, error) {
+	out, err := f.Run(in)
+	if err != nil {
+		return nil, err
+	}
+	orbit := f.Orbit(in)
+	res := make([]map[string]detect.Readout, len(orbit))
+	for k, c := range orbit {
+		r := make(map[string]detect.Readout, len(out))
+		for name, v := range out {
+			if !slices.Equal(c, in) && (slices.Equal(c, complement(in)) || slices.Equal(c, complement(f.swap(in)))) {
+				v.Phase = -v.Phase
+			}
+			if (slices.Equal(c, f.swap(in)) || slices.Equal(c, complement(f.swap(in)))) && !slices.Equal(c, complement(in)) {
+				name = map[string]string{"O1": "O2", "O2": "O1"}[name]
+			}
+			r[name] = v
+		}
+		res[k] = r
+	}
+	return res, nil
+}
+
+// TestEvalBatchPairCoalesces: concurrent batches of the same orbit share
+// runs through the orbit singleflight, whatever order each batch lists
 // the two cases in, and every caller gets both answers.
 func TestEvalBatchPairCoalesces(t *testing.T) {
-	b := fakeComplementer{newFakeXOR("pairflight", 50*time.Millisecond)}
+	b := fakeSymmetric{newFakeXOR("pairflight", 50*time.Millisecond)}
 	e := New(WithWorkers(4), WithCacheSize(0))
 	var wg sync.WaitGroup
 	results := make([][]EvalResult, 8)
@@ -259,9 +323,56 @@ func TestEvalBatchPairCoalesces(t *testing.T) {
 	}
 	runs := b.runs.Load()
 	if runs >= int64(len(results)) {
-		t.Fatalf("no coalescing: %d runs for %d concurrent batches of one pair", runs, len(results))
+		t.Fatalf("no coalescing: %d runs for %d concurrent batches of one orbit", runs, len(results))
 	}
 	if s := e.Stats(); s.Evals != runs || s.Deduped+runs != int64(len(results)) || s.Complements != int64(len(results)) {
 		t.Fatalf("%d runs: evals %d, coalesced %d, complements %d", runs, s.Evals, s.Deduped, s.Complements)
+	}
+}
+
+// orderedSymmetric is a fakeSymmetric that records the order its runs
+// start in.
+type orderedSymmetric struct {
+	fakeSymmetric
+	mu     *sync.Mutex
+	starts *[]string
+}
+
+func (f orderedSymmetric) RunOrbit(ctx context.Context, in []bool) ([]map[string]detect.Readout, error) {
+	f.mu.Lock()
+	*f.starts = append(*f.starts, string(appendBits(nil, in)))
+	f.mu.Unlock()
+	return f.fakeSymmetric.RunOrbit(ctx, in)
+}
+
+// TestEvalBatchStartsWholeFilmFirst: a MAJ3-shaped table on a one-slot
+// engine runs its whole-film orbit before the two half-film ones, every
+// time, and on two slots the whole-film run takes a slot first.
+func TestEvalBatchStartsWholeFilmFirst(t *testing.T) {
+	cases := core.EnumerateInputs(3)
+	for _, workers := range []int{1, 2} {
+		for rep := 0; rep < 20; rep++ {
+			var mu sync.Mutex
+			var starts []string
+			fake := newFakeXOR("order", time.Millisecond)
+			fake.gate = func([]bool) (map[string]detect.Readout, error) {
+				r := detect.Readout{Amplitude: 1}
+				return map[string]detect.Readout{"O1": r, "O2": r}, nil
+			}
+			b := orderedSymmetric{fakeSymmetric{fake}, &mu, &starts}
+			e := New(WithWorkers(workers), WithCacheSize(0))
+			if _, err := e.EvalBatch(context.Background(), b, cases, ModeDirect, nil); err != nil {
+				t.Fatal(err)
+			}
+			if len(starts) != 3 || starts[0] != "010" {
+				t.Fatalf("%d workers: runs started %v, want 010 first of 3", workers, starts)
+			}
+			if workers == 1 && (starts[1] != "000" || starts[2] != "001") {
+				t.Fatalf("one worker: runs started %v, want 010 000 001", starts)
+			}
+			if s := e.Stats(); s.Evals != 3 || s.Complements != 3 || s.Mirrors != 2 {
+				t.Fatalf("%d workers: %+v", workers, s)
+			}
+		}
 	}
 }

@@ -3,8 +3,9 @@
 // bounded worker pool, plumbs context cancellation through to the LLG
 // step loop, memoizes readouts in an LRU cache keyed by a canonical
 // backend fingerprint, de-duplicates identical in-flight requests
-// with singleflight, and answers each complemented case of a batch from
-// its partner's run where the backend's pairing is exact.
+// with singleflight, and answers the complemented and mirrored cases of
+// a batch from one run of their orbit where the backend's symmetries are
+// exact.
 //
 // Two separate semaphores bound the work:
 //
@@ -77,8 +78,8 @@ type Engine struct {
 	taskSlots  chan struct{}
 	cache      *lruCache // nil when caching is disabled
 	flight     group[map[string]detect.Readout]
-	pairs      group[pairRun] // complement pairs, keyed by the run case's key
-	disk       *DiskStore     // nil when the persistent tier is disabled
+	orbits     group[orbitRun] // orbit runs, keyed by the run case's key
+	disk       *DiskStore      // nil when the persistent tier is disabled
 	persistMin time.Duration
 
 	surrMu     sync.RWMutex
@@ -106,6 +107,7 @@ type Engine struct {
 	surrAdmitted  atomic.Int64
 	surrRejected  atomic.Int64
 	complements   atomic.Int64
+	mirrors       atomic.Int64
 }
 
 // New builds an engine with the given options.
@@ -165,6 +167,7 @@ type Stats struct {
 	SurrogateModels   int   // admitted models currently registered
 
 	Complements int64 // cases answered from their complement partner's run
+	Mirrors     int64 // cases answered from their mirror partner's run
 }
 
 // MeanLatency returns the average evaluation wall-clock time.
@@ -203,6 +206,7 @@ func (e *Engine) Stats() Stats {
 		SurrogateRejected: e.surrRejected.Load(),
 
 		Complements: e.complements.Load(),
+		Mirrors:     e.mirrors.Load(),
 	}
 	if e.cache != nil {
 		s.CacheEntries = e.cache.len()
@@ -258,10 +262,13 @@ func (e *Engine) runEval(ctx context.Context, b core.Backend, inputs []bool) (ma
 }
 
 // inSlot runs one evaluation of the case, run, in an eval slot with
-// runEval's run ID, profiling label, counters and journal events. A
-// complement pair is one evaluation: run answers both of its cases.
+// runEval's run ID, profiling label, counters and journal events. An
+// orbit is one evaluation: run answers all of its cases. Once the slot
+// is taken (or the wait failed), the next job of ctx's batch may ask.
 func (e *Engine) inSlot(ctx context.Context, b core.Backend, inputs []bool, run func(context.Context) error) error {
-	if err := e.acquire(ctx, e.evalSlots); err != nil {
+	err := e.acquire(ctx, e.evalSlots)
+	passTurn(ctx)
+	if err != nil {
 		e.cancelled.Add(1)
 		mEvalsCancelled.Inc()
 		return err
@@ -285,7 +292,6 @@ func (e *Engine) inSlot(ctx context.Context, b core.Backend, inputs []bool, run 
 			journal.F("inputs", string(appendBits(nil, inputs))))
 	}
 	start := time.Now()
-	var err error
 	pprof.Do(ctx, pprof.Labels("engine", "eval", "run", evalID), func(ctx context.Context) {
 		err = run(ctx)
 	})
@@ -417,8 +423,10 @@ func (e *Engine) Map(ctx context.Context, n int, f func(ctx context.Context, i i
 
 // fanout runs f(ctx, i) for every i in [0, n) on its own goroutine —
 // concurrency here is bounded by what f itself acquires (eval slots),
-// not by the task pool. The first error cancels the rest. EvalBatch
-// uses it for the cases no tier answered.
+// not by the task pool. Calls ask for eval slots in index order: call i
+// starts once call i−1 has taken a slot, joined another caller's
+// in-flight run, or returned. The first error cancels the rest.
+// EvalBatch uses it for the cases no tier answered.
 func (e *Engine) fanout(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -428,14 +436,24 @@ func (e *Engine) fanout(ctx context.Context, n int, f func(ctx context.Context, 
 		mu       sync.Mutex
 		firstErr error
 	)
+	prev := make(chan struct{})
+	close(prev)
 	for i := 0; i < n; i++ {
+		t := &turn{next: make(chan struct{})}
+		wait := prev
+		prev = t.next
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer t.pass()
+			select {
+			case <-wait:
+			case <-ctx.Done():
+			}
 			if ctx.Err() != nil {
 				return
 			}
-			if err := f(ctx, i); err != nil {
+			if err := f(context.WithValue(ctx, turnKey{}, t), i); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
@@ -452,6 +470,25 @@ func (e *Engine) fanout(ctx context.Context, n int, f func(ctx context.Context, 
 		return firstErr
 	}
 	return parent.Err()
+}
+
+// turn orders a fanout's calls onto the eval slots: it is passed once
+// its call has taken a slot, joined another caller's in-flight run, or
+// returned, and the next call waits for that.
+type turn struct {
+	once sync.Once
+	next chan struct{}
+}
+
+func (t *turn) pass() { t.once.Do(func() { close(t.next) }) }
+
+type turnKey struct{}
+
+// passTurn lets the next call of ctx's fanout ask for an eval slot.
+func passTurn(ctx context.Context) {
+	if t, ok := ctx.Value(turnKey{}).(*turn); ok {
+		t.pass()
+	}
 }
 
 // cloneReadouts copies a readout map so cached values stay immutable.

@@ -40,6 +40,7 @@ var (
 	mAdmissionsOK       *obs.Counter
 	mAdmissionsRejected *obs.Counter
 	mComplements        *obs.Counter
+	mMirrors            *obs.Counter
 )
 
 func initMetrics() {
@@ -90,5 +91,7 @@ func initMetrics() {
 		mAdmissionsRejected = r.Counter("spinwave_engine_surrogate_admissions_total", obs.L("verdict", "rejected"))
 		r.Describe("spinwave_engine_complements_total", "cases answered from their complement partner's run")
 		mComplements = r.Counter("spinwave_engine_complements_total")
+		r.Describe("spinwave_engine_mirrors_total", "cases answered from their mirror partner's run")
+		mMirrors = r.Counter("spinwave_engine_mirrors_total")
 	})
 }

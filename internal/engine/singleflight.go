@@ -32,6 +32,7 @@ func (g *group[V]) do(ctx context.Context, key string, fn func() (V, error)) (va
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
+		passTurn(ctx) // a follower takes no eval slot
 		select {
 		case <-c.done:
 			return c.val, c.err, true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"spinwave/internal/core"
@@ -162,11 +163,11 @@ func (e *Engine) Surrogates() []string {
 type plan struct {
 	b         core.Backend
 	mode      Mode
-	src       Source            // what a recompute on b reports
-	fp        string            // canonical fingerprint (when cacheable)
-	cacheable bool              // b is fingerprintable: results may be stored and coalesced
-	sur       Surrogate         // admitted model for fp (auto and surrogate modes only)
-	pair      core.Complementer // b, when its complement pairing is exact
+	src       Source         // what a recompute on b reports
+	fp        string         // canonical fingerprint (when cacheable)
+	cacheable bool           // b is fingerprintable: results may be stored and coalesced
+	sur       Surrogate      // admitted model for fp (auto and surrogate modes only)
+	sym       core.Symmetric // b, when one run answers a case's orbit
 }
 
 func (e *Engine) plan(b core.Backend, mode Mode) (plan, error) {
@@ -184,9 +185,7 @@ func (e *Engine) plan(b core.Backend, mode Mode) (plan, error) {
 	if p.cacheable && mode != ModeDirect {
 		p.sur, _ = e.SurrogateFor(p.fp)
 	}
-	if c, ok := b.(core.Complementer); ok && c.ComplementExact() {
-		p.pair = c
-	}
+	p.sym, _ = b.(core.Symmetric)
 	return p, nil
 }
 
@@ -237,16 +236,19 @@ func (e *Engine) EvalTiered(ctx context.Context, b core.Backend, inputs []bool, 
 // slot, so stored answers never queue behind multi-second solver runs
 // and the misses still run up to Workers at once.
 //
-// When the backend's complement pairing is exact (core.Complementer),
-// two misses c and ¬c are one recompute: the run of the case whose first
-// input is 0 answers both, in one eval slot, and both enter the store as
-// that backend's exact results. A truth table's misses therefore cost
-// 2ⁿ⁻¹ runs. A miss whose complement is not also a miss of the batch
-// runs on its own.
+// When the backend has exact symmetries (core.Symmetric), the misses in
+// one orbit — c, ¬c, the mirror image σc and ¬σc — are one recompute:
+// the run of the member with the smallest input bits answers all of
+// them, in one eval slot, and each enters the store as that backend's
+// exact result. A truth table's misses therefore cost one run per orbit.
+// A miss alone in its orbit runs on its own. Jobs ask for eval slots in
+// order, whole-film runs before half-film ones, so on a busy pool the
+// short half-film runs follow each other in one slot while a whole-film
+// run holds another.
 //
 // runIDs, when non-nil, holds one journal run ID per case: its tier
-// events and, on a miss, its recompute journal under that ID (the
-// derived case of a pair journals its engine.tier complement event). The
+// events and, on a miss, its recompute journal under that ID (a derived
+// case journals its engine.tier complement or mirror event). The
 // results are in case order; the first error fails the batch, and so
 // does a cancelled ctx.
 func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, mode Mode, runIDs []string) ([]EvalResult, error) {
@@ -283,13 +285,14 @@ func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, 
 	if len(misses) == 0 {
 		return out, nil
 	}
-	jobs := p.pairMisses(cases, misses)
+	jobs := p.groupMisses(cases, misses)
 	err = e.fanout(ctx, len(jobs), func(ctx context.Context, m int) error {
-		i, k := jobs[m].run, jobs[m].derived
+		job := jobs[m]
+		i := job.run
 		if runIDs != nil {
 			ctx = journal.WithRunID(ctx, runIDs[i])
 		}
-		if k < 0 {
+		if len(job.derived) == 0 {
 			res, err := e.recompute(ctx, &p, cases[i])
 			if err != nil {
 				return fmt.Errorf("case %v: %w", cases[i], err)
@@ -297,15 +300,22 @@ func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, 
 			out[i] = res
 			return nil
 		}
-		derivedRun := runID
-		if runIDs != nil {
-			derivedRun = runIDs[k]
+		derived := make([][]bool, len(job.derived))
+		derivedRuns := make([]string, len(job.derived))
+		for k, d := range job.derived {
+			derived[k], derivedRuns[k] = cases[d], runID
+			if runIDs != nil {
+				derivedRuns[k] = runIDs[d]
+			}
 		}
-		res, not, err := e.recomputePair(ctx, &p, cases[i], derivedRun)
+		res, more, err := e.recomputeOrbit(ctx, &p, cases[i], derived, derivedRuns)
 		if err != nil {
-			return fmt.Errorf("cases %v and %v: %w", cases[i], cases[k], err)
+			return fmt.Errorf("case %v and %d of its orbit: %w", cases[i], len(derived), err)
 		}
-		out[i], out[k] = res, not
+		out[i] = res
+		for k, d := range job.derived {
+			out[d] = more[k]
+		}
 		return nil
 	})
 	if err != nil {
@@ -314,36 +324,59 @@ func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, 
 	return out, nil
 }
 
-// missJob is one recompute of a batch: the case at index run, and the
-// index of its complement answered by the same run (-1 for none).
-type missJob struct{ run, derived int }
+// missJob is one recompute of a batch: the case at index run, the
+// indices of the other misses its run answers (none for a plain
+// recompute), and whether the run steps only half the film.
+type missJob struct {
+	run     int
+	derived []int
+	half    bool
+}
 
-// pairMisses groups a batch's misses into recomputes: with an exact
-// complement pairing, each miss c whose complement ¬c is also a miss
-// shares one job with it, run from the member whose first input is 0
-// (so concurrent batches pick the same run and coalesce); every other
-// miss is a job of its own. Jobs keep the order of their first case.
-func (p *plan) pairMisses(cases [][]bool, misses []int) []missJob {
+// groupMisses groups a batch's misses into recomputes: on a backend with
+// exact symmetries, the misses of one orbit share one job, run from the
+// member with the smallest input bits (so concurrent batches of the same
+// cases pick the same run and coalesce); every other miss is a job of its
+// own. Whole-film jobs come first, each kind in the order of its first
+// case.
+func (p *plan) groupMisses(cases [][]bool, misses []int) []missJob {
 	jobs := make([]missJob, 0, len(misses))
-	var open map[string]int // unpaired miss by input bits → index into jobs
-	if p.pair != nil {
-		open = make(map[string]int, len(misses))
-	}
+	byOrbit := make(map[string]int) // smallest orbit member's bits → job
 	for _, i := range misses {
-		if open != nil {
-			not := string(appendBits(nil, complement(cases[i])))
-			if j, ok := open[not]; ok {
-				delete(open, not)
-				if cases[i][0] {
-					jobs[j].derived = i
-				} else {
-					jobs[j] = missJob{run: i, derived: jobs[j].run}
-				}
-				continue
-			}
-			open[string(appendBits(nil, cases[i]))] = len(jobs)
+		if p.sym == nil {
+			jobs = append(jobs, missJob{run: i})
+			continue
 		}
-		jobs = append(jobs, missJob{run: i, derived: -1})
+		bits := string(appendBits(nil, cases[i]))
+		rep := bits
+		for _, c := range p.sym.Orbit(cases[i])[1:] {
+			rep = min(rep, string(appendBits(nil, c)))
+		}
+		j, ok := byOrbit[rep]
+		if !ok {
+			byOrbit[rep] = len(jobs)
+			jobs = append(jobs, missJob{run: i})
+			continue
+		}
+		if run := jobs[j].run; bits < string(appendBits(nil, cases[run])) {
+			jobs[j].run = i
+			i = run
+		}
+		jobs[j].derived = append(jobs[j].derived, i)
+	}
+	if p.sym != nil {
+		for j := range jobs {
+			jobs[j].half = p.sym.HalfDomain(cases[jobs[j].run])
+		}
+		slices.SortStableFunc(jobs, func(a, b missJob) int {
+			if a.half == b.half {
+				return 0
+			}
+			if a.half {
+				return 1
+			}
+			return -1
+		})
 	}
 	return jobs
 }
@@ -462,51 +495,59 @@ func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool) (EvalRes
 	return EvalResult{Readouts: cloneReadouts(v), Source: p.src, Fingerprint: p.fp}, nil
 }
 
-// pairRun is the outcome of one complement-pair evaluation: the run
-// case's readouts, its complement's, and the run ID that produced them.
-type pairRun struct {
-	out, not map[string]detect.Readout
-	run      string
+// orbitRun is the outcome of one orbit evaluation: the orbit's cases,
+// their readouts in the same order, and the run ID that produced them.
+type orbitRun struct {
+	cases [][]bool
+	outs  []map[string]detect.Readout
+	run   string
 }
 
-// recomputePair is recompute for a complement pair on a backend whose
-// pairing is exact: one run of inputs, in one eval slot, answers inputs
-// and its complement. Both results are stored under their own keys and
-// reported as the backend's recompute source. The complement journals an
-// engine.tier complement hit under derivedRun, naming the run and the
-// key of its partner. Concurrent recomputes of the same pair coalesce.
-func (e *Engine) recomputePair(ctx context.Context, p *plan, inputs []bool, derivedRun string) (EvalResult, EvalResult, error) {
-	not := complement(inputs)
-	var key, notKey string
+// recomputeOrbit is recompute for the misses of one orbit on a backend
+// with exact symmetries: one run of inputs, in one eval slot, answers
+// inputs and every derived case. Each of them is stored under its own
+// key and reported as the backend's recompute source. A derived
+// case journals an engine.tier hit under its derivedRuns entry — tier
+// complement for ¬inputs, mirror for a mirror image — naming the run and
+// the key of its partner. Concurrent recomputes of the same orbit run
+// coalesce.
+func (e *Engine) recomputeOrbit(ctx context.Context, p *plan, inputs []bool, derived [][]bool, derivedRuns []string) (EvalResult, []EvalResult, error) {
+	var key string
 	if p.cacheable {
-		key, notKey = p.key(inputs), p.key(not)
+		key = p.key(inputs)
 	}
 	runID := journal.RunID(ctx)
 	if runID == "" {
 		runID = journal.NewRunID()
 		ctx = journal.WithRunID(ctx, runID)
 	}
-	eval := func() (pairRun, error) {
+	eval := func() (orbitRun, error) {
 		start := time.Now()
-		r := pairRun{run: runID}
+		r := orbitRun{run: runID, cases: p.sym.Orbit(inputs)}
 		err := e.inSlot(ctx, p.b, inputs, func(ctx context.Context) (err error) {
-			r.out, r.not, err = p.pair.RunComplement(ctx, inputs)
+			r.outs, err = p.sym.RunOrbit(ctx, inputs)
 			return err
 		})
+		if err == nil && len(r.outs) != len(r.cases) {
+			err = fmt.Errorf("orbit of %d cases answered with %d readouts", len(r.cases), len(r.outs))
+		}
 		if err == nil && p.cacheable {
 			cost := time.Since(start)
-			e.store(key, r.out, cost)
-			e.store(notKey, r.not, cost)
+			for k, c := range r.cases {
+				if k == 0 || slices.ContainsFunc(derived, func(d []bool) bool { return slices.Equal(d, c) }) {
+					e.store(p.key(c), r.outs[k], cost)
+				}
+			}
 		}
 		return r, err
 	}
 	var (
-		v      pairRun
+		v      orbitRun
 		err    error
 		shared bool
 	)
 	if p.cacheable {
-		v, err, shared = e.pairs.do(ctx, key, eval)
+		v, err, shared = e.orbits.do(ctx, key, eval)
 	} else {
 		v, err = eval()
 	}
@@ -514,23 +555,50 @@ func (e *Engine) recomputePair(ctx context.Context, p *plan, inputs []bool, deri
 		e.coalesced(ctx, key)
 	}
 	if err != nil {
-		return EvalResult{}, EvalResult{}, err
+		return EvalResult{}, nil, err
 	}
-	e.complements.Add(1)
-	mComplements.Inc()
-	if j := journal.Default(); j.Enabled() {
-		fields := []journal.Field{
-			journal.F("tier", "complement"), journal.F("result", "hit"),
-			journal.F("inputs", string(appendBits(nil, not))),
-			journal.F("partner_run", v.run),
+	result := func(c []bool) (EvalResult, bool) {
+		for k, o := range v.cases {
+			if slices.Equal(o, c) {
+				return EvalResult{Readouts: cloneReadouts(v.outs[k]), Source: p.src, Fingerprint: p.fp}, true
+			}
 		}
-		if p.cacheable {
-			fields = append(fields, journal.F("key", notKey), journal.F("partner_key", key))
-		}
-		j.Emit(derivedRun, "engine.tier", fields...)
+		return EvalResult{}, false
 	}
-	return EvalResult{Readouts: cloneReadouts(v.out), Source: p.src, Fingerprint: p.fp},
-		EvalResult{Readouts: cloneReadouts(v.not), Source: p.src, Fingerprint: p.fp}, nil
+	res, _ := result(inputs)
+	more := make([]EvalResult, len(derived))
+	j := journal.Default()
+	not := complement(inputs)
+	for k, d := range derived {
+		var ok bool
+		if more[k], ok = result(d); !ok {
+			return EvalResult{}, nil, fmt.Errorf("case %v is not in the orbit of %v", d, inputs)
+		}
+		tier := "mirror"
+		switch {
+		case slices.Equal(d, inputs):
+			continue // the run case listed twice
+		case slices.Equal(d, not):
+			tier = "complement"
+			e.complements.Add(1)
+			mComplements.Inc()
+		default:
+			e.mirrors.Add(1)
+			mMirrors.Inc()
+		}
+		if j.Enabled() {
+			fields := []journal.Field{
+				journal.F("tier", tier), journal.F("result", "hit"),
+				journal.F("inputs", string(appendBits(nil, d))),
+				journal.F("partner_run", v.run),
+			}
+			if p.cacheable {
+				fields = append(fields, journal.F("key", p.key(d)), journal.F("partner_key", key))
+			}
+			j.Emit(derivedRuns[k], "engine.tier", fields...)
+		}
+	}
+	return res, more, nil
 }
 
 // store memoizes an exact result under key: into the LRU, and onto the

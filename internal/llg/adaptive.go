@@ -121,6 +121,7 @@ func (s *Solver) runAdaptiveFused(end float64, cfg AdaptiveConfig, each func(ste
 			s.st.num, s.st.t, s.st.dt, s.st.in = 5, t+dt, dt, s.mtmp
 			s.st.doField, s.st.doTorque = false, true
 			s.pool.Run(len(s.bands), s.passBS23)
+			s.fillGhost(s.M)
 			s.Time = t + dt
 			s.steps++
 			accepted++

@@ -124,6 +124,10 @@ type Solver struct {
 	errPart      []float64
 	timeBands    bool
 
+	// mirror marks row 0 as a ghost row of the mirror boundary at row 1
+	// (SetMirrorBoundary).
+	mirror bool
+
 	// Prebuilt pass closures and in-flight stage parameters; reusing
 	// them keeps the steady-state stepping loop allocation-free.
 	passRK4, passHeun, passBS23 func(int)
@@ -217,25 +221,32 @@ func (s *Solver) SetAlphaProfile(f func(i, j int) float64) {
 // (px, py), emulating a matched termination at a waveguide end. Multiple
 // absorbers combine by taking the maximum damping.
 func (s *Solver) AddAbsorberTowards(px, py, rampLen, maxAlpha float64) {
-	for j := 0; j < s.Mesh.Ny; j++ {
-		for i := 0; i < s.Mesh.Nx; i++ {
-			idx := s.Mesh.Idx(i, j)
-			if !s.Region[idx] {
+	AddAbsorber(s.Mesh, s.Region, s.Alpha, px, py, rampLen, maxAlpha)
+	s.prepared = false
+}
+
+// AddAbsorber is AddAbsorberTowards on a bare per-cell damping slice,
+// for callers that build a damping profile once and copy it into many
+// solvers.
+func AddAbsorber(mesh grid.Mesh, region grid.Region, alpha []float64, px, py, rampLen, maxAlpha float64) {
+	for j := 0; j < mesh.Ny; j++ {
+		for i := 0; i < mesh.Nx; i++ {
+			idx := mesh.Idx(i, j)
+			if !region[idx] {
 				continue
 			}
-			x, y := s.Mesh.CellCenter(i, j)
+			x, y := mesh.CellCenter(i, j)
 			d := math.Hypot(x-px, y-py)
 			if d >= rampLen {
 				continue
 			}
 			u := 1 - d/rampLen // 1 at the end point, 0 at ramp start
-			a := s.Alpha[idx] + (maxAlpha-s.Alpha[idx])*u*u
-			if a > s.Alpha[idx] {
-				s.Alpha[idx] = a
+			a := alpha[idx] + (maxAlpha-alpha[idx])*u*u
+			if a > alpha[idx] {
+				alpha[idx] = a
 			}
 		}
 	}
-	s.prepared = false
 }
 
 // Steps returns the number of steps taken so far.

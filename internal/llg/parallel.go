@@ -95,6 +95,33 @@ func (s *Solver) Close() {
 	}
 }
 
+// SetMirrorBoundary makes row 1 of the mesh a mirror axis: row 0 is a
+// ghost row that holds row 2's values, refilled before every stage and
+// after every step, and is never stepped itself. The solver then
+// computes, cell for cell and bit for bit, the rows at and above the
+// axis of a solve on the mesh mirrored about row 1, provided the drive
+// and damping of that solve are mirror-symmetric and its field sums a
+// cell's two vertical exchange neighbors as one commutative pair
+// (mag.Evaluator.FieldRows does). The mesh needs at least 3 rows.
+func (s *Solver) SetMirrorBoundary() {
+	s.mirror = true
+	s.prepared = false
+	s.fillGhost(s.M)
+}
+
+// fillGhost copies row 2 of f into the ghost row 0 of a mirror boundary.
+func (s *Solver) fillGhost(f vec.Field) {
+	if !s.mirror {
+		return
+	}
+	nx := s.Mesh.Nx
+	for i := 0; i < nx; i++ {
+		if s.Region[i] {
+			f[i] = f[2*nx+i]
+		}
+	}
+}
+
 // InvalidatePrep discards the precomputed stepping state (bands, active
 // runs, torque prefactors, source classification) so the next step
 // rebuilds it. The mutating methods (SetWorkers, SetAlphaProfile,
@@ -113,7 +140,15 @@ func (s *Solver) ensurePrep() {
 	}
 	initMetrics() // band timings may be observed from Step without a Run
 	s.runs = s.Eval.Prepare()
-	s.bands = tile.Split(s.Mesh.Ny, s.Workers())
+	if s.mirror { // the ghost row 0 is never stepped
+		s.bands = tile.Split(s.Mesh.Ny-1, s.Workers())
+		for i := range s.bands {
+			s.bands[i].J0++
+			s.bands[i].J1++
+		}
+	} else {
+		s.bands = tile.Split(s.Mesh.Ny, s.Workers())
+	}
 	if s.alphaPref == nil {
 		s.alphaPref = make([]float64, len(s.Alpha))
 	}
@@ -178,6 +213,7 @@ func (s *Solver) Step() {
 		s.runStage(s.passRK4, 4, t+dt, dt, s.mtmp)
 	}
 	s.timeBands = false
+	s.fillGhost(s.M)
 	s.Time += dt
 	s.steps++
 }
@@ -188,6 +224,7 @@ func (s *Solver) Step() {
 // pass, a serial source sweep over the full field, and a torque pass.
 func (s *Solver) runStage(pass func(int), num uint8, t, dt float64, in vec.Field) {
 	s.st.num, s.st.t, s.st.dt, s.st.in = num, t, dt, in
+	s.fillGhost(in)
 	s.applySparse(t)
 	if len(s.otherSrcs) == 0 {
 		s.st.doField, s.st.doTorque = true, true

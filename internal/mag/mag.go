@@ -196,10 +196,15 @@ func (e *Evaluator) FieldRows(m, B vec.Field, j0, j1 int) {
 				if mask&grid.MaskRight != 0 {
 					acc = acc.MAdd(wx, m[c+1].Sub(mc))
 				}
-				if mask&grid.MaskDown != 0 {
+				// The down and up differences are summed as one pair before
+				// scaling: IEEE addition commutes, so a cell and its mirror
+				// image across a row see the same bits (DESIGN.md §13).
+				switch mask & (grid.MaskDown | grid.MaskUp) {
+				case grid.MaskDown | grid.MaskUp:
+					acc = acc.MAdd(wy, m[c-nx].Sub(mc).Add(m[c+nx].Sub(mc)))
+				case grid.MaskDown:
 					acc = acc.MAdd(wy, m[c-nx].Sub(mc))
-				}
-				if mask&grid.MaskUp != 0 {
+				case grid.MaskUp:
 					acc = acc.MAdd(wy, m[c+nx].Sub(mc))
 				}
 			}
@@ -239,10 +244,13 @@ func AddExchange(mesh grid.Mesh, region grid.Region, m, B vec.Field, factor floa
 			if i < nx-1 && region[c+1] {
 				acc = acc.MAdd(wx, m[c+1].Sub(mc))
 			}
-			if j > 0 && region[c-nx] {
+			down, up := j > 0 && region[c-nx], j < ny-1 && region[c+nx]
+			switch {
+			case down && up: // one pair, as in FieldRows
+				acc = acc.MAdd(wy, m[c-nx].Sub(mc).Add(m[c+nx].Sub(mc)))
+			case down:
 				acc = acc.MAdd(wy, m[c-nx].Sub(mc))
-			}
-			if j < ny-1 && region[c+nx] {
+			case up:
 				acc = acc.MAdd(wy, m[c+nx].Sub(mc))
 			}
 			B[c] = B[c].Add(acc)

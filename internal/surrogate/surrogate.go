@@ -67,7 +67,9 @@ type Model struct {
 }
 
 // Build measures one unit transient per input port of src and assembles
-// the surrogate. src must be canonically fingerprintable (the model is
+// the surrogate; on a backend with an exact mirror (core.MirrorPorter) a
+// port's mirror partner reads the port's transient with the outputs
+// swapped instead of running its own. src must be canonically fingerprintable (the model is
 // keyed by that identity); a backend with ad-hoc mutations has no stable
 // identity to serve under and is rejected. Build journals
 // surrogate.build.* events; each port transient runs under its own run
@@ -95,15 +97,27 @@ func Build(ctx context.Context, src UnitRunner) (*Model, error) {
 	}
 	start := time.Now()
 	ports := make([]PortResponse, 0, len(names))
+	// On a backend with an exact mirror, a port's run also answers its
+	// mirror partner's (I2 from I1): one transient fewer per pair.
+	mp, _ := src.(core.MirrorPorter)
+	mirrored := map[string]map[string]detect.Readout{}
 	for _, port := range names {
 		pStart := time.Now()
-		out, err := src.RunSingleContext(ctx, port)
-		if err != nil {
-			if j.Enabled() {
-				j.Emit("", "surrogate.build.error",
-					journal.F("port", port), journal.F("error", err.Error()))
+		out, derived := mirrored[port]
+		if !derived {
+			var err error
+			if out, err = src.RunSingleContext(ctx, port); err != nil {
+				if j.Enabled() {
+					j.Emit("", "surrogate.build.error",
+						journal.F("port", port), journal.F("error", err.Error()))
+				}
+				return nil, fmt.Errorf("surrogate: port %s transient: %w", port, err)
 			}
-			return nil, fmt.Errorf("surrogate: port %s transient: %w", port, err)
+			if mp != nil {
+				if partner, pout, ok := mp.MirrorPort(port, out); ok {
+					mirrored[partner] = pout
+				}
+			}
 		}
 		resp := make(map[string]complex128, len(out))
 		for det, r := range out {
@@ -114,6 +128,7 @@ func Build(ctx context.Context, src UnitRunner) (*Model, error) {
 			j.Emit("", "surrogate.build.port",
 				journal.F("port", port),
 				journal.F("detectors", len(resp)),
+				journal.F("mirrored", derived),
 				journal.F("elapsed_ms", time.Since(pStart).Seconds()*1e3))
 		}
 	}

@@ -245,3 +245,38 @@ func TestSurrogateMicromagGoldenEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestBuildMirrorsPartnerPorts: on the reduced micromagnetic XOR, Build
+// runs one transient for I1 and reads I2 off it through the exact
+// mirror; the derived I2 response equals a direct RunSingle("I2") bit
+// for bit, so the model and its admission are those of three runs.
+func TestBuildMirrorsPartnerPorts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic transients")
+	}
+	m, err := core.NewMicromagnetic(core.XOR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := obs.Default().Counter("spinwave_llg_runs_total")
+	before := runs.Value()
+	sur, err := Build(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Value() - before; n != 1 {
+		t.Fatalf("XOR surrogate build ran %d transients, want 1", n)
+	}
+	direct, err := m.RunSingle("I2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for det, r := range direct {
+		if got := sur.ports[1].Response[det]; got != r.Phasor() {
+			t.Fatalf("I2 at %s: mirrored %v, direct %v", det, got, r.Phasor())
+		}
+	}
+	if err := sur.Verify(); err != nil {
+		t.Fatalf("mirrored surrogate rejected: %v", err)
+	}
+}
