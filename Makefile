@@ -141,8 +141,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLogRecover -fuzztime 30s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzStoreRecover -fuzztime 30s ./internal/engine/
 
-# Quick benchmark set; the serial-vs-engine micromagnetic comparison is
-# BenchmarkXORTableMicromag_{Serial,Engine8,EngineWarm}. The engine's
+# Quick benchmark set, one iteration each: the behavioral Tables I/II,
+# derived-gate and parallel-word benchmarks and Figures 1-2 in the root
+# package, then BenchmarkFieldEvaluation in internal/mag. The engine's
 # warm path (BenchmarkEvalBatchStored: 4-case batches from the disk tier
 # behind a 4-entry LRU) takes microseconds, so it runs for the default
 # benchtime with allocation counts rather than once.

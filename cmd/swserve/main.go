@@ -201,7 +201,7 @@ func main() {
 
 // maxBatch bounds /v1/eval batches: enough for every input
 // combination of the largest gate (MAJ5, 32 cases) several times over,
-// small enough that one request cannot monopolize the task pool.
+// small enough that one request cannot monopolize the eval slots.
 const maxBatch = 256
 
 // maxTimeoutMS rejects nonsense client deadlines (greater than an hour);

@@ -11,9 +11,9 @@ import (
 )
 
 // Engine re-exports: the concurrent evaluation engine fans truth-table
-// cases, sweep points, and parallel-word channels over a bounded worker
-// pool with an LRU result cache and in-flight request coalescing. See
-// internal/engine for full documentation.
+// case recomputes over a bounded pool of eval slots, with a tiered
+// result cache and in-flight request coalescing. See internal/engine
+// for full documentation.
 type (
 	// Engine is the concurrent gate-evaluation engine.
 	Engine = engine.Engine

@@ -139,8 +139,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestEvalBatchHitsSkipBusyPool: with every eval slot held by blocked
-// recomputes and every task slot held by blocked Map tasks, a batch of
-// stored answers must still return at once — tier hits take no slot.
+// recomputes, a batch of stored answers must still return at once —
+// tier hits take no slot.
 func TestEvalBatchHitsSkipBusyPool(t *testing.T) {
 	const workers = 2
 	e := New(WithWorkers(workers))
@@ -156,20 +156,14 @@ func TestEvalBatchHitsSkipBusyPool(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		in := []bool{i == 0, i == 1}
-		wg.Add(2)
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			e.EvalTiered(ctx, slow, in, ModeDirect) //nolint:errcheck
 		}()
-		go func() {
-			defer wg.Done()
-			e.Map(ctx, 1, func(context.Context, int) error { <-release; return nil }) //nolint:errcheck
-		}()
 	}
 	defer func() { close(release); wg.Wait() }()
-	waitFor(t, "the pool to fill", func() bool {
-		return cur.Load() == workers && len(e.taskSlots) == workers
-	})
+	waitFor(t, "the pool to fill", func() bool { return cur.Load() == workers })
 
 	waits := e.Stats().SaturationWaits
 	bctx, cancel := context.WithTimeout(ctx, 2*time.Second)

@@ -176,7 +176,9 @@ func TestEvalBatchLoneComplementMiss(t *testing.T) {
 func TestEvalBatchPairCancelled(t *testing.T) {
 	m := micromagFor(t, core.XOR)
 	e := New(WithWorkers(1))
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	// The pair's whole-film run steps for about 0.3 s; the deadline
+	// lands a tenth of the way in.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	pair := [][]bool{{false, true}, {true, false}}
 	if _, err := e.EvalBatch(ctx, m, pair, ModeDirect, nil); !errors.Is(err, context.DeadlineExceeded) {
@@ -330,6 +332,48 @@ func TestEvalBatchPairCoalesces(t *testing.T) {
 	}
 }
 
+// TestRecomputeJoinsOrbitRun: a lone recompute of 01 and a batch of
+// {01, 10} in flight together share one run of 01's orbit — the batch
+// joins the lone run, and 10, derived from it, is stored for the next
+// caller.
+func TestRecomputeJoinsOrbitRun(t *testing.T) {
+	release := make(chan struct{})
+	blocked, _, _ := blockingXOR("join", release)
+	b := fakeSymmetric{blocked}
+	e := New(WithWorkers(2))
+	ctx := context.Background()
+	lone := make(chan error, 1)
+	go func() {
+		_, err := e.EvalTiered(ctx, b, []bool{false, true}, ModeDirect)
+		lone <- err
+	}()
+	waitFor(t, "the lone run to start", func() bool { return b.runs.Load() == 1 })
+	batch := make(chan error, 1)
+	go func() {
+		_, err := e.EvalBatch(ctx, b, [][]bool{{false, true}, {true, false}}, ModeDirect, nil)
+		batch <- err
+	}()
+	// Either the batch joins the lone run or it starts a run of its own.
+	waitFor(t, "the batch to join or run", func() bool { return e.Stats().Deduped > 0 || b.runs.Load() > 1 })
+	close(release)
+	if err := <-lone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-batch; err != nil {
+		t.Fatal(err)
+	}
+	if runs, s := b.runs.Load(), e.Stats(); runs != 1 || s.Evals != 1 || s.Deduped != 1 || s.Complements != 1 {
+		t.Fatalf("%d runs, %d evals, %d deduped, %d complements; want 1, 1, 1 and 1", runs, s.Evals, s.Deduped, s.Complements)
+	}
+	res, err := e.EvalTiered(ctx, b, []bool{true, false}, ModeDirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != SourceCache {
+		t.Fatalf("derived case 10 after the shared run: source %s, want cache", res.Source)
+	}
+}
+
 // orderedSymmetric is a fakeSymmetric that records the order its runs
 // start in.
 type orderedSymmetric struct {
@@ -347,27 +391,51 @@ func (f orderedSymmetric) RunOrbit(ctx context.Context, in []bool) ([]map[string
 
 // TestEvalBatchStartsWholeFilmFirst: a MAJ3-shaped table on a one-slot
 // engine runs its whole-film orbit before the two half-film ones, every
-// time, and on two slots the whole-film run takes a slot first.
+// time. On two slots, with the runs held, the whole-film run holds one
+// of the two slots and the last half-film run starts only once a slot
+// frees.
 func TestEvalBatchStartsWholeFilmFirst(t *testing.T) {
 	cases := core.EnumerateInputs(3)
 	for _, workers := range []int{1, 2} {
 		for rep := 0; rep < 20; rep++ {
 			var mu sync.Mutex
 			var starts []string
+			started := func() []string {
+				mu.Lock()
+				defer mu.Unlock()
+				return slices.Clone(starts)
+			}
+			hold := make(chan struct{})
+			if workers == 1 {
+				close(hold)
+			}
 			fake := newFakeXOR("order", time.Millisecond)
 			fake.gate = func([]bool) (map[string]detect.Readout, error) {
+				<-hold
 				r := detect.Readout{Amplitude: 1}
 				return map[string]detect.Readout{"O1": r, "O2": r}, nil
 			}
 			b := orderedSymmetric{fakeSymmetric{fake}, &mu, &starts}
 			e := New(WithWorkers(workers), WithCacheSize(0))
-			if _, err := e.EvalBatch(context.Background(), b, cases, ModeDirect, nil); err != nil {
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.EvalBatch(context.Background(), b, cases, ModeDirect, nil)
+				done <- err
+			}()
+			if workers == 2 {
+				waitFor(t, "two runs to start", func() bool { return len(started()) == 2 })
+				if first := started(); !slices.Contains(first, "010") {
+					t.Fatalf("two workers: runs %v hold the slots, want 010 among them", first)
+				}
+				close(hold)
+			}
+			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			if len(starts) != 3 || starts[0] != "010" {
-				t.Fatalf("%d workers: runs started %v, want 010 first of 3", workers, starts)
+			if len(starts) != 3 || starts[2] != "001" {
+				t.Fatalf("%d workers: runs started %v, want 001 third of 3", workers, starts)
 			}
-			if workers == 1 && (starts[1] != "000" || starts[2] != "001") {
+			if workers == 1 && (starts[0] != "010" || starts[1] != "000") {
 				t.Fatalf("one worker: runs started %v, want 010 000 001", starts)
 			}
 			if s := e.Stats(); s.Evals != 3 || s.Complements != 3 || s.Mirrors != 2 {

@@ -1,31 +1,21 @@
-// Package engine is the concurrent evaluation engine: it fans
-// truth-table cases, sweep points, and parallel-word channels out over a
-// bounded worker pool, plumbs context cancellation through to the LLG
-// step loop, memoizes readouts in an LRU cache keyed by a canonical
-// backend fingerprint, de-duplicates identical in-flight requests
-// with singleflight, and answers the complemented and mirrored cases of
-// a batch from one run of their orbit where the backend's symmetries are
-// exact.
+// Package engine is the concurrent evaluation engine: it fans the
+// cases of a truth table out over a bounded pool of eval slots, plumbs
+// context cancellation through to the LLG step loop, memoizes readouts
+// in an LRU cache keyed by a canonical backend fingerprint,
+// de-duplicates identical in-flight recomputes with singleflight, and
+// answers the complemented and mirrored cases of a batch from one run of
+// their orbit where the backend's symmetries are exact.
 //
-// Two separate semaphores bound the work:
-//
-//   - eval slots gate case recomputes (Eval, EvalTiered, EvalBatch), the
-//     unit of real compute — a case answered by the memory, disk or
-//     surrogate tier takes no slot;
-//   - task slots gate coarse-grained jobs (Map — e.g. one sweep point
-//     each), which may themselves submit Evals.
-//
-// Keeping the pools separate means a coarse task that fans out inner
-// Evals can never deadlock waiting for a slot its own kind is holding,
-// while each pool still bounds its level at the configured worker count.
+// One semaphore bounds the work: a case recompute (Eval, EvalTiered,
+// EvalBatch) takes an eval slot, and a case answered by the memory,
+// disk or surrogate tier takes none. Sweeps and word gates run their
+// points serially and submit no work of their own.
 package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +65,8 @@ func WithPersistThreshold(d time.Duration) Option {
 type Engine struct {
 	workers    int
 	evalSlots  chan struct{}
-	taskSlots  chan struct{}
-	cache      *lruCache // nil when caching is disabled
-	flight     group[map[string]detect.Readout]
-	orbits     group[orbitRun] // orbit runs, keyed by the run case's key
+	cache      *lruCache       // nil when caching is disabled
+	flight     group[orbitRun] // recomputes, keyed by the run case's key
 	disk       *DiskStore      // nil when the persistent tier is disabled
 	persistMin time.Duration
 
@@ -123,7 +111,6 @@ func New(opts ...Option) *Engine {
 	e := &Engine{
 		workers:    o.Workers,
 		evalSlots:  make(chan struct{}, o.Workers),
-		taskSlots:  make(chan struct{}, o.Workers),
 		disk:       o.Disk,
 		persistMin: o.PersistThreshold,
 	}
@@ -247,26 +234,15 @@ func (e *Engine) Eval(ctx context.Context, b core.Backend, inputs []bool) (map[s
 	return res.Readouts, nil
 }
 
-// runEval acquires an eval slot and runs the case with context support.
-// Each evaluation is assigned a run ID, propagated down through the
-// context so the backend journals and publishes probes under the same
-// ID, and stamped as a pprof goroutine label so CPU profiles attribute
-// solver time to individual evaluations.
-func (e *Engine) runEval(ctx context.Context, b core.Backend, inputs []bool) (map[string]detect.Readout, error) {
-	var out map[string]detect.Readout
-	err := e.inSlot(ctx, b, inputs, func(ctx context.Context) (err error) {
-		out, err = core.RunContext(ctx, b, inputs)
-		return err
-	})
-	return out, err
-}
-
-// inSlot runs one evaluation of the case, run, in an eval slot with
-// runEval's run ID, profiling label, counters and journal events. An
-// orbit is one evaluation: run answers all of its cases. Once the slot
-// is taken (or the wait failed), the next job of ctx's batch may ask.
+// inSlot runs one evaluation of the case, run, in an eval slot. The
+// evaluation gets a run ID (ctx's, or a fresh one propagated through the
+// context, so the backend journals and publishes probes under the same
+// ID), a pprof goroutine label attributing solver time to it, and its
+// counters and journal events. An orbit is one evaluation: run answers
+// all of its cases. Once the slot is taken (or the wait failed), the
+// next job of ctx's batch may ask.
 func (e *Engine) inSlot(ctx context.Context, b core.Backend, inputs []bool, run func(context.Context) error) error {
-	err := e.acquire(ctx, e.evalSlots)
+	err := e.acquire(ctx)
 	passTurn(ctx)
 	if err != nil {
 		e.cancelled.Add(1)
@@ -331,18 +307,18 @@ func (e *Engine) Ping(ctx context.Context) (wait time.Duration, err error) {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	if err := e.acquire(ctx, e.evalSlots); err != nil {
+	if err := e.acquire(ctx); err != nil {
 		return time.Since(start), err
 	}
 	<-e.evalSlots
 	return time.Since(start), nil
 }
 
-// acquire takes a slot from the semaphore, counting a saturation wait
-// when none is immediately free, and aborting on context cancellation.
-func (e *Engine) acquire(ctx context.Context, slots chan struct{}) error {
+// acquire takes an eval slot, counting a saturation wait when none is
+// immediately free, and aborting on context cancellation.
+func (e *Engine) acquire(ctx context.Context) error {
 	select {
-	case slots <- struct{}{}:
+	case e.evalSlots <- struct{}{}:
 		return nil
 	default:
 	}
@@ -351,82 +327,19 @@ func (e *Engine) acquire(ctx context.Context, slots chan struct{}) error {
 	start := time.Now()
 	defer func() { mQueueSeconds.Observe(time.Since(start).Seconds()) }()
 	select {
-	case slots <- struct{}{}:
+	case e.evalSlots <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// Map runs f(ctx, i) for every i in [0, n) through the coarse task pool:
-// at most Workers tasks run at once. The first error cancels the shared
-// context of the remaining tasks and is returned after all started tasks
-// finish. Use Map for jobs that are themselves units of work (sweep
-// points, word channels); truth-table cases go through EvalBatch.
-func (e *Engine) Map(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if n <= 0 {
-		return ctx.Err()
-	}
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for i := 0; i < n; i++ {
-		if err := e.acquire(ctx, e.taskSlots); err != nil {
-			fail(err)
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-e.taskSlots }()
-			if ctx.Err() != nil {
-				return
-			}
-			mTasks.Inc()
-			start := time.Now()
-			var err error
-			pprof.Do(ctx, pprof.Labels("engine", "task", "task", strconv.Itoa(i)), func(ctx context.Context) {
-				err = f(ctx, i)
-			})
-			mTaskSeconds.Observe(time.Since(start).Seconds())
-			if err != nil {
-				fail(fmt.Errorf("engine: task %d: %w", i, err))
-			}
-		}(i)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return firstErr
-	}
-	// Tasks skipped by an already-cancelled parent context never call
-	// fail; surface that cancellation instead of silent empty results.
-	return parent.Err()
-}
-
 // fanout runs f(ctx, i) for every i in [0, n) on its own goroutine —
-// concurrency here is bounded by what f itself acquires (eval slots),
-// not by the task pool. Calls ask for eval slots in index order: call i
-// starts once call i−1 has taken a slot, joined another caller's
-// in-flight run, or returned. The first error cancels the rest.
-// EvalBatch uses it for the cases no tier answered.
+// concurrency here is bounded by what f itself acquires (eval slots).
+// Calls ask for eval slots in index order: call i starts once call i−1
+// has taken a slot, joined another caller's in-flight run, or returned.
+// The first error cancels the rest. EvalBatch uses it for the cases no
+// tier answered.
 func (e *Engine) fanout(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)

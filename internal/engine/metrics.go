@@ -26,8 +26,6 @@ var (
 	mInFlight       *obs.Gauge
 	mEvalSeconds    *obs.Histogram
 	mQueueSeconds   *obs.Histogram
-	mTasks          *obs.Counter
-	mTaskSeconds    *obs.Histogram
 
 	mDiskHits           *obs.Counter
 	mDiskMisses         *obs.Counter
@@ -68,10 +66,6 @@ func initMetrics() {
 		mEvalSeconds = r.Histogram("spinwave_engine_eval_seconds", nil)
 		r.Describe("spinwave_engine_queue_wait_seconds", "time spent waiting for a worker slot (saturated pool only)")
 		mQueueSeconds = r.Histogram("spinwave_engine_queue_wait_seconds", nil)
-		r.Describe("spinwave_engine_tasks_total", "coarse tasks (sweep points, word channels) run through Map")
-		mTasks = r.Counter("spinwave_engine_tasks_total")
-		r.Describe("spinwave_engine_task_seconds", "wall-clock latency of one coarse task")
-		mTaskSeconds = r.Histogram("spinwave_engine_task_seconds", nil)
 		r.Describe("spinwave_engine_disk_lookups_total", "persistent-tier lookups by result")
 		mDiskHits = r.Counter("spinwave_engine_disk_lookups_total", obs.L("result", "hit"))
 		mDiskMisses = r.Counter("spinwave_engine_disk_lookups_total", obs.L("result", "miss"))

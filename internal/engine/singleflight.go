@@ -18,20 +18,21 @@ type call[V any] struct {
 	err  error
 }
 
-// do runs fn once per key among concurrent callers. Followers wait for
-// the leader's result; a follower whose own context expires returns its
-// ctx error immediately and leaves the leader running. The leader's
-// context governs the evaluation itself, so a cancelled leader can
-// propagate its cancellation error to followers — callers that need a
-// fresh attempt simply call again (the key is cleared before done is
-// signalled).
-func (g *group[V]) do(ctx context.Context, key string, fn func() (V, error)) (val V, err error, shared bool) {
+// do runs fn once per key among concurrent callers. A follower calls
+// joined as it finds the leader's call, then waits for the leader's
+// result; a follower whose own context expires returns its ctx error
+// immediately and leaves the leader running. The leader's context
+// governs the evaluation itself, so a cancelled leader can propagate its
+// cancellation error to followers — callers that need a fresh attempt
+// simply call again (the key is cleared before done is signalled).
+func (g *group[V]) do(ctx context.Context, key string, fn func() (V, error), joined func()) (val V, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*call[V])
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
+		joined()
 		passTurn(ctx) // a follower takes no eval slot
 		select {
 		case <-c.done:

@@ -130,7 +130,7 @@ func TestConcurrentEvalCacheAndMetrics(t *testing.T) {
 // pool (ISSUE 3 satellite). Under -race this exercises the tiled LLG
 // core end to end: two tile.Pools alive at once, banded field/torque
 // kernels with halo reads, sparse antenna overlays and the shared obs
-// registry — all from the engine's own task pool. The two cases use
+// registry — all from the engine's own eval slots. The two cases use
 // different inputs, so nothing coalesces and both really step.
 func TestConcurrentBandedSolversRace(t *testing.T) {
 	if testing.Short() {

@@ -211,30 +211,23 @@ func (p *plan) key(inputs []bool) string {
 // persisted to disk only when the evaluation cost clears the persist
 // threshold (microsecond behavioral evals stay IO-free).
 //
-// EvalTiered runs on the caller's goroutine; only a recompute takes an
-// eval slot. EvalBatch is the same two halves for many cases.
+// EvalTiered is EvalBatch of the one case: only a recompute takes an
+// eval slot, and it joins any in-flight run that answers the case.
 func (e *Engine) EvalTiered(ctx context.Context, b core.Backend, inputs []bool, mode Mode) (EvalResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p, err := e.plan(b, mode)
+	res, err := e.EvalBatch(ctx, b, [][]bool{inputs}, mode, nil)
 	if err != nil {
 		return EvalResult{}, err
 	}
-	res, hit, err := e.lookup(ctx, &p, inputs, journal.RunID(ctx))
-	if err != nil || hit {
-		return res, err
-	}
-	return e.recompute(ctx, &p, inputs)
+	return res[0], nil
 }
 
-// EvalBatch evaluates every case through the tiered store, in the same
-// two halves as EvalTiered. The lookups over the microsecond tiers
-// (memory, disk, surrogate) run one after another on the caller's
-// goroutine: they need neither a goroutine nor a worker slot. Only the
-// cases that miss every tier are fanned out, each recompute in an eval
-// slot, so stored answers never queue behind multi-second solver runs
-// and the misses still run up to Workers at once.
+// EvalBatch evaluates every case through the tiered store in two
+// halves. The lookups over the microsecond tiers (memory, disk,
+// surrogate) run one after another on the caller's goroutine: they need
+// neither a goroutine nor a worker slot. Only the cases that miss every
+// tier are fanned out, each recompute in an eval slot, so stored answers
+// never queue behind multi-second solver runs and the misses still run
+// up to Workers at once.
 //
 // When the backend has exact symmetries (core.Symmetric), the misses in
 // one orbit — c, ¬c, the mirror image σc and ¬σc — are one recompute:
@@ -292,14 +285,6 @@ func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, 
 		if runIDs != nil {
 			ctx = journal.WithRunID(ctx, runIDs[i])
 		}
-		if len(job.derived) == 0 {
-			res, err := e.recompute(ctx, &p, cases[i])
-			if err != nil {
-				return fmt.Errorf("case %v: %w", cases[i], err)
-			}
-			out[i] = res
-			return nil
-		}
 		derived := make([][]bool, len(job.derived))
 		derivedRuns := make([]string, len(job.derived))
 		for k, d := range job.derived {
@@ -308,8 +293,11 @@ func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, 
 				derivedRuns[k] = runIDs[d]
 			}
 		}
-		res, more, err := e.recomputeOrbit(ctx, &p, cases[i], derived, derivedRuns)
+		res, more, err := e.recompute(ctx, &p, cases[i], derived, derivedRuns)
 		if err != nil {
+			if len(derived) == 0 {
+				return fmt.Errorf("case %v: %w", cases[i], err)
+			}
 			return fmt.Errorf("case %v and %d of its orbit: %w", cases[i], len(derived), err)
 		}
 		out[i] = res
@@ -465,53 +453,41 @@ func (e *Engine) lookup(ctx context.Context, p *plan, inputs []bool, runID strin
 	return EvalResult{}, false, nil
 }
 
-// recompute is the second half of a tiered evaluation: an exact run of
-// the case in an eval slot. Cacheable backends go through singleflight
-// and store the result; only exact results are memoized, so concurrent
-// ModeDirect and ModeAuto misses may share one evaluation safely.
-func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool) (EvalResult, error) {
-	if !p.cacheable {
-		out, err := e.runEval(ctx, p.b, inputs)
-		if err != nil {
-			return EvalResult{}, err
-		}
-		return EvalResult{Readouts: out, Source: p.src}, nil
-	}
-	key := p.key(inputs)
-	v, err, shared := e.flight.do(ctx, key, func() (map[string]detect.Readout, error) {
-		start := time.Now()
-		out, err := e.runEval(ctx, p.b, inputs)
-		if err == nil {
-			e.store(key, out, time.Since(start))
-		}
-		return out, err
-	})
-	if shared {
-		e.coalesced(ctx, key)
-	}
-	if err != nil {
-		return EvalResult{}, err
-	}
-	return EvalResult{Readouts: cloneReadouts(v), Source: p.src, Fingerprint: p.fp}, nil
-}
-
-// orbitRun is the outcome of one orbit evaluation: the orbit's cases,
-// their readouts in the same order, and the run ID that produced them.
+// orbitRun is the outcome of one recompute: the cases its run answers,
+// their readouts in the same order, the run ID that produced them, the
+// run's cost, and which of the cases the leader stored.
 type orbitRun struct {
-	cases [][]bool
-	outs  []map[string]detect.Readout
-	run   string
+	cases  [][]bool
+	outs   []map[string]detect.Readout
+	run    string
+	cost   time.Duration
+	stored []bool
 }
 
-// recomputeOrbit is recompute for the misses of one orbit on a backend
-// with exact symmetries: one run of inputs, in one eval slot, answers
-// inputs and every derived case. Each of them is stored under its own
-// key and reported as the backend's recompute source. A derived
-// case journals an engine.tier hit under its derivedRuns entry — tier
-// complement for ¬inputs, mirror for a mirror image — naming the run and
-// the key of its partner. Concurrent recomputes of the same orbit run
-// coalesce.
-func (e *Engine) recomputeOrbit(ctx context.Context, p *plan, inputs []bool, derived [][]bool, derivedRuns []string) (EvalResult, []EvalResult, error) {
+// runOrbit runs inputs once on p's backend, returning the cases that run
+// answers, inputs first, and their readouts: inputs' orbit on a backend
+// with exact symmetries, inputs alone on any other.
+func (p *plan) runOrbit(ctx context.Context, inputs []bool) ([][]bool, []map[string]detect.Readout, error) {
+	if p.sym == nil {
+		out, err := core.RunContext(ctx, p.b, inputs)
+		return [][]bool{inputs}, []map[string]detect.Readout{out}, err
+	}
+	outs, err := p.sym.RunOrbit(ctx, inputs)
+	return p.sym.Orbit(inputs), outs, err
+}
+
+// recompute is the second half of a tiered evaluation: one exact run of
+// inputs, in one eval slot, answers inputs and every derived case —
+// members of its orbit (core.Symmetric), possibly none. Each is reported
+// as the backend's recompute source. On a cacheable backend the run goes
+// through singleflight, keyed by inputs' key, and stores inputs and the
+// derived cases under their own keys; a caller that joins another's run
+// stores the derived cases that run did not. Only exact results are
+// memoized, so concurrent ModeDirect and ModeAuto misses may share one
+// run safely. A derived case journals an engine.tier hit under its
+// derivedRuns entry — tier complement for ¬inputs, mirror for a mirror
+// image — naming the run and the key of its partner.
+func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool, derived [][]bool, derivedRuns []string) (EvalResult, []EvalResult, error) {
 	var key string
 	if p.cacheable {
 		key = p.key(inputs)
@@ -523,19 +499,21 @@ func (e *Engine) recomputeOrbit(ctx context.Context, p *plan, inputs []bool, der
 	}
 	eval := func() (orbitRun, error) {
 		start := time.Now()
-		r := orbitRun{run: runID, cases: p.sym.Orbit(inputs)}
+		r := orbitRun{run: runID}
 		err := e.inSlot(ctx, p.b, inputs, func(ctx context.Context) (err error) {
-			r.outs, err = p.sym.RunOrbit(ctx, inputs)
+			r.cases, r.outs, err = p.runOrbit(ctx, inputs)
 			return err
 		})
 		if err == nil && len(r.outs) != len(r.cases) {
 			err = fmt.Errorf("orbit of %d cases answered with %d readouts", len(r.cases), len(r.outs))
 		}
 		if err == nil && p.cacheable {
-			cost := time.Since(start)
+			r.cost = time.Since(start)
+			r.stored = make([]bool, len(r.cases))
 			for k, c := range r.cases {
 				if k == 0 || slices.ContainsFunc(derived, func(d []bool) bool { return slices.Equal(d, c) }) {
-					e.store(p.key(c), r.outs[k], cost)
+					e.store(p.key(c), r.outs[k], r.cost)
+					r.stored[k] = true
 				}
 			}
 		}
@@ -547,32 +525,27 @@ func (e *Engine) recomputeOrbit(ctx context.Context, p *plan, inputs []bool, der
 		shared bool
 	)
 	if p.cacheable {
-		v, err, shared = e.orbits.do(ctx, key, eval)
+		v, err, shared = e.flight.do(ctx, key, eval, func() { e.coalesced(ctx, key) })
 	} else {
 		v, err = eval()
-	}
-	if shared {
-		e.coalesced(ctx, key)
 	}
 	if err != nil {
 		return EvalResult{}, nil, err
 	}
-	result := func(c []bool) (EvalResult, bool) {
-		for k, o := range v.cases {
-			if slices.Equal(o, c) {
-				return EvalResult{Readouts: cloneReadouts(v.outs[k]), Source: p.src, Fingerprint: p.fp}, true
-			}
-		}
-		return EvalResult{}, false
+	result := func(k int) EvalResult {
+		return EvalResult{Readouts: cloneReadouts(v.outs[k]), Source: p.src, Fingerprint: p.fp}
 	}
-	res, _ := result(inputs)
 	more := make([]EvalResult, len(derived))
 	j := journal.Default()
 	not := complement(inputs)
 	for k, d := range derived {
-		var ok bool
-		if more[k], ok = result(d); !ok {
+		at := slices.IndexFunc(v.cases, func(o []bool) bool { return slices.Equal(o, d) })
+		if at < 0 {
 			return EvalResult{}, nil, fmt.Errorf("case %v is not in the orbit of %v", d, inputs)
+		}
+		more[k] = result(at)
+		if shared && !v.stored[at] {
+			e.store(p.key(d), v.outs[at], v.cost)
 		}
 		tier := "mirror"
 		switch {
@@ -598,7 +571,7 @@ func (e *Engine) recomputeOrbit(ctx context.Context, p *plan, inputs []bool, der
 			j.Emit(derivedRuns[k], "engine.tier", fields...)
 		}
 	}
-	return res, more, nil
+	return result(0), more, nil
 }
 
 // store memoizes an exact result under key: into the LRU, and onto the

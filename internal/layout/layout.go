@@ -200,7 +200,7 @@ func SingleModeWidth(lambda float64) float64 { return 0.45 * lambda }
 
 // PaperSpec returns the dimensions of the paper's §IV-A setup:
 // λ = 55 nm, w = 50 nm, d1 = 330 nm, d2 = 880 nm, d3 = 220 nm, d4 = 55 nm,
-// XOR stub 40 nm, plus a 1λ interference body.
+// XOR stub 40 nm, plus a 2λ interference body (BodyN).
 func PaperSpec() Spec {
 	return Spec{
 		Lambda:   units.NM(55),

@@ -19,14 +19,12 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
 
 	"spinwave/internal/core"
 	"spinwave/internal/dispersion"
-	"spinwave/internal/engine"
 	"spinwave/internal/layout"
 	"spinwave/internal/material"
 	"spinwave/internal/phasor"
@@ -259,16 +257,9 @@ func (g *Gate) NBits() int { return len(g.Channels) }
 
 // Eval evaluates the parallel gate: words[i] is the n-bit word on input
 // I(i+1). It returns the decoded n-bit word at each output, keyed by
-// output name.
+// output name. Each frequency channel is an independent phasor network,
+// evaluated in turn.
 func (g *Gate) Eval(words ...Word) (map[string]Word, error) {
-	return g.EvalContext(context.Background(), nil, words...)
-}
-
-// EvalContext is Eval with cancellation and, when eng is non-nil,
-// concurrent per-channel evaluation on the engine's task pool — each
-// frequency channel is an independent phasor network, so an n-bit word
-// fans out over n workers.
-func (g *Gate) EvalContext(ctx context.Context, eng *engine.Engine, words ...Word) (map[string]Word, error) {
 	names := g.Kind.InputNames()
 	if len(words) != len(names) {
 		return nil, fmt.Errorf("parallel: %w: %s needs %d input words, got %d",
@@ -280,56 +271,29 @@ func (g *Gate) EvalContext(ctx context.Context, eng *engine.Engine, words ...Wor
 				layout.ErrBadInputCount, names[i], len(w), g.NBits())
 		}
 	}
-	// Evaluate each channel into its own slot, then assemble the words —
-	// per-channel work never touches shared state, so the fan-out is
-	// race-free by construction.
-	type channelOut struct {
-		logic map[string]bool
-	}
 	initMetrics()
 	mWords.Inc()
-	outs := make([]channelOut, len(g.Channels))
-	evalChannel := func(ctx context.Context, ci int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	out := map[string]Word{}
+	for ci, net := range g.nets {
 		mChannels.Inc()
 		drives := map[string]complex128{}
 		for ii, name := range names {
 			drives[name] = phasor.Drive(words[ii][ci])
 		}
-		res, err := g.nets[ci].Evaluate(drives)
+		res, err := net.Evaluate(drives)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		logic := make(map[string]bool, len(res))
 		for name, v := range res {
-			ref := g.refs[ci][name]
-			if g.Kind == core.XOR {
-				logic[name] = phasor.LogicFromThreshold(v, ref, 0.5, false)
-			} else {
-				logic[name] = phasor.LogicFromPhase(v, ref)
-			}
-		}
-		outs[ci] = channelOut{logic: logic}
-		return nil
-	}
-	if eng == nil {
-		for ci := range g.Channels {
-			if err := evalChannel(ctx, ci); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := eng.Map(ctx, len(g.Channels), evalChannel); err != nil {
-		return nil, err
-	}
-	out := map[string]Word{}
-	for ci := range g.Channels {
-		for name, logic := range outs[ci].logic {
 			if _, ok := out[name]; !ok {
 				out[name] = make(Word, g.NBits())
 			}
-			out[name][ci] = logic
+			ref := g.refs[ci][name]
+			if g.Kind == core.XOR {
+				out[name][ci] = phasor.LogicFromThreshold(v, ref, 0.5, false)
+			} else {
+				out[name][ci] = phasor.LogicFromPhase(v, ref)
+			}
 		}
 	}
 	return out, nil

@@ -1,14 +1,12 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"spinwave/internal/core"
-	"spinwave/internal/engine"
 	"spinwave/internal/layout"
 	"spinwave/internal/material"
 )
@@ -219,45 +217,6 @@ func TestMicromagParallelXOR2Bit(t *testing.T) {
 					c.a, c.b, name, got, c.want, norm[name])
 			}
 		}
-	}
-}
-
-func TestGateEvalContextEngineMatchesSerial(t *testing.T) {
-	g, err := NewGate(core.XOR, layout.PaperMicromagSpec(), material.FeCoB(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(engine.WithWorkers(4))
-	ctx := context.Background()
-	for a := uint(0); a < 16; a += 3 {
-		for b := uint(0); b < 16; b += 5 {
-			serial, err := g.Eval(WordFromUint(a, 4), WordFromUint(b, 4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			conc, err := g.EvalContext(ctx, eng, WordFromUint(a, 4), WordFromUint(b, 4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, w := range serial {
-				if conc[name].Uint() != w.Uint() {
-					t.Fatalf("%d^%d at %s: engine %d, serial %d", a, b, name, conc[name].Uint(), w.Uint())
-				}
-			}
-		}
-	}
-}
-
-func TestGateEvalContextCancellation(t *testing.T) {
-	g, err := NewGate(core.XOR, layout.PaperMicromagSpec(), material.FeCoB(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	eng := engine.New(engine.WithWorkers(2))
-	if _, err := g.EvalContext(ctx, eng, WordFromUint(1, 2), WordFromUint(2, 2)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled eval returned %v, want context.Canceled", err)
 	}
 }
 

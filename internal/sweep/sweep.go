@@ -7,18 +7,17 @@
 // Sweeps are expressed against a TableRunner so the same harness drives
 // the fast behavioral backend (for smoke tests), the micromagnetic
 // backend (for the real experiments, see cmd/swsim), or a fake (for unit
-// tests).
+// tests). The points run one after another; a runner that evaluates its
+// table through the engine gets the case-level concurrency there.
 package sweep
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"spinwave/internal/core"
 	"spinwave/internal/detect"
 	"spinwave/internal/dsp"
-	"spinwave/internal/engine"
 	"spinwave/internal/grid"
 	"spinwave/internal/layout"
 	"spinwave/internal/obs"
@@ -27,41 +26,21 @@ import (
 // TableRunner evaluates a gate truth table for a given spec.
 type TableRunner func(spec layout.Spec) (*core.TruthTable, error)
 
-// TableRunnerContext is TableRunner with cancellation support; sweep
-// points launched through an engine receive a context that is cancelled
-// as soon as any sibling point fails.
-type TableRunnerContext func(ctx context.Context, spec layout.Spec) (*core.TruthTable, error)
-
-// runPoints evaluates one sweep point per parameter: serially when eng
-// is nil, otherwise concurrently through eng's coarse task pool (sweep
-// points are embarrassingly parallel — the §IV-D robustness studies are
-// the first workload that saturates the engine). Results always come
-// back in parameter order.
-func runPoints(ctx context.Context, eng *engine.Engine, params []float64, eval func(ctx context.Context, i int, param float64) (*core.TruthTable, error), describe func(param float64) string) ([]Result, error) {
+// runPoints evaluates one sweep point per parameter, in parameter
+// order, and stops at the first error.
+func runPoints(params []float64, eval func(i int, param float64) (*core.TruthTable, error), describe func(param float64) string) ([]Result, error) {
 	initMetrics()
 	out := make([]Result, len(params))
-	do := func(ctx context.Context, i int) error {
+	for i, param := range params {
 		span := obs.StartSpan("sweep.point")
-		tt, err := eval(ctx, i, params[i])
+		tt, err := eval(i, param)
 		span.End()
 		if err != nil {
 			mPointsErr.Inc()
-			return fmt.Errorf("sweep: %s: %w", describe(params[i]), err)
+			return nil, fmt.Errorf("sweep: %s: %w", describe(param), err)
 		}
 		mPointsOK.Inc()
-		out[i] = point(params[i], tt)
-		return nil
-	}
-	if eng == nil {
-		for i := range params {
-			if err := do(ctx, i); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	if err := eng.Map(ctx, len(params), do); err != nil {
-		return nil, err
+		out[i] = point(param, tt)
 	}
 	return out, nil
 }
@@ -82,13 +61,6 @@ type Result struct {
 
 // Width sweeps the waveguide width by the given scale factors.
 func Width(spec layout.Spec, scales []float64, run TableRunner) ([]Result, error) {
-	return WidthContext(context.Background(), nil, spec, scales,
-		func(_ context.Context, sp layout.Spec) (*core.TruthTable, error) { return run(sp) })
-}
-
-// WidthContext is Width with cancellation and, when eng is non-nil,
-// concurrent evaluation of the sweep points on the engine's task pool.
-func WidthContext(ctx context.Context, eng *engine.Engine, spec layout.Spec, scales []float64, run TableRunnerContext) ([]Result, error) {
 	if len(scales) == 0 {
 		return nil, fmt.Errorf("sweep: no width scales")
 	}
@@ -97,24 +69,17 @@ func WidthContext(ctx context.Context, eng *engine.Engine, spec layout.Spec, sca
 			return nil, fmt.Errorf("sweep: width scale %g must be positive", s)
 		}
 	}
-	return runPoints(ctx, eng, scales,
-		func(ctx context.Context, _ int, s float64) (*core.TruthTable, error) {
+	return runPoints(scales,
+		func(_ int, s float64) (*core.TruthTable, error) {
 			sp := spec
 			sp.Width = spec.Width * s
-			return run(ctx, sp)
+			return run(sp)
 		},
 		func(s float64) string { return fmt.Sprintf("width scale %g", s) })
 }
 
 // Thermal sweeps the simulation temperature.
 func Thermal(temps []float64, run func(temperature float64) (*core.TruthTable, error)) ([]Result, error) {
-	return ThermalContext(context.Background(), nil, temps,
-		func(_ context.Context, t float64) (*core.TruthTable, error) { return run(t) })
-}
-
-// ThermalContext is Thermal with cancellation and optional engine-backed
-// concurrency across temperatures.
-func ThermalContext(ctx context.Context, eng *engine.Engine, temps []float64, run func(ctx context.Context, temperature float64) (*core.TruthTable, error)) ([]Result, error) {
 	if len(temps) == 0 {
 		return nil, fmt.Errorf("sweep: no temperatures")
 	}
@@ -123,24 +88,15 @@ func ThermalContext(ctx context.Context, eng *engine.Engine, temps []float64, ru
 			return nil, fmt.Errorf("sweep: temperature %g must be non-negative", t)
 		}
 	}
-	return runPoints(ctx, eng, temps,
-		func(ctx context.Context, _ int, t float64) (*core.TruthTable, error) { return run(ctx, t) },
+	return runPoints(temps,
+		func(_ int, t float64) (*core.TruthTable, error) { return run(t) },
 		func(t float64) string { return fmt.Sprintf("T=%g K", t) })
 }
 
 // Roughness sweeps the edge-roughness probability using a runner that
-// receives a region mutator for core.WithRegionMutator.
+// receives a region mutator for core.WithRegionMutator. Each point gets
+// a distinct deterministic seed (seed + point index).
 func Roughness(probs []float64, seed int64, run func(mutator func(grid.Mesh, grid.Region) grid.Region) (*core.TruthTable, error)) ([]Result, error) {
-	return RoughnessContext(context.Background(), nil, probs, seed,
-		func(_ context.Context, mut func(grid.Mesh, grid.Region) grid.Region) (*core.TruthTable, error) {
-			return run(mut)
-		})
-}
-
-// RoughnessContext is Roughness with cancellation and optional
-// engine-backed concurrency across roughness probabilities. Each point
-// gets a distinct deterministic seed (seed + point index), as before.
-func RoughnessContext(ctx context.Context, eng *engine.Engine, probs []float64, seed int64, run func(ctx context.Context, mutator func(grid.Mesh, grid.Region) grid.Region) (*core.TruthTable, error)) ([]Result, error) {
 	if len(probs) == 0 {
 		return nil, fmt.Errorf("sweep: no roughness probabilities")
 	}
@@ -149,9 +105,9 @@ func RoughnessContext(ctx context.Context, eng *engine.Engine, probs []float64, 
 			return nil, fmt.Errorf("sweep: roughness probability %g outside [0,1]", p)
 		}
 	}
-	return runPoints(ctx, eng, probs,
-		func(ctx context.Context, i int, p float64) (*core.TruthTable, error) {
-			return run(ctx, EdgeRoughness(p, seed+int64(i)))
+	return runPoints(probs,
+		func(i int, p float64) (*core.TruthTable, error) {
+			return run(EdgeRoughness(p, seed+int64(i)))
 		},
 		func(p float64) string { return fmt.Sprintf("roughness %g", p) })
 }
@@ -256,14 +212,6 @@ func hashUniform(seed, cell uint64) float64 {
 // I3 phase (an error of ε·λ is exactly a −2π·ε drive-phase offset).
 func DimensionError(errorsLambda []float64,
 	run func(phaseError float64) (*core.TruthTable, error)) ([]Result, error) {
-	return DimensionErrorContext(context.Background(), nil, errorsLambda,
-		func(_ context.Context, phaseError float64) (*core.TruthTable, error) { return run(phaseError) })
-}
-
-// DimensionErrorContext is DimensionError with cancellation and optional
-// engine-backed concurrency across error magnitudes.
-func DimensionErrorContext(ctx context.Context, eng *engine.Engine, errorsLambda []float64,
-	run func(ctx context.Context, phaseError float64) (*core.TruthTable, error)) ([]Result, error) {
 	if len(errorsLambda) == 0 {
 		return nil, fmt.Errorf("sweep: no dimension errors")
 	}
@@ -272,10 +220,8 @@ func DimensionErrorContext(ctx context.Context, eng *engine.Engine, errorsLambda
 			return nil, fmt.Errorf("sweep: dimension error %g·λ outside ±0.5λ", e)
 		}
 	}
-	return runPoints(ctx, eng, errorsLambda,
-		func(ctx context.Context, _ int, e float64) (*core.TruthTable, error) {
-			return run(ctx, -2*math.Pi*e)
-		},
+	return runPoints(errorsLambda,
+		func(_ int, e float64) (*core.TruthTable, error) { return run(-2 * math.Pi * e) },
 		func(e float64) string { return fmt.Sprintf("dimension error %g·λ", e) })
 }
 

@@ -1,14 +1,11 @@
 package sweep
 
 import (
-	"context"
-	"errors"
 	"math"
 	"testing"
 
 	"spinwave/internal/core"
 	"spinwave/internal/detect"
-	"spinwave/internal/engine"
 	"spinwave/internal/grid"
 	"spinwave/internal/layout"
 	"spinwave/internal/material"
@@ -311,46 +308,4 @@ func phasorDrive(level bool, phaseOffset float64) complex128 {
 		phi += math.Pi
 	}
 	return complex(math.Cos(phi), math.Sin(phi))
-}
-
-func behavioralXORContextRunner() TableRunnerContext {
-	return func(ctx context.Context, spec layout.Spec) (*core.TruthTable, error) {
-		b, err := core.NewBehavioral(core.XOR, spec, material.FeCoB())
-		if err != nil {
-			return nil, err
-		}
-		return core.XORTruthTableContext(ctx, b, false)
-	}
-}
-
-func TestWidthSweepEngineMatchesSerial(t *testing.T) {
-	scales := []float64{0.7, 0.8, 0.9, 1.0}
-	serial, err := WidthContext(context.Background(), nil, layout.PaperSpec(), scales, behavioralXORContextRunner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(engine.WithWorkers(4))
-	conc, err := WidthContext(context.Background(), eng, layout.PaperSpec(), scales, behavioralXORContextRunner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(conc) != len(serial) {
-		t.Fatalf("engine sweep returned %d points, serial %d", len(conc), len(serial))
-	}
-	for i := range conc {
-		if conc[i].Param != serial[i].Param || conc[i].Margin != serial[i].Margin ||
-			conc[i].Correct != serial[i].Correct {
-			t.Fatalf("point %d differs: engine %+v, serial %+v", i, conc[i], serial[i])
-		}
-	}
-}
-
-func TestWidthSweepContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	eng := engine.New(engine.WithWorkers(2))
-	_, err := WidthContext(ctx, eng, layout.PaperSpec(), []float64{0.9, 1.0}, behavioralXORContextRunner())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
-	}
 }
