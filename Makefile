@@ -23,11 +23,11 @@ test:
 
 # Race-detector pass over the concurrent packages: the evaluation
 # engine, the serving layer, the row-band-parallel field stencil, the
-# tiled LLG solver and its worker pool, the frequency-parallel gates,
-# the metrics registry, the fleet observability plane, the durable
-# file primitives every store shares and the shared backend memo.
+# tiled LLG solver and its worker pool, the metrics registry, the fleet
+# observability plane, the durable file primitives every store shares
+# and the shared backend memo.
 test-race:
-	$(GO) test -race ./internal/durable/ ./internal/engine/ ./internal/mag/ ./internal/llg/ ./internal/tile/ ./internal/parallel/ ./internal/obs/ ./internal/journal/ ./internal/probe/ ./internal/health/ ./internal/fleet/ ./internal/fleet/faults/ ./internal/checkpoint/ ./internal/obsplane/ ./internal/runhistory/ ./internal/backendspec/ ./cmd/swserve/ ./cmd/swworker/
+	$(GO) test -race ./internal/durable/ ./internal/engine/ ./internal/mag/ ./internal/llg/ ./internal/tile/ ./internal/obs/ ./internal/journal/ ./internal/probe/ ./internal/health/ ./internal/fleet/ ./internal/fleet/faults/ ./internal/checkpoint/ ./internal/obsplane/ ./internal/runhistory/ ./internal/backendspec/ ./cmd/swserve/ ./cmd/swworker/
 
 # Godoc coverage gate (ISSUE 3): every exported identifier in the LLG
 # core and its term-by-term test oracle, the field evaluator, the gate backends and their resolver, the flight-recorder
@@ -141,12 +141,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLogRecover -fuzztime 30s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzStoreRecover -fuzztime 30s ./internal/engine/
 
-# Quick benchmark set, one iteration each: the behavioral Tables I/II,
-# derived-gate and parallel-word benchmarks and Figures 1-2 in the root
-# package, then BenchmarkFieldEvaluation in internal/mag. The engine's
-# warm path (BenchmarkEvalBatchStored: 4-case batches from the disk tier
-# behind a 4-entry LRU) takes microseconds, so it runs for the default
-# benchtime with allocation counts rather than once.
+# Quick benchmark set, one iteration each: the behavioral Tables I/II
+# and derived-gate benchmarks and Figures 1-2 in the root package, then
+# BenchmarkFieldEvaluation in internal/mag. The engine's warm path
+# (BenchmarkEvalBatchStored: 4-case batches from the disk tier behind a
+# 4-entry LRU) takes microseconds, so it runs for the default benchtime
+# with allocation counts rather than once.
 bench:
 	$(GO) test -run '^$$' -bench 'Behavioral|Figure1|Figure2|Interference' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mag/

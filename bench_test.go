@@ -9,7 +9,6 @@ package spinwave
 // dimensions.
 
 import (
-	"context"
 	"io"
 	"testing"
 
@@ -251,115 +250,6 @@ func BenchmarkMuMaxScriptGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := MuMaxScript(MAJ3, PaperSpec(), FeCoB(), []bool{false, true, true}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParallelWordXOR_Behavioral covers the X-7 extension: a 4-bit
-// frequency-multiplexed XOR evaluated for all 256 word pairs.
-func BenchmarkParallelWordXOR_Behavioral(b *testing.B) {
-	g, err := NewParallelGate(XOR, PaperMicromagSpec(), FeCoB(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for a := uint(0); a < 16; a++ {
-			for c := uint(0); c < 16; c++ {
-				out, err := g.Eval(WordFromUint(a, 4), WordFromUint(c, 4))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out["O1"].Uint() != a^c {
-					b.Fatalf("%04b^%04b = %04b", a, c, out["O1"].Uint())
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkParallelWordXOR_Micromagnetic runs the 2-bit two-carrier XOR
-// in the full solver (reference + one case).
-func BenchmarkParallelWordXOR_Micromagnetic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p, err := NewParallelMicromagXOR(ReducedSpec(), FeCoB(), 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		words, _, err := p.Run(WordFromUint(0b01, 2), WordFromUint(0b11, 2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if words["O1"].Uint() != 0b10 {
-			b.Fatalf("parallel XOR = %02b", words["O1"].Uint())
-		}
-	}
-}
-
-// BenchmarkXORTableMicromag_Serial is the baseline for the engine
-// comparison below: Table II on the reduced device, one case at a time
-// through the serial core path.
-func BenchmarkXORTableMicromag_Serial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m, err := NewMicromagnetic(XOR)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tt, err := core.XORTruthTable(m, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !tt.AllCorrect() {
-			b.Fatal("serial micromagnetic table II incorrect")
-		}
-	}
-}
-
-// BenchmarkXORTableMicromag_Engine8 runs the same table through a fresh
-// 8-worker engine each iteration (cold cache). The engine answers the
-// four cases from two orbit runs (01 on the whole film, 00 on the half)
-// in parallel, so it beats the serial baseline's four runs even on a
-// single core.
-func BenchmarkXORTableMicromag_Engine8(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		m, err := NewMicromagnetic(XOR)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := NewEngine(WithEngineWorkers(8))
-		tt, err := eng.XORTable(ctx, m, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !tt.AllCorrect() {
-			b.Fatal("engine micromagnetic table II incorrect")
-		}
-	}
-}
-
-// BenchmarkXORTableMicromag_EngineWarm reuses one engine across
-// iterations: after the first table every case is an LRU hit, so this
-// measures the serving-layer steady state for repeated identical
-// requests.
-func BenchmarkXORTableMicromag_EngineWarm(b *testing.B) {
-	ctx := context.Background()
-	m, err := NewMicromagnetic(XOR)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := NewEngine(WithEngineWorkers(8))
-	if _, err := eng.XORTable(ctx, m, false); err != nil {
-		b.Fatal(err) // prime the cache outside the timed loop
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tt, err := eng.XORTable(ctx, m, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !tt.AllCorrect() {
-			b.Fatal("warm engine table II incorrect")
 		}
 	}
 }

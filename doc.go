@@ -15,8 +15,8 @@
 //     as parameterized layouts, evaluated either by full micromagnetic
 //     simulation or by a fast behavioral phasor network;
 //   - the ladder-shape baseline of refs [22,23], the derived
-//     (N)AND/(N)OR gates, and a gate-level circuit layer (full adder,
-//     ripple-carry adder) with energy/delay/fan-out accounting;
+//     (N)AND/(N)OR gates, and a gate-level netlist layer with
+//     energy/delay/fan-out accounting, splitters and repeaters;
 //   - the paper's §IV-D performance model (ME transducers, CMOS
 //     references) regenerating Table III and its derived claims;
 //   - harnesses that regenerate every table and figure of the paper's

@@ -60,38 +60,6 @@ func ExampleMajorityTruthTable() {
 	// worst |O1-O2|: 0.000
 }
 
-// A full adder out of FO2 gates: carry = MAJ3, sum = XOR·XOR.
-func ExampleFullAdder() {
-	fa, err := spinwave.FullAdder(spinwave.TriangleFO2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, err := fa.Evaluate(map[spinwave.Net]bool{"a": true, "b": true, "cin": false})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("1+1+0: sum=%v cout=%v, energy %.1f aJ\n",
-		b2i(out["sum"]), b2i(out["cout"]), fa.Energy()/1e-18)
-	// Output:
-	// 1+1+0: sum=0 cout=1, energy 24.1 aJ
-}
-
-// Four XOR operations through one gate at once, each on its own carrier
-// frequency (the ref [9] data-parallel extension).
-func ExampleNewParallelGate() {
-	g, err := spinwave.NewParallelGate(spinwave.XOR, spinwave.PaperMicromagSpec(), spinwave.FeCoB(), 4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, err := g.Eval(spinwave.WordFromUint(0b1100, 4), spinwave.WordFromUint(0b1010, 4))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("1100 XOR 1010 = %04b\n", out["O1"].Uint())
-	// Output:
-	// 1100 XOR 1010 = 0110
-}
-
 // The drive frequency that realizes the paper's λ = 55 nm in this repo's
 // solver.
 func ExampleDriveFrequency() {

@@ -103,21 +103,6 @@ func MAJ3Single() Component {
 	return swGate{cost: energy.TriangleMAJ3Single(), nin: 3, nout: 1, fn: majority}
 }
 
-// XORSingle returns a single-output XOR variant for fan-out comparisons.
-func XORSingle() Component {
-	return swGate{cost: energy.TriangleXORSingle(), nin: 2, nout: 1, fn: func(in []bool) bool { return in[0] != in[1] }}
-}
-
-// LadderMAJ3 returns the baseline ladder Majority component [22,23].
-func LadderMAJ3() Component {
-	return swGate{cost: energy.LadderMAJ3(), nin: 3, nout: 2, fn: majority}
-}
-
-// LadderXOR returns the baseline ladder XOR component [22,23].
-func LadderXOR() Component {
-	return swGate{cost: energy.LadderXOR(), nin: 2, nout: 2, fn: func(in []bool) bool { return in[0] != in[1] }}
-}
-
 func majority(in []bool) bool {
 	n := 0
 	for _, b := range in {

@@ -3,7 +3,6 @@ package circuit
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestComponentBasics(t *testing.T) {
@@ -18,9 +17,6 @@ func TestComponentBasics(t *testing.T) {
 		{AND(), 2, 2, 10.32},
 		{OR(), 2, 2, 10.32},
 		{MAJ3Single(), 3, 1, 10.32},
-		{XORSingle(), 2, 1, 6.88},
-		{LadderMAJ3(), 3, 2, 13.76},
-		{LadderXOR(), 2, 2, 13.76},
 	}
 	for _, c := range cases {
 		if c.c.NumInputs() != c.nin || c.c.NumOutputs() != c.nout {
@@ -67,7 +63,7 @@ func TestComponentTruthFunctions(t *testing.T) {
 			}
 		}
 		want := cnt >= 2
-		for _, g := range []Component{MAJ3(), MAJ3Single(), LadderMAJ3()} {
+		for _, g := range []Component{MAJ3(), MAJ3Single()} {
 			out, err := g.Eval(in)
 			if err != nil {
 				t.Fatal(err)
@@ -194,176 +190,9 @@ func TestCheckFanOut(t *testing.T) {
 	}
 }
 
-func TestFullAdderAllStyles(t *testing.T) {
-	for _, style := range []AdderStyle{TriangleFO2, LadderFO2, SingleWithRepeaters} {
-		fa, err := FullAdder(style)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fa.CheckFanOut(2); err != nil {
-			t.Errorf("%v: %v", style, err)
-		}
-		for c := 0; c < 8; c++ {
-			a, b, cin := c&1 != 0, c&2 != 0, c&4 != 0
-			out, err := fa.Evaluate(map[Net]bool{"a": a, "b": b, "cin": cin})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSum := (a != b) != cin
-			wantCarry := (a && b) || (a && cin) || (b && cin)
-			if out["sum"] != wantSum || out["cout"] != wantCarry {
-				t.Errorf("%v FA(%v,%v,%v) = %v", style, a, b, cin, out)
-			}
-		}
-	}
-}
-
-// TestRippleCarryAdderAddition exhaustively checks 4-bit addition and
-// property-checks 8-bit addition for all styles.
-func TestRippleCarryAdderAddition(t *testing.T) {
-	for _, style := range []AdderStyle{TriangleFO2, SingleWithRepeaters} {
-		rca, err := RippleCarryAdder(4, style)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rca.CheckFanOut(2); err != nil {
-			t.Fatalf("%v: %v", style, err)
-		}
-		for a := 0; a < 16; a++ {
-			for b := 0; b < 16; b++ {
-				got, err := addWith(rca, 4, a, b, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != a+b {
-					t.Fatalf("%v: %d+%d = %d", style, a, b, got)
-				}
-			}
-		}
-	}
-}
-
-func TestRippleCarryAdderProperty(t *testing.T) {
-	rca, err := RippleCarryAdder(8, TriangleFO2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(a, b uint8, cin bool) bool {
-		got, err := addWith(rca, 8, int(a), int(b), cin)
-		if err != nil {
-			return false
-		}
-		want := int(a) + int(b)
-		if cin {
-			want++
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func addWith(n *Netlist, bits, a, b int, cin bool) (int, error) {
-	assign := map[Net]bool{"cin": cin}
-	for i := 0; i < bits; i++ {
-		assign[Net(sprintfNet("a%d", i))] = a&(1<<i) != 0
-		assign[Net(sprintfNet("b%d", i))] = b&(1<<i) != 0
-	}
-	out, err := n.Evaluate(assign)
-	if err != nil {
-		return 0, err
-	}
-	res := 0
-	for i := 0; i < bits; i++ {
-		if out[Net(sprintfNet("sum%d", i))] {
-			res |= 1 << i
-		}
-	}
-	if out[Net(sprintfNet("c%d", bits))] {
-		res |= 1 << bits
-	}
-	return res, nil
-}
-
-func sprintfNet(format string, i int) string {
-	switch {
-	case format == "a%d":
-		return "a" + itoa(i)
-	case format == "b%d":
-		return "b" + itoa(i)
-	case format == "sum%d":
-		return "sum" + itoa(i)
-	default:
-		return "c" + itoa(i)
-	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
-}
-
-func TestRippleCarryAdderValidation(t *testing.T) {
-	if _, err := RippleCarryAdder(0, TriangleFO2); err == nil {
-		t.Error("zero-bit adder accepted")
-	}
-	if _, err := FullAdder(AdderStyle(99)); err == nil {
-		t.Error("unknown style accepted")
-	}
-}
-
-// TestCompareAddersShowsFO2Advantage is the circuit-level version of the
-// paper's energy argument: the triangle FO2 adder must beat both the
-// ladder FO2 adder (25-50% per gate) and the single-output + repeater
-// build.
-func TestCompareAddersShowsFO2Advantage(t *testing.T) {
-	rows, err := CompareAdders(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byStyle := map[AdderStyle]AdderComparison{}
-	for _, r := range rows {
-		byStyle[r.Style] = r
-	}
-	tri := byStyle[TriangleFO2]
-	lad := byStyle[LadderFO2]
-	single := byStyle[SingleWithRepeaters]
-	if !(tri.EnergyAJ < lad.EnergyAJ) {
-		t.Errorf("triangle %g aJ not below ladder %g aJ", tri.EnergyAJ, lad.EnergyAJ)
-	}
-	if !(tri.EnergyAJ < single.EnergyAJ) {
-		t.Errorf("triangle %g aJ not below single+repeaters %g aJ", tri.EnergyAJ, single.EnergyAJ)
-	}
-	// Same gate-stage delay for triangle and ladder (paper: same delay).
-	if math.Abs(tri.DelayNS-lad.DelayNS) > 1e-9 {
-		t.Errorf("delays differ: %g vs %g", tri.DelayNS, lad.DelayNS)
-	}
-	// Repeater style adds repeater stages on the carry chain → slower.
-	if !(single.DelayNS > tri.DelayNS) {
-		t.Errorf("repeater build not slower: %g vs %g", single.DelayNS, tri.DelayNS)
-	}
-}
-
-func TestAdderStyleString(t *testing.T) {
-	if TriangleFO2.String() != "triangle-fo2" || LadderFO2.String() != "ladder-fo2" ||
-		SingleWithRepeaters.String() != "single+repeaters" || AdderStyle(9).String() == "" {
-		t.Error("style names wrong")
-	}
-}
-
+// TestCriticalDelayLinearInBits: the critical path of a balanced XOR
+// reduction is one gate stage per tree level, so the 8-input tree (depth
+// 3) is slower than the 4-input one (depth 2), by one stage.
 func TestCriticalDelayLinearInBits(t *testing.T) {
 	d4, err := delayOf(t, 4)
 	if err != nil {
@@ -373,17 +202,22 @@ func TestCriticalDelayLinearInBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ripple carry: delay grows with bit count.
 	if d8 <= d4 {
-		t.Errorf("delay not growing: %g vs %g", d4, d8)
+		t.Errorf("delay not growing with depth: %g vs %g", d4, d8)
+	}
+	if stage := XOR().Delay(); math.Abs(d8-d4-stage) > 1e-6*stage {
+		t.Errorf("depth 3 - depth 2 = %g s, want one stage %g s", d8-d4, stage)
 	}
 }
 
-func delayOf(t *testing.T, bits int) (float64, error) {
+func delayOf(t *testing.T, inputs int) (float64, error) {
 	t.Helper()
-	n, err := RippleCarryAdder(bits, TriangleFO2)
+	n, err := ParityTree(inputs)
 	if err != nil {
 		return 0, err
+	}
+	if got := len(n.Inputs()); got != inputs {
+		t.Fatalf("parity%d has %d primary inputs", inputs, got)
 	}
 	return n.CriticalDelay()
 }

@@ -124,8 +124,9 @@ func WithCheckpoint(cc checkpoint.Config) MicromagOption {
 }
 
 // WithDtScale multiplies the stability-bounded LLG time step (default
-// 1). Values > 1 deliberately destabilize the integrator — the
-// health-smoke knob; values < 1 trade speed for accuracy. DtScale
+// 1). The reduced tables still decode up to about 3.5 and read wrong
+// from 4; far larger values (health-smoke's 20) destabilize the
+// integrator; values < 1 trade speed for accuracy. DtScale
 // changes the trajectory, so it is part of the cache fingerprint.
 func WithDtScale(s float64) MicromagOption {
 	return func(c *micromagConfig) { c.DtScale = s }

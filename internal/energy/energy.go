@@ -130,20 +130,6 @@ func TriangleMAJ3Single() SWGate {
 	}
 }
 
-// TriangleXORSingle returns a single-output XOR gate variant used by the
-// fan-out cost comparisons: 2 exciting inputs + 1 detecting output.
-func TriangleXORSingle() SWGate {
-	return SWGate{
-		Name:            "triangle XOR single-output",
-		Function:        "XOR",
-		ExcitationCells: 2,
-		DetectionCells:  1,
-		ME:              DefaultMECell(),
-		Pulse:           DefaultPulse,
-		EqualExcitation: true,
-	}
-}
-
 // LadderMAJ3 returns the ladder-shape FO2 Majority gate of refs [22,23]:
 // 3 inputs + 1 replicated input transducer + 2 outputs = 6 cells, with
 // input excitation levels that depend on the path (§IV-D).

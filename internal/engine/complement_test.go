@@ -152,8 +152,8 @@ func TestEvalBatchPairsComplements(t *testing.T) {
 }
 
 // TestEvalBatchLoneComplementMiss: when a batch holds both cases of a
-// pair but only one misses the store, that one runs directly — one
-// solve, no derivation.
+// pair but only 11 misses the store, 11 is answered from a run of its
+// orbit's smallest member 00 — one solve, one complement.
 func TestEvalBatchLoneComplementMiss(t *testing.T) {
 	m := micromagFor(t, core.XOR)
 	e := New(WithWorkers(2))
@@ -163,8 +163,8 @@ func TestEvalBatchLoneComplementMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := e.Stats(); s.Evals != 1 || s.Complements != 0 {
-		t.Fatalf("%d solves and %d complements, want 1 and 0", s.Evals, s.Complements)
+	if s := e.Stats(); s.Evals != 1 || s.Complements != 1 {
+		t.Fatalf("%d solves and %d complements, want 1 and 1", s.Evals, s.Complements)
 	}
 	if res[0].Source != SourceCache || res[1].Source != SourceMicromag {
 		t.Fatalf("sources %s, %s; want cache, micromag", res[0].Source, res[1].Source)
@@ -204,21 +204,28 @@ func TestEvalBatchThermalRunsEveryCase(t *testing.T) {
 }
 
 // TestPairMisses pins the grouping rule on input bits alone: the misses
-// of one orbit run from the member with the smallest bits, whatever the
-// batch order; a miss alone in its orbit runs alone; whole-film jobs come
-// before half-film ones; a backend without symmetries never groups.
+// of one orbit run from the orbit's member with the smallest bits,
+// whatever the batch order and whether or not the batch asked for it —
+// a miss alone in its orbit too; a requested run case is listed first;
+// whole-film jobs come before half-film ones; a backend without
+// symmetries never groups.
 func TestPairMisses(t *testing.T) {
 	sym := plan{sym: fakeSymmetric{newFakeXOR("group", 0)}}
 	xor := [][]bool{{true, true}, {false, true}, {false, false}, {true, false}}
 	got := sym.groupMisses(xor, []int{0, 1, 2})
-	want := []missJob{{run: 1}, {run: 2, derived: []int{0}, half: true}}
+	want := []missJob{{run: bitsOf("01"), cases: []int{1}}, {run: bitsOf("00"), cases: []int{2, 0}, half: true}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("xor jobs %+v, want %+v", got, want)
 	}
 	got = sym.groupMisses(xor, []int{0, 1, 2, 3})
-	want = []missJob{{run: 1, derived: []int{3}}, {run: 2, derived: []int{0}, half: true}}
+	want = []missJob{{run: bitsOf("01"), cases: []int{1, 3}}, {run: bitsOf("00"), cases: []int{2, 0}, half: true}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("xor jobs %+v, want %+v", got, want)
+	}
+	got = sym.groupMisses(xor, []int{3, 0})
+	want = []missJob{{run: bitsOf("01"), cases: []int{3}}, {run: bitsOf("00"), cases: []int{0}, half: true}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("lone xor jobs %+v, want %+v", got, want)
 	}
 	maj3 := core.EnumerateInputs(3)
 	all := make([]int, len(maj3))
@@ -227,16 +234,16 @@ func TestPairMisses(t *testing.T) {
 	}
 	got = sym.groupMisses(maj3, all)
 	want = []missJob{ // case c has inputs[b] = bit b of c
-		{run: 2, derived: []int{5, 6, 1}},       // 010 answers 101, 011, 100
-		{run: 0, derived: []int{7}, half: true}, // 000 answers 111
-		{run: 4, derived: []int{3}, half: true}, // 001 answers 110
+		{run: bitsOf("010"), cases: []int{2, 6, 5, 1}},       // 010 answers 010, 011, 101, 100
+		{run: bitsOf("000"), cases: []int{0, 7}, half: true}, // 000 answers 000, 111
+		{run: bitsOf("001"), cases: []int{4, 3}, half: true}, // 001 answers 001, 110
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("maj3 jobs %+v, want %+v", got, want)
 	}
 	var plain plan
 	got = plain.groupMisses(xor, []int{0, 2})
-	want = []missJob{{run: 0}, {run: 2}}
+	want = []missJob{{run: xor[0], cases: []int{0}}, {run: xor[2], cases: []int{2}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("plain jobs %+v, want %+v", got, want)
 	}
@@ -332,45 +339,55 @@ func TestEvalBatchPairCoalesces(t *testing.T) {
 	}
 }
 
-// TestRecomputeJoinsOrbitRun: a lone recompute of 01 and a batch of
-// {01, 10} in flight together share one run of 01's orbit — the batch
-// joins the lone run, and 10, derived from it, is stored for the next
-// caller.
+// TestRecomputeJoinsOrbitRun: a lone recompute of 01 or of 10 and a
+// batch of {01, 10} in flight together share one run of 01's orbit —
+// the lone miss runs from its orbit's smallest member 01 even when it is
+// 10, the batch joins that run, and 10, derived from it, is stored for
+// the next caller.
 func TestRecomputeJoinsOrbitRun(t *testing.T) {
-	release := make(chan struct{})
-	blocked, _, _ := blockingXOR("join", release)
-	b := fakeSymmetric{blocked}
-	e := New(WithWorkers(2))
-	ctx := context.Background()
-	lone := make(chan error, 1)
-	go func() {
-		_, err := e.EvalTiered(ctx, b, []bool{false, true}, ModeDirect)
-		lone <- err
-	}()
-	waitFor(t, "the lone run to start", func() bool { return b.runs.Load() == 1 })
-	batch := make(chan error, 1)
-	go func() {
-		_, err := e.EvalBatch(ctx, b, [][]bool{{false, true}, {true, false}}, ModeDirect, nil)
-		batch <- err
-	}()
-	// Either the batch joins the lone run or it starts a run of its own.
-	waitFor(t, "the batch to join or run", func() bool { return e.Stats().Deduped > 0 || b.runs.Load() > 1 })
-	close(release)
-	if err := <-lone; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-batch; err != nil {
-		t.Fatal(err)
-	}
-	if runs, s := b.runs.Load(), e.Stats(); runs != 1 || s.Evals != 1 || s.Deduped != 1 || s.Complements != 1 {
-		t.Fatalf("%d runs, %d evals, %d deduped, %d complements; want 1, 1, 1 and 1", runs, s.Evals, s.Deduped, s.Complements)
-	}
-	res, err := e.EvalTiered(ctx, b, []bool{true, false}, ModeDirect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Source != SourceCache {
-		t.Fatalf("derived case 10 after the shared run: source %s, want cache", res.Source)
+	for _, lone := range []string{"01", "10"} {
+		t.Run(lone, func(t *testing.T) {
+			release := make(chan struct{})
+			blocked, _, _ := blockingXOR("join"+lone, release)
+			b := fakeSymmetric{blocked}
+			e := New(WithWorkers(2))
+			ctx := context.Background()
+			loneDone := make(chan error, 1)
+			go func() {
+				_, err := e.EvalTiered(ctx, b, bitsOf(lone), ModeDirect)
+				loneDone <- err
+			}()
+			waitFor(t, "the lone run to start", func() bool { return b.runs.Load() == 1 })
+			batch := make(chan error, 1)
+			go func() {
+				_, err := e.EvalBatch(ctx, b, [][]bool{{false, true}, {true, false}}, ModeDirect, nil)
+				batch <- err
+			}()
+			// Either the batch joins the lone run or it starts a run of its own.
+			waitFor(t, "the batch to join or run", func() bool { return e.Stats().Deduped > 0 || b.runs.Load() > 1 })
+			close(release)
+			if err := <-loneDone; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-batch; err != nil {
+				t.Fatal(err)
+			}
+			// 10 is derived once per caller that asked for it.
+			complements := int64(1)
+			if lone == "10" {
+				complements = 2
+			}
+			if runs, s := b.runs.Load(), e.Stats(); runs != 1 || s.Evals != 1 || s.Deduped != 1 || s.Complements != complements {
+				t.Fatalf("%d runs, %d evals, %d deduped, %d complements; want 1, 1, 1 and %d", runs, s.Evals, s.Deduped, s.Complements, complements)
+			}
+			res, err := e.EvalTiered(ctx, b, []bool{true, false}, ModeDirect)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Source != SourceCache {
+				t.Fatalf("derived case 10 after the shared run: source %s, want cache", res.Source)
+			}
+		})
 	}
 }
 

@@ -231,17 +231,21 @@ func (e *Engine) EvalTiered(ctx context.Context, b core.Backend, inputs []bool, 
 //
 // When the backend has exact symmetries (core.Symmetric), the misses in
 // one orbit — c, ¬c, the mirror image σc and ¬σc — are one recompute:
-// the run of the member with the smallest input bits answers all of
-// them, in one eval slot, and each enters the store as that backend's
-// exact result. A truth table's misses therefore cost one run per orbit.
-// A miss alone in its orbit runs on its own. Jobs ask for eval slots in
-// order, whole-film runs before half-film ones, so on a busy pool the
-// short half-film runs follow each other in one slot while a whole-film
-// run holds another.
+// the run of the orbit's member with the smallest input bits, requested
+// or not, answers all of them, in one eval slot, and each miss enters
+// the store as that backend's exact result (the run case only when it
+// is one of them: a later request for it is not prepaid). A truth
+// table's misses therefore cost one run per orbit, and every caller
+// missing anywhere in an orbit joins the same run. Jobs ask for eval
+// slots in order, whole-film runs before half-film ones, so on a busy
+// pool the short half-film runs follow each other in one slot while a
+// whole-film run holds another.
 //
 // runIDs, when non-nil, holds one journal run ID per case: its tier
-// events and, on a miss, its recompute journal under that ID (a derived
-// case journals its engine.tier complement or mirror event). The
+// events journal under that ID. A recompute journals under the run
+// case's ID when the batch asked for the run case, else under the ID of
+// the first miss it answers; each miss other than the run case journals
+// its engine.tier complement or mirror event under its own. The
 // results are in case order; the first error fails the batch, and so
 // does a cancelled ctx.
 func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, mode Mode, runIDs []string) ([]EvalResult, error) {
@@ -281,28 +285,23 @@ func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, 
 	jobs := p.groupMisses(cases, misses)
 	err = e.fanout(ctx, len(jobs), func(ctx context.Context, m int) error {
 		job := jobs[m]
-		i := job.run
 		if runIDs != nil {
-			ctx = journal.WithRunID(ctx, runIDs[i])
+			ctx = journal.WithRunID(ctx, runIDs[job.cases[0]])
 		}
-		derived := make([][]bool, len(job.derived))
-		derivedRuns := make([]string, len(job.derived))
-		for k, d := range job.derived {
-			derived[k], derivedRuns[k] = cases[d], runID
+		answers := make([][]bool, len(job.cases))
+		answerRuns := make([]string, len(job.cases))
+		for k, c := range job.cases {
+			answers[k], answerRuns[k] = cases[c], runID
 			if runIDs != nil {
-				derivedRuns[k] = runIDs[d]
+				answerRuns[k] = runIDs[c]
 			}
 		}
-		res, more, err := e.recompute(ctx, &p, cases[i], derived, derivedRuns)
+		res, err := e.recompute(ctx, &p, job.run, answers, answerRuns)
 		if err != nil {
-			if len(derived) == 0 {
-				return fmt.Errorf("case %v: %w", cases[i], err)
-			}
-			return fmt.Errorf("case %v and %d of its orbit: %w", cases[i], len(derived), err)
+			return fmt.Errorf("case %v: %w", cases[job.cases[0]], err)
 		}
-		out[i] = res
-		for k, d := range job.derived {
-			out[d] = more[k]
+		for k, c := range job.cases {
+			out[c] = res[k]
 		}
 		return nil
 	})
@@ -312,60 +311,56 @@ func (e *Engine) EvalBatch(ctx context.Context, b core.Backend, cases [][]bool, 
 	return out, nil
 }
 
-// missJob is one recompute of a batch: the case at index run, the
-// indices of the other misses its run answers (none for a plain
-// recompute), and whether the run steps only half the film.
+// missJob is one recompute of a batch: the case the solver runs, the
+// indices of the misses its run answers (the run case first when the
+// batch asked for it), and whether the run steps only half the film.
 type missJob struct {
-	run     int
-	derived []int
-	half    bool
+	run   []bool
+	cases []int
+	half  bool
 }
 
 // groupMisses groups a batch's misses into recomputes: on a backend with
 // exact symmetries, the misses of one orbit share one job, run from the
-// member with the smallest input bits (so concurrent batches of the same
-// cases pick the same run and coalesce); every other miss is a job of its
-// own. Whole-film jobs come first, each kind in the order of its first
-// case.
+// orbit's member with the smallest input bits whether or not the batch
+// asked for it, so every caller missing in that orbit picks the same run
+// and coalesces; on any other backend each miss is a job of its own.
+// Whole-film jobs come first, each kind in the order of its first miss.
 func (p *plan) groupMisses(cases [][]bool, misses []int) []missJob {
 	jobs := make([]missJob, 0, len(misses))
 	byOrbit := make(map[string]int) // smallest orbit member's bits → job
 	for _, i := range misses {
 		if p.sym == nil {
-			jobs = append(jobs, missJob{run: i})
+			jobs = append(jobs, missJob{run: cases[i], cases: []int{i}})
 			continue
 		}
-		bits := string(appendBits(nil, cases[i]))
-		rep := bits
+		own := string(appendBits(nil, cases[i]))
+		run, rep := cases[i], own
 		for _, c := range p.sym.Orbit(cases[i])[1:] {
-			rep = min(rep, string(appendBits(nil, c)))
+			if bits := string(appendBits(nil, c)); bits < rep {
+				run, rep = c, bits
+			}
 		}
-		j, ok := byOrbit[rep]
-		if !ok {
-			byOrbit[rep] = len(jobs)
-			jobs = append(jobs, missJob{run: i})
+		if j, ok := byOrbit[rep]; ok {
+			if own == rep {
+				jobs[j].cases = slices.Insert(jobs[j].cases, 0, i)
+			} else {
+				jobs[j].cases = append(jobs[j].cases, i)
+			}
 			continue
 		}
-		if run := jobs[j].run; bits < string(appendBits(nil, cases[run])) {
-			jobs[j].run = i
-			i = run
-		}
-		jobs[j].derived = append(jobs[j].derived, i)
+		byOrbit[rep] = len(jobs)
+		jobs = append(jobs, missJob{run: run, cases: []int{i}, half: p.sym.HalfDomain(run)})
 	}
-	if p.sym != nil {
-		for j := range jobs {
-			jobs[j].half = p.sym.HalfDomain(cases[jobs[j].run])
+	slices.SortStableFunc(jobs, func(a, b missJob) int {
+		if a.half == b.half {
+			return 0
 		}
-		slices.SortStableFunc(jobs, func(a, b missJob) int {
-			if a.half == b.half {
-				return 0
-			}
-			if a.half {
-				return 1
-			}
-			return -1
-		})
-	}
+		if a.half {
+			return 1
+		}
+		return -1
+	})
 	return jobs
 }
 
@@ -477,17 +472,18 @@ func (p *plan) runOrbit(ctx context.Context, inputs []bool) ([][]bool, []map[str
 }
 
 // recompute is the second half of a tiered evaluation: one exact run of
-// inputs, in one eval slot, answers inputs and every derived case —
-// members of its orbit (core.Symmetric), possibly none. Each is reported
-// as the backend's recompute source. On a cacheable backend the run goes
-// through singleflight, keyed by inputs' key, and stores inputs and the
-// derived cases under their own keys; a caller that joins another's run
-// stores the derived cases that run did not. Only exact results are
-// memoized, so concurrent ModeDirect and ModeAuto misses may share one
-// run safely. A derived case journals an engine.tier hit under its
-// derivedRuns entry — tier complement for ¬inputs, mirror for a mirror
+// inputs, in one eval slot, answers every case of answers — inputs
+// itself or members of its orbit (core.Symmetric). Each is reported as
+// the backend's recompute source, in answers' order. On a cacheable
+// backend the run goes through singleflight, keyed by inputs' key, and
+// stores the answered cases under their own keys — inputs only when it
+// is one of them; a caller that joins another's run stores the cases
+// that run did not. Only exact results are memoized, so concurrent
+// ModeDirect and ModeAuto misses may share one run safely. An answered
+// case other than inputs journals an engine.tier hit under its
+// answerRuns entry — tier complement for ¬inputs, mirror for a mirror
 // image — naming the run and the key of its partner.
-func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool, derived [][]bool, derivedRuns []string) (EvalResult, []EvalResult, error) {
+func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool, answers [][]bool, answerRuns []string) ([]EvalResult, error) {
 	var key string
 	if p.cacheable {
 		key = p.key(inputs)
@@ -511,7 +507,7 @@ func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool, derived 
 			r.cost = time.Since(start)
 			r.stored = make([]bool, len(r.cases))
 			for k, c := range r.cases {
-				if k == 0 || slices.ContainsFunc(derived, func(d []bool) bool { return slices.Equal(d, c) }) {
+				if slices.ContainsFunc(answers, func(a []bool) bool { return slices.Equal(a, c) }) {
 					e.store(p.key(c), r.outs[k], r.cost)
 					r.stored[k] = true
 				}
@@ -530,28 +526,25 @@ func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool, derived 
 		v, err = eval()
 	}
 	if err != nil {
-		return EvalResult{}, nil, err
+		return nil, err
 	}
-	result := func(k int) EvalResult {
-		return EvalResult{Readouts: cloneReadouts(v.outs[k]), Source: p.src, Fingerprint: p.fp}
-	}
-	more := make([]EvalResult, len(derived))
+	res := make([]EvalResult, len(answers))
 	j := journal.Default()
 	not := complement(inputs)
-	for k, d := range derived {
-		at := slices.IndexFunc(v.cases, func(o []bool) bool { return slices.Equal(o, d) })
+	for k, a := range answers {
+		at := slices.IndexFunc(v.cases, func(o []bool) bool { return slices.Equal(o, a) })
 		if at < 0 {
-			return EvalResult{}, nil, fmt.Errorf("case %v is not in the orbit of %v", d, inputs)
+			return nil, fmt.Errorf("case %v is not in the orbit of %v", a, inputs)
 		}
-		more[k] = result(at)
+		res[k] = EvalResult{Readouts: cloneReadouts(v.outs[at]), Source: p.src, Fingerprint: p.fp}
 		if shared && !v.stored[at] {
-			e.store(p.key(d), v.outs[at], v.cost)
+			e.store(p.key(a), v.outs[at], v.cost)
 		}
 		tier := "mirror"
 		switch {
-		case slices.Equal(d, inputs):
-			continue // the run case listed twice
-		case slices.Equal(d, not):
+		case at == 0:
+			continue // the run case
+		case slices.Equal(a, not):
 			tier = "complement"
 			e.complements.Add(1)
 			mComplements.Inc()
@@ -562,16 +555,16 @@ func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool, derived 
 		if j.Enabled() {
 			fields := []journal.Field{
 				journal.F("tier", tier), journal.F("result", "hit"),
-				journal.F("inputs", string(appendBits(nil, d))),
+				journal.F("inputs", string(appendBits(nil, a))),
 				journal.F("partner_run", v.run),
 			}
 			if p.cacheable {
-				fields = append(fields, journal.F("key", p.key(d)), journal.F("partner_key", key))
+				fields = append(fields, journal.F("key", p.key(a)), journal.F("partner_key", key))
 			}
-			j.Emit(derivedRuns[k], "engine.tier", fields...)
+			j.Emit(answerRuns[k], "engine.tier", fields...)
 		}
 	}
-	return result(0), more, nil
+	return res, nil
 }
 
 // store memoizes an exact result under key: into the LRU, and onto the

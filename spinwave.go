@@ -16,7 +16,6 @@ import (
 	"spinwave/internal/material"
 	"spinwave/internal/measure"
 	"spinwave/internal/mumax"
-	"spinwave/internal/parallel"
 	"spinwave/internal/render"
 	"spinwave/internal/report"
 	"spinwave/internal/units"
@@ -144,7 +143,8 @@ var (
 	// (DESIGN.md §12); reports are published via HealthFor.
 	WithHealth = core.WithHealth
 	// WithDtScale multiplies the stability-bounded LLG time step
-	// (default 1; > 1 deliberately destabilizes the integrator).
+	// (default 1; the reduced tables read wrong from about 4, and far
+	// larger values destabilize the integrator).
 	WithDtScale = core.WithDtScale
 )
 
@@ -260,21 +260,6 @@ type (
 	Net = circuit.Net
 	// Component is a circuit element with logic and cost.
 	Component = circuit.Component
-	// AdderStyle selects the gate family used to build adders.
-	AdderStyle = circuit.AdderStyle
-	// AdderComparison summarizes one adder build.
-	AdderComparison = circuit.AdderComparison
-)
-
-// Adder styles.
-const (
-	// TriangleFO2 uses this work's triangle FO2 gates.
-	TriangleFO2 = circuit.TriangleFO2
-	// LadderFO2 uses the ladder baseline gates [22,23].
-	LadderFO2 = circuit.LadderFO2
-	// SingleWithRepeaters uses single-output gates plus couplers and
-	// repeaters.
-	SingleWithRepeaters = circuit.SingleWithRepeaters
 )
 
 // NewNetlist creates an empty circuit with the given primary inputs.
@@ -301,45 +286,6 @@ var (
 	// SplitterComponent returns an n-way directional coupler [36].
 	SplitterComponent = func(ways int) Component { return circuit.Splitter{Ways: ways} }
 )
-
-// FullAdder builds a 1-bit full adder (sum = XOR·XOR, carry = MAJ3).
-func FullAdder(style AdderStyle) (*Netlist, error) { return circuit.FullAdder(style) }
-
-// RippleCarryAdder builds an n-bit ripple-carry adder.
-func RippleCarryAdder(bits int, style AdderStyle) (*Netlist, error) {
-	return circuit.RippleCarryAdder(bits, style)
-}
-
-// CompareAdders builds the n-bit adder in all three styles and reports
-// gate count, energy and critical delay.
-func CompareAdders(bits int) ([]AdderComparison, error) { return circuit.CompareAdders(bits) }
-
-// n-bit data-parallel gate re-exports (frequency-division multiplexing,
-// the authors' companion paper ref [9]; see internal/parallel).
-type (
-	// ParallelGate is an n-bit frequency-multiplexed behavioral gate.
-	ParallelGate = parallel.Gate
-	// ParallelMicromagXOR is the full-solver n-bit XOR.
-	ParallelMicromagXOR = parallel.MicromagXOR
-	// Word is an n-bit value, one bit per frequency channel.
-	Word = parallel.Word
-	// Channel is one frequency-multiplexed bit lane.
-	Channel = parallel.Channel
-)
-
-// NewParallelGate plans frequency channels and builds an n-bit
-// behavioral gate (XOR or MAJ3).
-func NewParallelGate(kind GateKind, spec Spec, mat Material, nbits int) (*ParallelGate, error) {
-	return parallel.NewGate(kind, spec, mat, nbits)
-}
-
-// NewParallelMicromagXOR builds the full-solver n-bit parallel XOR.
-func NewParallelMicromagXOR(spec Spec, mat Material, nbits int) (*ParallelMicromagXOR, error) {
-	return parallel.NewMicromagXOR(spec, mat, nbits)
-}
-
-// WordFromUint builds an n-bit word from an integer (bit 0 = LSB).
-func WordFromUint(v uint, n int) Word { return parallel.WordFromUint(v, n) }
 
 // DispersionModel returns the forward-volume dispersion model for a film.
 // Mode "full" is the Kalinikos–Slavin expression; "local" matches the
