@@ -23,7 +23,8 @@ import (
 // lifecycle in strictly increasing sequence order, and the stream
 // terminates by itself after the run's terminal event — the eval
 // completion for a recompute, the tier event for a case the cache
-// answered or its complement partner's run derived. A run whose events
+// answered or its complement partner's run derived, in a batch or alone
+// (a lone 11 runs 00 under its own run ID). A run whose events
 // all left the replay ring answers 404: no event would ever end its
 // tail.
 func TestRunEventsTail(t *testing.T) {
@@ -31,6 +32,7 @@ func TestRunEventsTail(t *testing.T) {
 		name      string
 		evals     int    // identical /v1/eval requests; the last one is tailed
 		pair      bool   // one micromag batch of 00 and 11; the derived 11 is tailed
+		lone      bool   // one micromag eval of 11 alone, derived from a run of 00
 		source    string // the tailed result's source; "" skips the check
 		evicted   bool   // a full ring of later events overwrites the run's
 		wantStart bool   // the tail must carry engine.eval.start
@@ -41,14 +43,18 @@ func TestRunEventsTail(t *testing.T) {
 		{name: "recompute", evals: 1, wantStart: true, last: "engine.eval.done", minLines: 2},
 		{name: "cache hit", evals: 2, source: "cache", last: "engine.cache", result: "hit", minLines: 1},
 		{name: "complement", evals: 1, pair: true, source: "micromag", last: "engine.tier", result: "hit", minLines: 1},
+		{name: "lone derived", evals: 1, lone: true, source: "micromag", wantStart: true, last: "engine.tier", result: "hit", minLines: 3},
 		{name: "evicted from the ring", evals: 1, evicted: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ts := newTestServer(t)
 			var er evalResponse
 			req := map[string]any{"gate": "xor", "inputs": []bool{true, true}}
-			if tc.pair {
+			switch {
+			case tc.pair:
 				req = map[string]any{"gate": "xor", "backend": "micromag", "cases": [][]bool{{false, false}, {true, true}}}
+			case tc.lone:
+				req = map[string]any{"gate": "xor", "backend": "micromag", "inputs": []bool{true, true}}
 			}
 			for i := 0; i < tc.evals; i++ {
 				resp, body := postJSON(t, ts.URL+"/v1/eval", req)

@@ -17,7 +17,7 @@ var (
 	flagLogLevel = flag.String("log-level", "info", "slog level: debug, info, warn, error")
 	flagTraceOut = flag.String("trace-out", "", "write a Chrome trace (chrome://tracing JSON) to this file")
 	flagHealth   = flag.Bool("health", false, "monitor numerical health invariants (DESIGN.md §12); exit non-zero on a violated run")
-	flagDtScale  = flag.Float64("dt-scale", 1, "multiply the stability-bounded time step (the reduced tables still decode up to about 3.5 and read wrong from 4; 20 blows the integrator up, as make health-smoke does)")
+	flagDtScale  = flag.Float64("dt-scale", 1, "multiply the default time step (the reduced tables still decode up to about 1.75 and read wrong from 2; 20 blows the integrator up, as make health-smoke does)")
 )
 
 // setupFlight wires the flight-recorder flags after flag.Parse; the

@@ -54,7 +54,7 @@ func run() int {
 	workers := flag.Int("workers", 0, "LLG stepping workers per transient (0/1 = serial; trajectories are bit-identical)")
 	surrogateMode := flag.Bool("surrogate", false, "build the linear-superposition surrogate from the configured backend, run the admission gate, and print its truth table (exit 1 on rejection)")
 	ckDir := flag.String("checkpoint", "", "checkpoint directory: periodically snapshot the transient (OVF + manifest pairs) for exact resume")
-	ckEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in committed solver steps (0 = default 2000)")
+	ckEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in committed solver steps (0 = default 1000)")
 	resume := flag.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint instead of starting at t = 0")
 	readoutJSON := flag.String("readout-json", "", "write the single-case readouts as full-precision JSON to this file (the stdout table rounds)")
 	flag.Parse()

@@ -84,6 +84,71 @@ func TestPaperTables(t *testing.T) {
 	}
 }
 
+// TestStepAccuracy pins the micromagnetic time step to measured
+// accuracy and margin (EXPERIMENTS.md E-DT) on the reduced XOR and the
+// trimmed reduced MAJ3. At the default step every normalized row is
+// within 2e-3 of a run at half the step, and every phase within 0.01
+// rad; a destructive XOR row, at 0.002 of the reference, has no phase
+// to keep. At 1.75× the default step the XOR still decodes, its
+// destructive rows at most 0.01. Raising the step toward RK4's
+// stability cliff, which sits just under 2×, fails this test.
+func TestStepAccuracy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic tables: about 1.5 s of solver time")
+	}
+	table := func(gate string, dtScale float64) *TruthTable {
+		t.Helper()
+		k, err := backendspec.Resolve(backendspec.Request{Gate: gate, Backend: "micromag"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := k.Micromagnetic(WithDtScale(dtScale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tt *TruthTable
+		if gate == "xor" {
+			tt, err = XORTruthTable(m, false)
+		} else {
+			tt, err = MajorityTruthTable(m)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tt
+	}
+	for _, gate := range []string{"xor", "maj3"} {
+		ref, got := table(gate, 0.5), table(gate, 1)
+		worstRow, worstPhase := 0.0, 0.0
+		for i, c := range got.Cases {
+			for j, o := range c.Outputs {
+				r := ref.Cases[i].Outputs[j]
+				worstRow = math.Max(worstRow, math.Abs(o.Normalized-r.Normalized))
+				if r.Normalized >= 0.05 {
+					worstPhase = math.Max(worstPhase, math.Abs(wrapPhase(o.Phase-r.Phase)))
+				}
+			}
+		}
+		t.Logf("%s: max |row − row at dt/2| %.2e, max |phase − phase at dt/2| %.2e rad", gate, worstRow, worstPhase)
+		if worstRow > 2e-3 || worstPhase > 0.01 {
+			t.Errorf("%s at the default step: rows within %.2e and phases within %.2e rad of the dt/2 run, want 2e-3 and 0.01",
+				gate, worstRow, worstPhase)
+		}
+	}
+	tt := table("xor", 1.75)
+	if !tt.AllCorrect() {
+		t.Error("XOR at 1.75× the default step decodes incorrectly")
+	}
+	for _, c := range tt.Cases {
+		for _, o := range c.Outputs {
+			if c.Inputs[0] != c.Inputs[1] && o.Normalized > 0.01 {
+				t.Errorf("XOR at 1.75× the default step: case %v %s destructive row %.4f, want <= 0.01",
+					c.Inputs, o.Name, o.Normalized)
+			}
+		}
+	}
+}
+
 // checkTableI pins the 8 MAJ3 rows. Bands (EXPERIMENTS.md E-T1):
 //
 //   - unanimous rows ({0,0,0}, {1,1,1}) normalize to 1 within 10%;

@@ -215,15 +215,15 @@ func (k Key) I3Trim() float64 { return i3Trims[k] }
 // spec. TestI3Trims recomputes every entry and prints the line to paste
 // on a mismatch.
 var i3Trims = map[Key]float64{
-	{"maj3", Micromagnetic, "reduced", "fecob"}:              -1.4343993474621755,
-	{"maj3single", Micromagnetic, "reduced", "fecob"}:        -2.299918344496284,
-	{"maj5", Micromagnetic, "reduced", "fecob"}:              -1.1192244564769283,
-	{"maj3", Micromagnetic, "paper-micromag", "fecob"}:       0.10854843670517766,
-	{"maj3single", Micromagnetic, "paper-micromag", "fecob"}: 0.45923340607635055,
-	{"maj5", Micromagnetic, "paper-micromag", "fecob"}:       0.1258516870876747,
-	{"maj3", Micromagnetic, "paper", "fecob"}:                0.1392220760640157,
-	{"maj3single", Micromagnetic, "paper", "fecob"}:          1.5853879230363077,
-	{"maj5", Micromagnetic, "paper", "fecob"}:                2.1826736572739023,
+	{"maj3", Micromagnetic, "reduced", "fecob"}:              -1.432745641405603,
+	{"maj3single", Micromagnetic, "reduced", "fecob"}:        -2.3012789034258887,
+	{"maj5", Micromagnetic, "reduced", "fecob"}:              -1.1178894816255536,
+	{"maj3", Micromagnetic, "paper-micromag", "fecob"}:       0.10883657790000001,
+	{"maj3single", Micromagnetic, "paper-micromag", "fecob"}: 0.4592736399207169,
+	{"maj5", Micromagnetic, "paper-micromag", "fecob"}:       0.1267772560075855,
+	{"maj3", Micromagnetic, "paper", "fecob"}:                0.13914361921104046,
+	{"maj3single", Micromagnetic, "paper", "fecob"}:          1.5863283850465564,
+	{"maj5", Micromagnetic, "paper", "fecob"}:                2.1813308508077043,
 }
 
 // parts looks up the key's spec and material; it fails only for a key

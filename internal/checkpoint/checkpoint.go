@@ -60,7 +60,8 @@ type Config struct {
 	// Dir is the checkpoint directory; empty disables checkpointing.
 	Dir string
 	// EverySteps is the snapshot cadence in committed solver steps
-	// (default 2000).
+	// (default 1000: one snapshot mid-way through a 1984-step reduced
+	// XOR case).
 	EverySteps int
 	// Resume loads the newest valid checkpoint in Dir before stepping
 	// and continues from it instead of starting at t = 0.
@@ -89,7 +90,7 @@ func (c Config) Enabled() bool { return c.Dir != "" }
 // WithDefaults fills zero fields with the documented defaults.
 func (c Config) WithDefaults() Config {
 	if c.EverySteps <= 0 {
-		c.EverySteps = 2000
+		c.EverySteps = 1000
 	}
 	if c.Keep <= 0 {
 		c.Keep = 2

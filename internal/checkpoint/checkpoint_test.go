@@ -216,7 +216,7 @@ func TestParseManifestRejects(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{Dir: "x"}.WithDefaults()
-	if !c.Enabled() || c.EverySteps != 2000 || c.Keep != 2 {
+	if !c.Enabled() || c.EverySteps != 1000 || c.Keep != 2 {
 		t.Errorf("defaults = %+v", c)
 	}
 	if (Config{}).Enabled() {

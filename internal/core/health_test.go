@@ -8,6 +8,7 @@ import (
 
 	"spinwave/internal/health"
 	"spinwave/internal/journal"
+	"spinwave/internal/layout"
 	"spinwave/internal/obs"
 	"spinwave/internal/probe"
 )
@@ -73,6 +74,71 @@ func TestHealthDestabilizedRunE2E(t *testing.T) {
 		obs.L("rule", health.RuleSaturation), obs.L("severity", "critical")).Value()
 	if critAfter <= critBefore {
 		t.Errorf("critical alert counter %d -> %d, want an increment", critBefore, critAfter)
+	}
+}
+
+// TestGridScaleRule pins the alarm for RK4's stability cliff
+// (EXPERIMENTS.md E-DT). Just past it, at twice the default step, XOR 10
+// returns a finite, wrong readout below both amplitude bounds: only the
+// grid-scale rule sees the checkerboard mode, at both scales. At the
+// default step it stays silent on every case of the reduced XOR and
+// MAJ3 tables, half-film runs included.
+func TestGridScaleRule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	ring := journal.NewRingSink(4096)
+	defer journal.Default().Attach(ring)()
+	rules := func(from uint64) map[string]string {
+		fired := make(map[string]string)
+		for _, e := range ring.Events() {
+			if e.Seq > from && e.Name == "alert" {
+				fired[e.Fields["rule"].(string)] = e.Fields["severity"].(string)
+			}
+		}
+		return fired
+	}
+	lastSeq := func() uint64 {
+		evs := ring.Events()
+		if len(evs) == 0 {
+			return 0
+		}
+		return evs[len(evs)-1].Seq
+	}
+	monitored := WithHealth(health.Config{Enabled: true})
+
+	for name, spec := range map[string]layout.Spec{"reduced": layout.ReducedSpec(), "paper-micromag": layout.PaperMicromagSpec()} {
+		m, err := NewMicromagnetic(XOR, WithSpec(spec), WithDtScale(2), monitored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := lastSeq()
+		if _, err := m.Run([]bool{true, false}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fired := rules(from)
+		if fired[health.RuleGridScale] != "critical" {
+			t.Errorf("%s XOR 10 at DtScale 2: alerts %v, want a critical %s", name, fired, health.RuleGridScale)
+		}
+	}
+
+	for _, kind := range []GateKind{XOR, MAJ3} {
+		m, err := NewMicromagnetic(kind, monitored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := lastSeq()
+		if kind == XOR {
+			_, err = XORTruthTable(m, false)
+		} else {
+			_, err = MajorityTruthTable(m)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fired := rules(from); len(fired) > 0 {
+			t.Errorf("%s table at the default step fired %v", kind, fired)
+		}
 	}
 }
 

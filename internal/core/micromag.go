@@ -25,15 +25,21 @@ import (
 	"spinwave/internal/vec"
 )
 
-// The solver's fixed timing and absorber settings. Each is part of the
-// canonical string Fingerprint hashes, so changing one re-keys every
-// stored answer.
+// The solver's fixed timing and absorber settings. Each reaches the
+// canonical string Fingerprint hashes (stepFactor through the resolved
+// dt), so changing one re-keys every stored answer.
 const (
 	// rampPeriods is the smooth turn-on length in drive periods.
 	rampPeriods float64 = 3
 	// settleFactor multiplies the longest-path travel time to decide how
 	// long to wait before measuring.
 	settleFactor float64 = 1.6
+	// stepFactor is the multiple of llg.StableDt a case steps at (before
+	// DtScale). Every normalized row stays within 2e-3 of a run at half
+	// the step, and the reduced XOR still decodes at 1.75× this step; RK4
+	// goes unstable between 1.875× and 2× it at both scales
+	// (EXPERIMENTS.md E-DT).
+	stepFactor float64 = 2
 	// sampleEvery records probe samples every N solver steps.
 	sampleEvery int = 4
 	// maxAlpha is the absorber peak damping.
@@ -90,11 +96,13 @@ type micromagConfig struct {
 	// fails with an error and the engine never caches it — so this field
 	// is excluded from Fingerprint (like Probes and Workers).
 	Health health.Config
-	// DtScale multiplies the stability-bounded time step (default 1).
-	// Values > 1 push the integrator past its stability bound — the knob
-	// the health-smoke CI target uses to destabilize a run on purpose —
-	// and values < 1 trade speed for accuracy. Unlike the observation
-	// fields it changes the trajectory, so it is part of Fingerprint.
+	// DtScale multiplies the default time step, stepFactor ×
+	// llg.StableDt (default 1). The reduced tables still decode up to
+	// about 1.75 and read wrong from 2, past RK4's stability cliff —
+	// the health-smoke CI target uses 20 to destabilize a run on
+	// purpose — and values < 1 trade speed for accuracy. Unlike the
+	// observation fields it changes the trajectory, so it is part of
+	// Fingerprint.
 	DtScale float64
 	// Checkpoint configures periodic solver snapshots and exact resume
 	// (DESIGN.md §15): when Enabled, each logic-case run commits the
@@ -217,7 +225,7 @@ func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, er
 	freq := model.Frequency(k)
 	vg := model.GroupVelocity(k)
 
-	dt := cfg.DtScale * llg.StableDt(mesh, cfg.Mat)
+	dt := stepFactor * cfg.DtScale * llg.StableDt(mesh, cfg.Mat)
 	period := 1 / freq
 	// Longest signal path: generous estimate from the layout bounds.
 	b := l.Bounds()
@@ -551,13 +559,12 @@ func (m *Micromagnetic) computeFingerprint() (string, bool) {
 		return "", false
 	}
 	c := m.cfg
-	// "ref=false" is frozen from the retired reference-stepper switch so
-	// existing disk stores, checkpoint manifests and history records stay
-	// keyed.
-	return hashKey(fmt.Sprintf("micromag/v1|%d|%+v|%+v|cell=%g|drive=%g|ramp=%g|meas=%d|settle=%g|sample=%d|alpha=%g|scheme=%d|T=%g|seed=%d|trim=%g|ref=false|dts=%g",
+	// The resolved step, not only its DtScale option, is hashed, so a
+	// change of stepFactor re-keys every stored answer.
+	return hashKey(fmt.Sprintf("micromag/v1|%d|%+v|%+v|cell=%g|drive=%g|ramp=%g|meas=%d|settle=%g|sample=%d|alpha=%g|scheme=%d|T=%g|seed=%d|trim=%g|dts=%g|dt=%g",
 		int(m.kind), c.Spec, c.Mat, c.CellSize, c.DriveField, rampPeriods,
 		c.MeasurePeriods, settleFactor, sampleEvery, maxAlpha,
-		int(c.Scheme), c.Temperature, c.Seed, c.I3PhaseTrim, c.DtScale)), true
+		int(c.Scheme), c.Temperature, c.Seed, c.I3PhaseTrim, c.DtScale, m.dt)), true
 }
 
 // RunSingle excites only the named input at logic 0 and measures the
@@ -735,9 +742,12 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 	}
 	var mon *health.Monitor
 	if m.cfg.Health.Enabled {
-		mon = health.NewMonitor(m.cfg.Health, s.Region, runID,
-			health.WithEvaluator(s.Eval),
-			health.WithDriven(len(s.Eval.Sources) > 0))
+		opts := []health.Option{health.WithEvaluator(s.Eval),
+			health.WithDriven(len(s.Eval.Sources) > 0)}
+		if m.cfg.Temperature == 0 {
+			opts = append(opts, health.WithMesh(s.Mesh))
+		}
+		mon = health.NewMonitor(m.cfg.Health, s.Region, runID, opts...)
 		observers = append(observers, mon)
 		defer mon.Finish()
 	}

@@ -210,17 +210,17 @@ func TestMicromagConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestMicromagFingerprintPinned pins the default XOR and MAJ3 micromag
-// fingerprints to their values from before the reference-stepper switch
-// left the micromag config: the canonical string keeps its frozen "ref=false",
-// so no disk store, checkpoint manifest or history record is re-keyed.
+// TestMicromagFingerprintPinned pins the default XOR and untrimmed MAJ3
+// micromag fingerprints to their values since the resolved time step
+// joined the canonical string: a change here re-keys every disk store,
+// checkpoint manifest and history record.
 func TestMicromagFingerprintPinned(t *testing.T) {
 	for _, tc := range []struct {
 		kind GateKind
 		want string
 	}{
-		{XOR, "98dbf3b4f066c6f07ff023d15fefddfa"},
-		{MAJ3, "a272afd6903eab8d779a45da4abde73e"},
+		{XOR, "5e1da82b61875c40df07c91ddbc13128"},
+		{MAJ3, "5c6305062c107789f8cbacde30948eda"},
 	} {
 		m, err := NewMicromagnetic(tc.kind)
 		if err != nil {

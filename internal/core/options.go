@@ -123,11 +123,12 @@ func WithCheckpoint(cc checkpoint.Config) MicromagOption {
 	return func(c *micromagConfig) { c.Checkpoint = cc }
 }
 
-// WithDtScale multiplies the stability-bounded LLG time step (default
-// 1). The reduced tables still decode up to about 3.5 and read wrong
-// from 4; far larger values (health-smoke's 20) destabilize the
-// integrator; values < 1 trade speed for accuracy. DtScale
-// changes the trajectory, so it is part of the cache fingerprint.
+// WithDtScale multiplies the default LLG time step, twice
+// llg.StableDt's estimate (default 1; EXPERIMENTS.md E-DT). The reduced
+// tables still decode up to about 1.75 and read wrong from 2; far
+// larger values (health-smoke's 20) destabilize the integrator; values
+// < 1 trade speed for accuracy. DtScale changes the trajectory, so it
+// is part of the cache fingerprint.
 func WithDtScale(s float64) MicromagOption {
 	return func(c *micromagConfig) { c.DtScale = s }
 }

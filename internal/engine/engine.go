@@ -239,9 +239,11 @@ func (e *Engine) Eval(ctx context.Context, b core.Backend, inputs []bool) (map[s
 // context, so the backend journals and publishes probes under the same
 // ID), a pprof goroutine label attributing solver time to it, and its
 // counters and journal events. An orbit is one evaluation: run answers
-// all of its cases. Once the slot is taken (or the wait failed), the
-// next job of ctx's batch may ask.
-func (e *Engine) inSlot(ctx context.Context, b core.Backend, inputs []bool, run func(context.Context) error) error {
+// all of its cases. With derived set, the run answers its run ID's own
+// case by derivation: its engine.eval.done says so, since that case's
+// engine.tier event follows it and ends the run ID's tail. Once the slot
+// is taken (or the wait failed), the next job of ctx's batch may ask.
+func (e *Engine) inSlot(ctx context.Context, b core.Backend, inputs []bool, derived bool, run func(context.Context) error) error {
 	err := e.acquire(ctx)
 	passTurn(ctx)
 	if err != nil {
@@ -290,9 +292,14 @@ func (e *Engine) inSlot(ctx context.Context, b core.Backend, inputs []bool, run 
 		mEvalsErr.Inc()
 	}
 	if j.Enabled() {
-		j.Emit(evalID, "engine.eval.done",
+		fields := []journal.Field{
 			journal.F("status", status),
-			journal.F("elapsed_ms", elapsed.Seconds()*1e3))
+			journal.F("elapsed_ms", elapsed.Seconds()*1e3),
+		}
+		if derived {
+			fields = append(fields, journal.F("derived", true))
+		}
+		j.Emit(evalID, "engine.eval.done", fields...)
 	}
 	return err
 }

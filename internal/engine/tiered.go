@@ -493,10 +493,18 @@ func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool, answers 
 		runID = journal.NewRunID()
 		ctx = journal.WithRunID(ctx, runID)
 	}
+	// The run ID journals a derived answer after the run when it asked
+	// for a case of the orbit other than the run case.
+	derived := false
+	for k, a := range answers {
+		if answerRuns[k] == runID && !slices.Equal(a, inputs) {
+			derived = true
+		}
+	}
 	eval := func() (orbitRun, error) {
 		start := time.Now()
 		r := orbitRun{run: runID}
-		err := e.inSlot(ctx, p.b, inputs, func(ctx context.Context) (err error) {
+		err := e.inSlot(ctx, p.b, inputs, derived, func(ctx context.Context) (err error) {
 			r.cases, r.outs, err = p.runOrbit(ctx, inputs)
 			return err
 		})

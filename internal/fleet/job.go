@@ -86,7 +86,7 @@ type JobSpec struct {
 	Table bool `json:"table,omitempty"`
 	// Inverted selects XNOR decoding for XOR table requests.
 	Inverted bool `json:"inverted,omitempty"`
-	// DtScale multiplies the micromagnetic stability time step (default
+	// DtScale multiplies the micromagnetic default time step (default
 	// 1) of a transient segment job; plain jobs ignore it. It changes the
 	// trajectory (and the fingerprint); fleet smokes use values < 1 to
 	// stretch a transient's wall-clock time.

@@ -24,6 +24,13 @@
 //     perpendicular equilibrium, which is how a destabilized fixed-step
 //     integrator fails under per-step renormalization (|m| stays 1, so
 //     the norm and finiteness rules never see it);
+//   - grid-scale residue — max over interior cells of the in-plane
+//     magnetization's difference from the mean of its four neighbours,
+//     as a fraction of max|m_xy|. Just past RK4's stability limit the
+//     fastest mode, a checkerboard, grows and saturates below the
+//     amplitude bounds, and the run returns a finite, wrong readout; the
+//     residue ratio reads about 2 for that mode and under 0.09 on every
+//     stable run (EXPERIMENTS.md E-DT);
 //   - energy-budget drift — in a damped, undriven run the total
 //     micromagnetic energy (internal/energy via mag.Evaluator) must be
 //     non-increasing; growth signals numerical energy injection;
@@ -133,6 +140,9 @@ const (
 	// RuleSaturation is the critical tier of the amplitude bound: the
 	// magnetization tipped (nearly) fully into the plane.
 	RuleSaturation = "saturation"
+	// RuleGridScale is the grid-scale residue check: the checkerboard
+	// mode of an integrator stepping past its stability limit.
+	RuleGridScale = "grid_scale"
 	// RuleEnergy is the damped-run energy-drift check.
 	RuleEnergy = "energy_drift"
 	// RuleDt is the adaptive-dt collapse/underflow check.
@@ -141,6 +151,12 @@ const (
 	RuleStall = "stall"
 )
 
+// gridScaleMax bounds the grid-scale residue, max over interior cells of
+// |m_xy(c) − mean m_xy of its 4 neighbours|, as a fraction of max|m_xy|.
+// Stable runs read at most 0.081, a growing checkerboard mode about 2
+// (EXPERIMENTS.md E-DT).
+const gridScaleMax = 0.5
+
 // Config tunes a Monitor. The zero Config monitors nothing; callers
 // enable it explicitly (core backends skip building a Monitor entirely
 // when Enabled is false, so disabled health checks cost one nil check
@@ -148,10 +164,12 @@ const (
 type Config struct {
 	// Enabled switches monitoring on.
 	Enabled bool
-	// Every is the field-sweep cadence in committed steps (default 64):
-	// norm, finiteness and amplitude are checked on one allocation-free
-	// pass over the magnetization every Every steps, keeping the healthy-
-	// path overhead within the E-OBS3 ≤3% budget.
+	// Every is the field-sweep cadence in committed steps (default 32):
+	// norm, finiteness, amplitude and the grid-scale residue are checked
+	// on one allocation-free pass over the magnetization every Every
+	// steps, keeping the healthy-path overhead within the E-OBS3 ≤3%
+	// budget. At 32 a debounced rule can fire by step 64, inside even a
+	// 99-step case (the reduced XOR at DtScale 20).
 	Every int
 	// Debounce is how many consecutive failing evaluations a rule needs
 	// before it fires (default 2). The NaN/Inf rule ignores it and fires
@@ -200,7 +218,7 @@ type Config struct {
 // documented defaults.
 func (c Config) WithDefaults() Config {
 	if c.Every < 1 {
-		c.Every = 64
+		c.Every = 32
 	}
 	if c.Debounce < 1 {
 		c.Debounce = 2
@@ -272,12 +290,18 @@ type Monitor struct {
 	runID  string
 	ctx    context.Context // carries the run ID for slog correlation
 
+	// nx is the mesh row length (set by WithMesh) and interior the
+	// material cells whose four neighbours are material too; an empty
+	// interior disarms the grid-scale rule.
+	nx       int
+	interior []int
+
 	// Hot-path state, touched only by the solver goroutine.
 	prevT    float64
 	firstDt  float64
 	baseE    float64 // first energy sample
 	haveE    bool
-	rules    [7]rule // indexed by the rIdx constants
+	rules    [8]rule // indexed by the rIdx constants
 	checks   int64
 	lastStep atomic.Int64 // read by the stall watchdog
 
@@ -303,6 +327,7 @@ const (
 	rFinite
 	rAmp
 	rSat
+	rGrid
 	rEnergy
 	rDt
 	rStall
@@ -315,6 +340,13 @@ type Option func(*Monitor)
 // evaluator (its EnergyBudget is allocation-free after Prepare).
 func WithEvaluator(ev *mag.Evaluator) Option {
 	return func(m *Monitor) { m.ev = ev }
+}
+
+// WithMesh arms the grid-scale rule (critical, at gridScaleMax) with
+// the mesh the monitored field lives on. A thermal run should not arm
+// it: its stochastic field is white at the grid scale.
+func WithMesh(mesh grid.Mesh) Option {
+	return func(m *Monitor) { m.nx = mesh.Nx }
 }
 
 // WithDriven marks the run as externally driven (antennas, thermal
@@ -340,11 +372,15 @@ func NewMonitor(cfg Config, region grid.Region, runID string, opts ...Option) *M
 	if m.ev != nil {
 		m.ev.Prepare() // eager, so the first energy sweep never allocates
 	}
-	m.rules = [7]rule{
+	if m.nx > 0 {
+		m.interior = interiorCells(region, m.nx)
+	}
+	m.rules = [8]rule{
 		rNorm:   {name: RuleNorm, severity: Critical, debounce: cfg.Debounce},
 		rFinite: {name: RuleFinite, severity: Critical, debounce: 1},
 		rAmp:    {name: RuleAmplitude, severity: cfg.AmplitudeSeverity, debounce: cfg.Debounce},
 		rSat:    {name: RuleSaturation, severity: Critical, debounce: cfg.Debounce},
+		rGrid:   {name: RuleGridScale, severity: Critical, debounce: cfg.Debounce},
 		rEnergy: {name: RuleEnergy, severity: Warn, debounce: cfg.Debounce},
 		rDt:     {name: RuleDt, severity: Warn, debounce: cfg.Debounce},
 		rStall:  {name: RuleStall, severity: Warn, debounce: 1},
@@ -356,6 +392,19 @@ func NewMonitor(cfg Config, region grid.Region, runID string, opts ...Option) *M
 		go m.watch()
 	}
 	return m
+}
+
+// interiorCells lists the region's cells whose four in-plane neighbours
+// on a mesh of row length nx are in the region too.
+func interiorCells(region grid.Region, nx int) []int {
+	var cells []int
+	for i, in := range region {
+		if in && i%nx != 0 && i%nx != nx-1 && i >= nx && i+nx < len(region) &&
+			region[i-1] && region[i+1] && region[i-nx] && region[i+nx] {
+			cells = append(cells, i)
+		}
+	}
+	return cells
 }
 
 // Config returns the monitor's effective (defaulted) configuration.
@@ -396,7 +445,8 @@ func (m *Monitor) ObserveStep(step int, t float64, mfield vec.Field) {
 }
 
 // sweep is the per-cadence field pass: norm drift, finiteness and the
-// linear-regime amplitude bound in one loop, allocation-free.
+// amplitude bounds in one loop, then the grid-scale residue over the
+// interior cells, allocation-free.
 func (m *Monitor) sweep(step int, t float64, mfield vec.Field) {
 	m.checks++
 	mChecks.Inc()
@@ -447,6 +497,31 @@ func (m *Monitor) sweep(step int, t float64, mfield vec.Field) {
 			m.pass(rSat)
 		}
 	}
+	if len(m.interior) > 0 && amp > 0 {
+		ratio := m.gridResidue(mfield) / amp
+		if ratio > gridScaleMax {
+			m.fail(rGrid, step, t, ratio, gridScaleMax,
+				"grid-scale checkerboard mode in the precession (integrator past its stability limit)")
+		} else {
+			m.pass(rGrid)
+		}
+	}
+}
+
+// gridResidue returns max over the interior cells of
+// |m_xy(c) − mean m_xy of c's four neighbours|.
+func (m *Monitor) gridResidue(mfield vec.Field) float64 {
+	nx := m.nx
+	worst := 0.0
+	for _, i := range m.interior {
+		l, r, d, u := mfield[i-1], mfield[i+1], mfield[i-nx], mfield[i+nx]
+		dx := mfield[i].X - (l.X+r.X+d.X+u.X)/4
+		dy := mfield[i].Y - (l.Y+r.Y+d.Y+u.Y)/4
+		if r2 := dx*dx + dy*dy; r2 > worst {
+			worst = r2
+		}
+	}
+	return math.Sqrt(worst)
 }
 
 // energyCheck compares the total micromagnetic energy against the first

@@ -49,7 +49,7 @@ func TestSeverityAndVerdictStrings(t *testing.T) {
 
 func TestConfigWithDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.Every != 64 || c.Debounce != 2 || c.NormDriftMax != 1e-9 {
+	if c.Every != 32 || c.Debounce != 2 || c.NormDriftMax != 1e-9 {
 		t.Errorf("sweep defaults wrong: %+v", c)
 	}
 	if c.AmplitudeMax != 0.5 || c.SaturationMax != 0.95 {
@@ -184,6 +184,50 @@ func TestAmplitudeTiers(t *testing.T) {
 		t.Error("saturation did not trip the critical latch")
 	}
 	m2.Finish()
+}
+
+// TestGridScaleRule checks the checkerboard alarm on a 6×6 mesh: a
+// smooth precession passes, a checkerboard one below both amplitude
+// bounds fires the critical grid-scale alert after the debounce, and a
+// monitor built without the mesh never arms the rule.
+func TestGridScaleRule(t *testing.T) {
+	const nx, ny = 6, 6
+	mesh := grid.MustMesh(nx, ny, 5e-9, 5e-9, 1e-9)
+	field := func(checker bool) vec.Field {
+		f := make(vec.Field, nx*ny)
+		for i := range f {
+			a := 0.1 + 0.01*float64(i%nx) // a gentle gradient: smooth
+			if checker && (i%nx+i/nx)%2 == 1 {
+				a = -a
+			}
+			f[i] = vec.Vector{X: a, Z: math.Sqrt(1 - a*a)}
+		}
+		return f
+	}
+	m := NewMonitor(testConfig(), fullRegion(nx*ny), "rgrid", WithMesh(mesh))
+	m.ObserveStep(1, 1e-12, field(false))
+	m.ObserveStep(2, 2e-12, field(false))
+	if a := m.Alerts(); len(a) != 0 {
+		t.Fatalf("smooth precession fired %+v", a)
+	}
+	m.ObserveStep(3, 3e-12, field(true))
+	m.ObserveStep(4, 4e-12, field(true))
+	alerts := m.Alerts()
+	if len(alerts) != 1 || alerts[0].Rule != RuleGridScale || alerts[0].Severity != Critical {
+		t.Fatalf("alerts %+v, want one critical %s", alerts, RuleGridScale)
+	}
+	if v := alerts[0].Value; v < 1.5 || v > 2 {
+		t.Errorf("checkerboard residue ratio %g, want about 2", v)
+	}
+	m.Finish()
+
+	plain := NewMonitor(testConfig(), fullRegion(nx*ny), "rgridoff")
+	plain.ObserveStep(1, 1e-12, field(true))
+	plain.ObserveStep(2, 2e-12, field(true))
+	if a := plain.Alerts(); len(a) != 0 {
+		t.Errorf("monitor without a mesh fired %+v", a)
+	}
+	plain.Finish()
 }
 
 // TestDtCollapse drives the observed inter-step dt far below its first
@@ -333,12 +377,13 @@ func TestFinishEmitsJournalAndRegistry(t *testing.T) {
 }
 
 // TestHealthySweepZeroAlloc pins the healthy-path contract: a full
-// field sweep on the cadence step allocates nothing, so an attached
-// monitor preserves the zero-alloc stepping loop.
+// field sweep on the cadence step, the grid-scale residue included,
+// allocates nothing, so an attached monitor preserves the zero-alloc
+// stepping loop.
 func TestHealthySweepZeroAlloc(t *testing.T) {
 	const n = 256
 	f := uniformField(n, vec.Vector{X: 1e-3, Z: math.Sqrt(1 - 1e-6)})
-	m := NewMonitor(testConfig(), fullRegion(n), "ralloc")
+	m := NewMonitor(testConfig(), fullRegion(n), "ralloc", WithMesh(grid.MustMesh(16, 16, 5e-9, 5e-9, 1e-9)))
 	defer m.Finish()
 
 	step := 0

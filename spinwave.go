@@ -142,9 +142,9 @@ var (
 	// WithHealth attaches the numerical health monitor to every run
 	// (DESIGN.md §12); reports are published via HealthFor.
 	WithHealth = core.WithHealth
-	// WithDtScale multiplies the stability-bounded LLG time step
-	// (default 1; the reduced tables read wrong from about 4, and far
-	// larger values destabilize the integrator).
+	// WithDtScale multiplies the default LLG time step (default 1; the
+	// reduced tables decode up to about 1.75 and read wrong from 2, and
+	// far larger values destabilize the integrator).
 	WithDtScale = core.WithDtScale
 )
 

@@ -313,8 +313,8 @@ func TestMicromagRunContextAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The whole-film case steps for about 0.3 s; the deadline lands a
-	// tenth of the way in.
+	// The whole-film case steps for about 0.1 s; the deadline lands
+	// about a third of the way in.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
