@@ -106,14 +106,17 @@ fleet-smoke:
 
 # Checkpoint/resume smoke (ISSUE 8): a golden uninterrupted swsim run,
 # the same case SIGKILLed mid-transient with checkpointing on, then a
-# -resume run that must land on byte-identical full-precision readouts.
-# The resumed run's journal must validate and must record the
-# checkpoint.resume event.
+# -resume run under the health monitor that must land on byte-identical
+# full-precision readouts. The resumed run's journal must validate and
+# must record the checkpoint.resume event and a healthy verdict; its
+# manifest must name the rk4 integrator.
 checkpoint-smoke:
 	$(GO) run ./tools/checkpointsmoke -journal checkpoint.jsonl -keep-manifest checkpoint-manifest.json
 	$(GO) run ./tools/journalcheck checkpoint.jsonl
 	@grep -q '"event":"checkpoint.resume"' checkpoint.jsonl || { echo "FAIL: no checkpoint.resume in checkpoint.jsonl"; exit 1; }
 	@grep -q '"event":"checkpoint.save"' checkpoint.jsonl || { echo "FAIL: no checkpoint.save in checkpoint.jsonl"; exit 1; }
+	@grep -q '"verdict":"healthy"' checkpoint.jsonl || { echo "FAIL: no healthy verdict in checkpoint.jsonl"; exit 1; }
+	@grep -q '"scheme": *"rk4"' checkpoint-manifest.json || { echo "FAIL: checkpoint-manifest.json does not name the rk4 scheme"; exit 1; }
 
 # Run-history / retention smoke (ISSUE 10): boot swserve with history
 # indexing and a trace budget of one, serve evals and a table, run two

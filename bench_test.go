@@ -15,7 +15,6 @@ import (
 	"spinwave/internal/core"
 	"spinwave/internal/energy"
 	"spinwave/internal/layout"
-	"spinwave/internal/llg"
 )
 
 // BenchmarkTableI_MajorityFO2_Behavioral regenerates Table I (8 cases,
@@ -251,26 +250,5 @@ func BenchmarkMuMaxScriptGeneration(b *testing.B) {
 		if _, err := MuMaxScript(MAJ3, PaperSpec(), FeCoB(), []bool{false, true, true}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblation_SchemeRK4vsHeun compares the integrator cost on one
-// XOR case (design-choice ablation: RK4 default vs Heun).
-func BenchmarkAblation_SchemeRK4vsHeun(b *testing.B) {
-	for _, scheme := range []struct {
-		name string
-		s    llg.Scheme
-	}{{"rk4", SchemeRK4}, {"heun", SchemeHeun}} {
-		b.Run(scheme.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := NewMicromagnetic(XOR, WithScheme(scheme.s))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.Run([]bool{false, false}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -49,20 +49,21 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 
 // terminalEvent reports whether e is the last journal event a run
 // emits: the engine's eval completion for a recompute (it follows the
-// backend's own run.complete / run.error), or the tier event of a case
-// answered without one — a memory, disk or surrogate hit, a case
-// coalesced onto another run's recompute, or a case derived from its
-// orbit's run. A successful eval completion marked derived is not
-// terminal: the run answered its run ID's case by derivation, and that
-// case's complement or mirror hit follows it.
+// backend's own run.complete / run.error), the end of a wait on another
+// run's recompute (engine.cache coalesced), or the tier event of a case
+// answered without either — a memory, disk or surrogate hit, or a case
+// derived from its orbit's run. A successful eval completion or
+// coalesced wait marked derived is not terminal: the run ID's case was
+// answered by derivation, and that case's complement or mirror hit
+// follows it.
 func terminalEvent(e journal.Event) bool {
-	switch e.Name {
-	case "engine.eval.done":
+	result, _ := e.Fields["result"].(string)
+	switch {
+	case e.Name == "engine.eval.done", e.Name == "engine.cache" && result == "coalesced":
 		derived, _ := e.Fields["derived"].(bool)
 		return !derived || e.Fields["status"] != "ok"
-	case "engine.cache", "engine.tier":
-		result, _ := e.Fields["result"].(string)
-		return result == "hit" || (result == "coalesced" && e.Name == "engine.cache")
+	case e.Name == "engine.cache", e.Name == "engine.tier":
+		return result == "hit"
 	}
 	return false
 }

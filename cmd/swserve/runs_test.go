@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,6 +163,135 @@ func TestRunEventsTail(t *testing.T) {
 			}
 			if tc.result != "" && final.Fields.Result != tc.result {
 				t.Errorf("last event result %q, want %s", final.Fields.Result, tc.result)
+			}
+		})
+	}
+}
+
+// blockingOrbit is an XOR backend whose orbits are complement pairs
+// and whose runs block until release closes, failing with err if set.
+type blockingOrbit struct {
+	release chan struct{}
+	runs    atomic.Int64
+	err     error
+}
+
+func (b *blockingOrbit) Name() string                { return "blocking" }
+func (b *blockingOrbit) Kind() spinwave.GateKind     { return spinwave.XOR }
+func (b *blockingOrbit) Fingerprint() (string, bool) { return "blocking-orbit", true }
+func (b *blockingOrbit) HalfDomain(in []bool) bool   { return false }
+func (b *blockingOrbit) Orbit(in []bool) [][]bool    { return [][]bool{in, {!in[0], !in[1]}} }
+func (b *blockingOrbit) Run(in []bool) (map[string]spinwave.Readout, error) {
+	outs, err := b.RunOrbit(context.Background(), in)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+func (b *blockingOrbit) RunOrbit(ctx context.Context, in []bool) ([]map[string]spinwave.Readout, error) {
+	b.runs.Add(1)
+	<-b.release
+	if b.err != nil {
+		return nil, b.err
+	}
+	r := spinwave.Readout{Amplitude: 1}
+	n := spinwave.Readout{Amplitude: 1, Phase: math.Pi}
+	return []map[string]spinwave.Readout{{"O1": r, "O2": r}, {"O1": n, "O2": n}}, nil
+}
+
+// TestRunEventsTailOfCoalescedCase tails a run that joined another
+// run's recompute to answer a derived case: run B asks for 10 while run
+// A's run of 01 is in flight. B's tail must stay open through the wait,
+// deliver the coalesced event and then 10's complement hit, and end
+// there. When the shared run fails, B's tail ends at the coalesced
+// event, which carries the error status.
+func TestRunEventsTailOfCoalescedCase(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		err    error
+		last   string
+		status string
+	}{
+		{name: "derived", last: "engine.tier", status: "ok"},
+		{name: "shared run fails", err: errors.New("solver blew up"), last: "engine.cache", status: "error"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t)
+			b := &blockingOrbit{release: make(chan struct{}), err: tc.err}
+			ctx := context.Background()
+			runA, runB := journal.NewRunID(), journal.NewRunID()
+			errA, errB := make(chan error, 1), make(chan error, 1)
+			go func() {
+				_, err := srv.eng.EvalBatch(ctx, b, [][]bool{{false, true}}, spinwave.EvalModeDirect, []string{runA})
+				errA <- err
+			}()
+			waitFor(t, 5*time.Second, func() bool { return b.runs.Load() == 1 }, "run A never started")
+			go func() {
+				_, err := srv.eng.EvalBatch(ctx, b, [][]bool{{true, false}}, spinwave.EvalModeDirect, []string{runB})
+				errB <- err
+			}()
+			waitFor(t, 5*time.Second, func() bool { return srv.eng.Stats().Deduped == 1 }, "run B never joined run A")
+
+			tr, err := http.Get(ts.URL + "/v1/runs/" + runB + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Body.Close()
+			if tr.StatusCode != http.StatusOK {
+				t.Fatalf("tail status %d", tr.StatusCode)
+			}
+			close(b.release)
+			if err := <-errA; (err == nil) != (tc.err == nil) {
+				t.Fatalf("run A: %v", err)
+			}
+			if err := <-errB; (err == nil) != (tc.err == nil) {
+				t.Fatalf("run B: %v", err)
+			}
+
+			type line struct {
+				Event  string         `json:"event"`
+				Fields map[string]any `json:"fields"`
+			}
+			var lines []line
+			done := make(chan error, 1)
+			go func() {
+				sc := bufio.NewScanner(tr.Body)
+				for sc.Scan() {
+					var l line
+					if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+						done <- err
+						return
+					}
+					if l.Event != "heartbeat" {
+						lines = append(lines, l)
+					}
+				}
+				done <- sc.Err()
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("tail did not end after the shared run")
+			}
+			var coalesced *line
+			for i := range lines {
+				if lines[i].Event == "engine.cache" && lines[i].Fields["result"] == "coalesced" {
+					coalesced = &lines[i]
+				}
+			}
+			if coalesced == nil || coalesced.Fields["status"] != tc.status {
+				t.Fatalf("tail %+v: want a coalesced event with status %s", lines, tc.status)
+			}
+			final := lines[len(lines)-1]
+			if final.Event != tc.last {
+				t.Fatalf("tail %+v ends at %s, want %s", lines, final.Event, tc.last)
+			}
+			if tc.err == nil && (final.Fields["tier"] != "complement" || final.Fields["partner_run"] != runA) {
+				t.Fatalf("final event %+v, want the complement hit partnered with run A", final)
 			}
 		})
 	}

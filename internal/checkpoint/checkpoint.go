@@ -126,7 +126,7 @@ type Manifest struct {
 	SimTime float64 `json:"sim_time_s"`
 	// Dt is the solver step size at the snapshot, in seconds.
 	Dt float64 `json:"dt_s"`
-	// Scheme names the integrator ("rk4", "heun").
+	// Scheme names the integrator; every snapshot is "rk4".
 	Scheme string `json:"scheme,omitempty"`
 	// JournalSeq is the process journal's sequence number at save time,
 	// correlating the checkpoint with the interrupted run's journal tail.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 
 	"spinwave/internal/checkpoint"
 	"spinwave/internal/detect"
+	"spinwave/internal/health"
+	"spinwave/internal/journal"
 )
 
 func checkpointedXOR(t *testing.T, cc checkpoint.Config) *Micromagnetic {
@@ -64,6 +67,38 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if g == (detect.Readout{}) {
 			t.Errorf("%s: golden readout missing", name)
 		}
+	}
+}
+
+// TestCheckpointResumeHealthy pins that a monitored run resumed from a
+// checkpoint is judged like the uninterrupted run: the resumed segment's
+// monitor is built fresh and first observes a step deep into the
+// transient, and that alone must not raise an alert.
+func TestCheckpointResumeHealthy(t *testing.T) {
+	inputs := []bool{true, false}
+	dir := t.TempDir()
+	monitored := func(cc checkpoint.Config) *Micromagnetic {
+		m, err := NewMicromagnetic(XOR, WithCheckpoint(cc), WithHealth(health.Config{Enabled: true}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	base := monitored(checkpoint.Config{})
+	total := int(base.Duration() / base.Dt())
+
+	seg := monitored(checkpoint.Config{Dir: dir, StopAtStep: total / 3})
+	if _, err := seg.Run(inputs); !errors.Is(err, checkpoint.ErrPaused) {
+		t.Fatalf("segment run: %v, want ErrPaused", err)
+	}
+	runID := journal.NewRunID()
+	res := monitored(checkpoint.Config{Dir: dir, Resume: true})
+	if _, err := res.RunContext(journal.WithRunID(context.Background(), runID), inputs); err != nil {
+		t.Fatal(err)
+	}
+	rep, ok := health.Default().Get(runID)
+	if !ok || rep.Verdict != health.Healthy.String() || len(rep.Alerts) > 0 {
+		t.Fatalf("resumed run health %+v (published %v), want healthy without alerts", rep, ok)
 	}
 }
 

@@ -59,8 +59,6 @@ type micromagConfig struct {
 	DriveField float64
 	// MeasurePeriods is the lock-in window in drive periods (default 4).
 	MeasurePeriods int
-	// Scheme selects the integrator (default RK4).
-	Scheme llg.Scheme
 	// Workers > 1 runs the LLG stepping kernels on a persistent pool of
 	// that many goroutines, banded over mesh rows (useful on multi-core
 	// machines; trajectories are bit-identical for any worker count).
@@ -367,7 +365,6 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool, half bool
 	if err != nil {
 		return nil, nil, err
 	}
-	s.Scheme = m.cfg.Scheme
 	s.SetWorkers(m.cfg.Workers)
 	copy(s.Alpha, m.alpha[off:])
 	s.InvalidatePrep()
@@ -560,11 +557,13 @@ func (m *Micromagnetic) computeFingerprint() (string, bool) {
 	}
 	c := m.cfg
 	// The resolved step, not only its DtScale option, is hashed, so a
-	// change of stepFactor re-keys every stored answer.
-	return hashKey(fmt.Sprintf("micromag/v1|%d|%+v|%+v|cell=%g|drive=%g|ramp=%g|meas=%d|settle=%g|sample=%d|alpha=%g|scheme=%d|T=%g|seed=%d|trim=%g|dts=%g|dt=%g",
+	// change of stepFactor re-keys every stored answer. scheme=0 is the
+	// RK4 integrator's token from when a second scheme existed; it stays
+	// so every stored key is unchanged.
+	return hashKey(fmt.Sprintf("micromag/v1|%d|%+v|%+v|cell=%g|drive=%g|ramp=%g|meas=%d|settle=%g|sample=%d|alpha=%g|scheme=0|T=%g|seed=%d|trim=%g|dts=%g|dt=%g",
 		int(m.kind), c.Spec, c.Mat, c.CellSize, c.DriveField, rampPeriods,
 		c.MeasurePeriods, settleFactor, sampleEvery, maxAlpha,
-		int(c.Scheme), c.Temperature, c.Seed, c.I3PhaseTrim, c.DtScale, m.dt)), true
+		c.Temperature, c.Seed, c.I3PhaseTrim, c.DtScale, m.dt)), true
 }
 
 // RunSingle excites only the named input at logic 0 and measures the
@@ -726,7 +725,6 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 		return fail(err)
 	}
 	defer s.Close() // release the stepping pool, if any
-	s.RunID = runID
 
 	// The probe recorder and the health monitor share the solver's one
 	// observer slot through a tee; with a single member the tee is skipped

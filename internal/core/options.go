@@ -5,7 +5,6 @@ import (
 	"spinwave/internal/grid"
 	"spinwave/internal/health"
 	"spinwave/internal/layout"
-	"spinwave/internal/llg"
 	"spinwave/internal/material"
 	"spinwave/internal/probe"
 )
@@ -45,11 +44,6 @@ func WithSpec(s layout.Spec) MicromagOption {
 // WithMaterial sets the film material (default material.FeCoB).
 func WithMaterial(m material.Params) MicromagOption {
 	return func(c *micromagConfig) { c.Mat = m }
-}
-
-// WithScheme selects the LLG integrator (default RK4).
-func WithScheme(s llg.Scheme) MicromagOption {
-	return func(c *micromagConfig) { c.Scheme = s }
 }
 
 // WithWorkers runs each transient's LLG stepping kernels on a persistent

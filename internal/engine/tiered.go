@@ -529,9 +529,12 @@ func (e *Engine) recompute(ctx context.Context, p *plan, inputs []bool, answers 
 		shared bool
 	)
 	if p.cacheable {
-		v, err, shared = e.flight.do(ctx, key, eval, func() { e.coalesced(ctx, key) })
+		v, err, shared = e.flight.do(ctx, key, eval, e.countCoalesced)
 	} else {
 		v, err = eval()
+	}
+	if shared {
+		e.journalCoalesced(ctx, key, err, derived)
 	}
 	if err != nil {
 		return nil, err
@@ -597,15 +600,38 @@ func (e *Engine) store(key string, out map[string]detect.Readout, cost time.Dura
 	}
 }
 
-// coalesced counts and journals a request served by another caller's
-// in-flight evaluation of key.
-func (e *Engine) coalesced(ctx context.Context, key string) {
+// countCoalesced counts a request that joins another caller's in-flight
+// evaluation.
+func (e *Engine) countCoalesced() {
 	e.deduped.Add(1)
 	mCoalesced.Inc()
-	if j := journal.Default(); j.Enabled() {
-		j.Emit(journal.RunID(ctx), "engine.cache",
-			journal.F("result", "coalesced"), journal.F("key", key))
+}
+
+// journalCoalesced journals the end of a joined caller's wait on
+// another's evaluation of key, with the wait's status like
+// engine.eval.done: ok, cancelled (the joiner's own context ended) or
+// error. derived marks a successful wait whose run ID asked for a case
+// other than the run case: that case's tier hit follows.
+func (e *Engine) journalCoalesced(ctx context.Context, key string, err error, derived bool) {
+	j := journal.Default()
+	if !j.Enabled() {
+		return
 	}
+	status := "ok"
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		status = "cancelled"
+	default:
+		status = "error"
+	}
+	fields := []journal.Field{
+		journal.F("result", "coalesced"), journal.F("key", key), journal.F("status", status),
+	}
+	if derived && err == nil {
+		fields = append(fields, journal.F("derived", true))
+	}
+	j.Emit(journal.RunID(ctx), "engine.cache", fields...)
 }
 
 // evalSurrogate answers one case from an admitted model, with tier

@@ -34,9 +34,6 @@
 //   - energy-budget drift — in a damped, undriven run the total
 //     micromagnetic energy (internal/energy via mag.Evaluator) must be
 //     non-increasing; growth signals numerical energy injection;
-//   - adaptive-dt collapse — the observed inter-step dt shrinking far
-//     below its initial value means the error controller is fighting a
-//     stiff or blown-up state and the run will crawl forever;
 //   - wall-clock stall watchdog — a background goroutine that alerts
 //     when no integrator step has been committed for a configurable
 //     wall-clock window (a wedged pool, a livelocked solver).
@@ -145,8 +142,6 @@ const (
 	RuleGridScale = "grid_scale"
 	// RuleEnergy is the damped-run energy-drift check.
 	RuleEnergy = "energy_drift"
-	// RuleDt is the adaptive-dt collapse/underflow check.
-	RuleDt = "dt_collapse"
 	// RuleStall is the wall-clock stall watchdog.
 	RuleStall = "stall"
 )
@@ -176,7 +171,7 @@ type Config struct {
 	// on the first failure — a non-finite cell never heals.
 	Debounce int
 	// NormDriftMax bounds ||m|²−1| per cell (default 1e-9; the solver
-	// renormalizes after every accepted step, so drift above round-off
+	// renormalizes after every step, so drift above round-off
 	// means corrupted state).
 	NormDriftMax float64
 	// AmplitudeMax bounds the in-plane precession amplitude
@@ -201,10 +196,6 @@ type Config struct {
 	// EnergyDriftMax is the allowed relative growth of the total energy
 	// over the first sample in a damped run (default 0.01).
 	EnergyDriftMax float64
-	// DtCollapseFactor flags an observed inter-step dt below
-	// DtCollapseFactor × the first observed dt (default 1/50; only
-	// adaptive runs ever shrink dt, so fixed-step runs never trip it).
-	DtCollapseFactor float64
 	// StallAfter is the wall-clock window with no committed step that
 	// trips the stall watchdog (default 60s; ≤ 0 disables the watchdog
 	// goroutine).
@@ -237,9 +228,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.EnergyDriftMax == 0 {
 		c.EnergyDriftMax = 0.01
-	}
-	if c.DtCollapseFactor == 0 {
-		c.DtCollapseFactor = 1.0 / 50
 	}
 	if c.StallAfter == 0 {
 		c.StallAfter = 60 * time.Second
@@ -297,11 +285,9 @@ type Monitor struct {
 	interior []int
 
 	// Hot-path state, touched only by the solver goroutine.
-	prevT    float64
-	firstDt  float64
 	baseE    float64 // first energy sample
 	haveE    bool
-	rules    [8]rule // indexed by the rIdx constants
+	rules    [7]rule // indexed by the rIdx constants
 	checks   int64
 	lastStep atomic.Int64 // read by the stall watchdog
 
@@ -329,7 +315,6 @@ const (
 	rSat
 	rGrid
 	rEnergy
-	rDt
 	rStall
 )
 
@@ -375,14 +360,13 @@ func NewMonitor(cfg Config, region grid.Region, runID string, opts ...Option) *M
 	if m.nx > 0 {
 		m.interior = interiorCells(region, m.nx)
 	}
-	m.rules = [8]rule{
+	m.rules = [7]rule{
 		rNorm:   {name: RuleNorm, severity: Critical, debounce: cfg.Debounce},
 		rFinite: {name: RuleFinite, severity: Critical, debounce: 1},
 		rAmp:    {name: RuleAmplitude, severity: cfg.AmplitudeSeverity, debounce: cfg.Debounce},
 		rSat:    {name: RuleSaturation, severity: Critical, debounce: cfg.Debounce},
 		rGrid:   {name: RuleGridScale, severity: Critical, debounce: cfg.Debounce},
 		rEnergy: {name: RuleEnergy, severity: Warn, debounce: cfg.Debounce},
-		rDt:     {name: RuleDt, severity: Warn, debounce: cfg.Debounce},
 		rStall:  {name: RuleStall, severity: Warn, debounce: 1},
 	}
 	initMetrics()
@@ -416,26 +400,6 @@ func (m *Monitor) Config() Config { return m.cfg }
 // allocation-free sweep over the magnetization.
 func (m *Monitor) ObserveStep(step int, t float64, mfield vec.Field) {
 	m.lastStep.Store(int64(step))
-
-	// dt tracking: the observed inter-step interval is the solver's
-	// committed dt for both fixed and adaptive runs.
-	if m.prevT > 0 || step > 1 {
-		dt := t - m.prevT
-		if m.firstDt == 0 && dt > 0 {
-			m.firstDt = dt
-		}
-		if m.firstDt > 0 && !m.rules[rDt].fired {
-			bound := m.cfg.DtCollapseFactor * m.firstDt
-			if dt <= 0 || dt < bound {
-				m.fail(rDt, step, t, dt, bound,
-					"integrator step size collapsed (error controller fighting a stiff or blown-up state)")
-			} else {
-				m.pass(rDt)
-			}
-		}
-	}
-	m.prevT = t
-
 	if step%m.cfg.Every == 0 {
 		m.sweep(step, t, mfield)
 	}

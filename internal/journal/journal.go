@@ -1,10 +1,10 @@
 // Package journal is the structured run journal of the flight-recorder
 // tier (DESIGN.md §11): an append-only stream of lifecycle events —
-// run start, transient settled, lock-in window, adaptive accept/reject
-// stats, engine cache provenance, completion or error — emitted by the
-// core backends and the evaluation engine, and delivered in order to
-// pluggable sinks (JSONL writer, in-memory ring). Hub is the keyed
-// fan-out that feeds live tails from a sink.
+// run start, transient settled, lock-in window, engine cache
+// provenance, completion or error — emitted by the core backends and the
+// evaluation engine, and delivered in order to pluggable sinks (JSONL
+// writer, in-memory ring). Hub is the keyed fan-out that feeds live
+// tails from a sink.
 //
 // Every event carries a monotonic sequence number, a wall-clock
 // timestamp, and the run ID of the evaluation that produced it. The
@@ -43,7 +43,7 @@ type Event struct {
 	// process-level events.
 	Run string `json:"run,omitempty"`
 	// Name is the event name, dot-namespaced by subsystem
-	// ("run.start", "engine.cache", "adaptive.stats", ...).
+	// ("run.start", "engine.cache", "engine.eval.done", ...).
 	Name string `json:"event"`
 	// Fields holds the event payload.
 	Fields map[string]any `json:"fields,omitempty"`

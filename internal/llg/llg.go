@@ -9,15 +9,12 @@
 //
 // The damping constant is per-cell so that absorbing boundary layers
 // (smoothly ramped α) can terminate waveguides without reflections.
-// Two fixed-step schemes are provided — Heun (2 field evaluations/step)
-// and classical RK4 (4 evaluations, default) — plus the adaptive
-// Bogacki–Shampine RK23 pair (RunAdaptive). Magnetization is
-// renormalized after every accepted step.
+// The one integrator is fixed-step classical RK4 (4 field evaluations
+// per step). Magnetization is renormalized after every step.
 //
 // # Stepping core
 //
-// Step and RunAdaptiveUntil run the tiled fused core (parallel.go), the
-// only integrator production reaches: each RK stage is a single pass
+// Step runs the tiled fused core (parallel.go): each RK stage is a single pass
 // over precomputed active-cell runs that evaluates the local field,
 // overlays sources, computes the torque and applies the stage update,
 // optionally split across a persistent worker pool (SetWorkers) in
@@ -47,29 +44,6 @@ import (
 	"spinwave/internal/vec"
 )
 
-// Scheme selects the time-integration method.
-type Scheme int
-
-const (
-	// RK4 is the classical fourth-order Runge–Kutta scheme.
-	RK4 Scheme = iota
-	// Heun is the second-order predictor-corrector scheme; roughly twice
-	// as fast per step but needs smaller steps for the same accuracy.
-	Heun
-)
-
-// String names the scheme.
-func (s Scheme) String() string {
-	switch s {
-	case RK4:
-		return "rk4"
-	case Heun:
-		return "heun"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
-
 // scratchFields is the number of mesh-sized buffers carved from the
 // solver's arena: b, k1..k3, mtmp, mtmp2, srcB.
 const scratchFields = 7
@@ -84,14 +58,8 @@ type Solver struct {
 	Alpha []float64 // per-cell Gilbert damping
 	Gamma float64   // gyromagnetic ratio, rad/(s·T)
 
-	Time   float64 // current simulation time, s
-	Dt     float64 // fixed time step, s
-	Scheme Scheme
-
-	// RunID identifies the evaluation this solver serves; it is stamped
-	// onto journal events emitted at solver level (adaptive step stats)
-	// so they correlate with the run's lifecycle events and spans.
-	RunID string
+	Time float64 // current simulation time, s
+	Dt   float64 // fixed time step, s
 
 	steps int
 
@@ -100,9 +68,9 @@ type Solver struct {
 	obs StepObserver
 
 	// Scratch buffers, all carved from one arena allocation. b holds the
-	// effective field, k1..k3 the stored RK stage slopes (the last slope
-	// of every scheme stays in registers), mtmp/mtmp2 the ping-pong stage
-	// inputs, and srcB the sparse-source overlay.
+	// effective field, k1..k3 the stored RK stage slopes (k4 stays in
+	// registers), mtmp/mtmp2 the ping-pong stage inputs, and srcB the
+	// sparse-source overlay.
 	arena         *vec.Arena
 	b, k1, k2, k3 vec.Field
 	mtmp, mtmp2   vec.Field
@@ -121,7 +89,6 @@ type Solver struct {
 	otherSrcs    []mag.Source
 	srcCells     []int   // union of sparse-source cells, deduplicated
 	srcCellsBand [][]int // srcCells split by band
-	errPart      []float64
 	timeBands    bool
 
 	// mirror marks row 0 as a ghost row of the mirror boundary at row 1
@@ -130,8 +97,8 @@ type Solver struct {
 
 	// Prebuilt pass closures and in-flight stage parameters; reusing
 	// them keeps the steady-state stepping loop allocation-free.
-	passRK4, passHeun, passBS23 func(int)
-	st                          stage
+	passRK4 func(int)
+	st      stage
 }
 
 // New creates a solver for the given geometry and material, with the
@@ -155,7 +122,6 @@ func New(mesh grid.Mesh, region grid.Region, mat material.Params, dt float64) (*
 		Alpha:   make([]float64, n),
 		Gamma:   mat.GammaOrDefault(),
 		Dt:      dt,
-		Scheme:  RK4,
 		workers: 1,
 		arena:   arena,
 		b:       arena.Field(),
@@ -167,8 +133,6 @@ func New(mesh grid.Mesh, region grid.Region, mat material.Params, dt float64) (*
 		srcB:    arena.Field(),
 	}
 	s.passRK4 = func(bi int) { s.rk4Band(bi) }
-	s.passHeun = func(bi int) { s.heunBand(bi) }
-	s.passBS23 = func(bi int) { s.bs23Band(bi) }
 	for i := range s.Alpha {
 		s.Alpha[i] = mat.Alpha
 	}

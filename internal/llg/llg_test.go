@@ -104,19 +104,6 @@ func TestDampingRelaxesToFieldAxis(t *testing.T) {
 	}
 }
 
-func TestHeunMatchesRK4(t *testing.T) {
-	a := singleSpin(t, 0.4, 0.01, 20e-15)
-	b := singleSpin(t, 0.4, 0.01, 20e-15)
-	b.Scheme = Heun
-	a.TiltM(0.3)
-	b.TiltM(0.3)
-	a.Run(0.5e-9, nil)
-	b.Run(0.5e-9, nil)
-	if d := a.M[0].Sub(b.M[0]).Norm(); d > 1e-4 {
-		t.Errorf("Heun deviates from RK4 by %g", d)
-	}
-}
-
 func TestExchangeAlignsNeighbors(t *testing.T) {
 	mesh := grid.MustMesh(2, 1, 2e-9, 2e-9, 1e-9)
 	mat := material.FeCoB()
@@ -222,12 +209,6 @@ func TestEnergyDissipationUnderDamping(t *testing.T) {
 	}
 }
 
-func TestSchemeString(t *testing.T) {
-	if RK4.String() != "rk4" || Heun.String() != "heun" || Scheme(9).String() == "" {
-		t.Error("scheme names wrong")
-	}
-}
-
 func TestSetUniformMRespectsRegion(t *testing.T) {
 	mesh := grid.MustMesh(2, 1, 1e-9, 1e-9, 1e-9)
 	reg := grid.Region{true, false}
@@ -261,21 +242,4 @@ func BenchmarkStepRK4_64x64(b *testing.B) {
 	}
 	benchSink = s.M[0].X
 	_ = units.Mu0
-}
-
-func BenchmarkStepHeun_64x64(b *testing.B) {
-	mesh := grid.MustMesh(64, 64, 5e-9, 5e-9, 1e-9)
-	mat := material.FeCoB()
-	s, err := New(mesh, grid.FullRegion(mesh), mat, StableDt(mesh, mat))
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Scheme = Heun
-	s.TiltM(0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-	benchSink = s.M[0].X
 }

@@ -1,9 +1,11 @@
 package llg
 
 import (
+	"context"
 	"testing"
 
 	"spinwave/internal/grid"
+	"spinwave/internal/health"
 	"spinwave/internal/journal"
 	"spinwave/internal/material"
 	"spinwave/internal/vec"
@@ -49,40 +51,52 @@ func TestObserverCumulativeSteps(t *testing.T) {
 	}
 }
 
-// TestObserverAdaptive checks accepted adaptive steps are observed
-// (rejected ones are not: step numbers stay strictly increasing) and
-// that an attached journal receives the adaptive.stats event under the
-// solver's run ID.
-func TestObserverAdaptive(t *testing.T) {
+// TestObserverResumedRun checks that a fixed-step run resumed from a
+// restored state hands every committed step to the observer once and in
+// order, continuing the restored step count, and that an observer which
+// journals — the health monitor — reports under its run ID having seen
+// every step, with a healthy verdict.
+func TestObserverResumedRun(t *testing.T) {
 	mesh := grid.MustMesh(4, 4, 2e-9, 2e-9, 1e-9)
 	s, err := New(mesh, grid.FullRegion(mesh), material.FeCoB(), 1e-13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunID = "rtest"
+	const restored, n = 5, 20
+	if err := s.Restore(s.M, restored*s.Dt, restored, s.Dt); err != nil {
+		t.Fatal(err)
+	}
 	obs := &countingObserver{}
-	s.SetObserver(obs)
+	mon := health.NewMonitor(health.Config{Enabled: true, Every: 4, StallAfter: -1}, s.Region, "rtest")
+	s.SetObserver(TeeObserver{obs, mon})
 	ring := journal.NewRingSink(64)
 	defer journal.Default().Attach(ring)()
 
-	acc, _, err := s.RunAdaptive(2e-12, AdaptiveConfig{})
-	if err != nil {
+	if err := s.RunSteps(context.Background(), n, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(obs.steps) != acc {
-		t.Errorf("observed %d steps, accepted %d", len(obs.steps), acc)
+	rep := mon.Finish()
+	if len(obs.steps) != n {
+		t.Fatalf("observed %d steps, ran %d", len(obs.steps), n)
 	}
-	for i := 1; i < len(obs.steps); i++ {
-		if obs.steps[i] != obs.steps[i-1]+1 {
-			t.Fatalf("non-consecutive observed steps %v", obs.steps)
+	for i, st := range obs.steps {
+		if st != restored+1+i {
+			t.Fatalf("observed steps %v, want %d..%d", obs.steps, restored+1, restored+n)
+		}
+		if i > 0 && obs.times[i] <= obs.times[i-1] {
+			t.Fatalf("observed times not increasing: %v", obs.times)
 		}
 	}
-	evs := ring.EventsFor("rtest")
-	if len(evs) != 1 || evs[0].Name != "adaptive.stats" {
-		t.Fatalf("journal events %+v, want one adaptive.stats", evs)
+	if rep.Verdict != "healthy" || len(rep.Alerts) != 0 || rep.Steps != restored+n {
+		t.Errorf("report %+v, want healthy at step %d with no alerts", rep, restored+n)
 	}
-	if got := evs[0].Fields["accepted"]; got != acc {
-		t.Errorf("journaled accepted = %v, want %d", got, acc)
+	evs := ring.EventsFor("rtest")
+	if len(evs) != 1 || evs[0].Name != "health.verdict" {
+		t.Fatalf("journal events %+v, want one health.verdict", evs)
+	}
+	// Steps 8, 12, ..., 24 are on the monitor's 4-step cadence.
+	if got := evs[0].Fields["checks"]; got != int64(5) {
+		t.Errorf("journaled checks = %v (%T), want 5", got, got)
 	}
 }
 

@@ -27,9 +27,8 @@ import (
 // aliasing hazard the term-by-term stepper (internal/llg/llgref) avoids
 // only by recomputing full-field copies every stage.
 //
-// Determinism: band boundaries depend only on (Ny, workers), per-cell
-// arithmetic is band-independent, and the adaptive error reduction is
-// merged from fixed per-band partials — so trajectories are bit-for-bit
+// Determinism: band boundaries depend only on (Ny, workers) and per-cell
+// arithmetic is band-independent, so trajectories are bit-for-bit
 // identical for every worker count (pinned by TestWorkerCountInvariance).
 //
 // The steady-state loop allocates nothing: all scratch lives in a
@@ -39,9 +38,8 @@ import (
 // stage carries the parameters of the in-flight banded pass.
 type stage struct {
 	t   float64   // field evaluation time of this stage
-	dt  float64   // step size of the attempt
 	in  vec.Field // stage-input magnetization (stencil + torque source)
-	num uint8     // stage number within the scheme
+	num uint8     // RK4 stage number, 1–4
 
 	// doField/doTorque select the halves of the fused kernel. Both are
 	// true in the common single-pass case; when a non-bandable source is
@@ -190,28 +188,19 @@ func (s *Solver) ensurePrep() {
 		}
 		s.srcCellsBand[bi] = cells
 	}
-	if len(s.errPart) != len(s.bands) {
-		s.errPart = make([]float64, len(s.bands))
-	}
 	s.prepared = true
 }
 
-// Step advances the solver by one time step Dt with the banded fused
-// kernels of its Scheme.
+// Step advances the solver by one RK4 time step Dt with the banded
+// fused kernel.
 func (s *Solver) Step() {
 	s.ensurePrep()
 	dt, t := s.Dt, s.Time
 	s.timeBands = s.steps&63 == 0 // sample band timings every 64 steps
-	switch s.Scheme {
-	case Heun:
-		s.runStage(s.passHeun, 1, t, dt, s.M)
-		s.runStage(s.passHeun, 2, t+dt, dt, s.mtmp)
-	default: // RK4
-		s.runStage(s.passRK4, 1, t, dt, s.M)
-		s.runStage(s.passRK4, 2, t+dt/2, dt, s.mtmp)
-		s.runStage(s.passRK4, 3, t+dt/2, dt, s.mtmp2)
-		s.runStage(s.passRK4, 4, t+dt, dt, s.mtmp)
-	}
+	s.runStage(1, t, s.M)
+	s.runStage(2, t+dt/2, s.mtmp)
+	s.runStage(3, t+dt/2, s.mtmp2)
+	s.runStage(4, t+dt, s.mtmp)
 	s.timeBands = false
 	s.fillGhost(s.M)
 	s.Time += dt
@@ -222,22 +211,22 @@ func (s *Solver) Step() {
 // the field and torque halves run fused in a single barrier; when
 // non-bandable sources are installed the stage splits into a field
 // pass, a serial source sweep over the full field, and a torque pass.
-func (s *Solver) runStage(pass func(int), num uint8, t, dt float64, in vec.Field) {
-	s.st.num, s.st.t, s.st.dt, s.st.in = num, t, dt, in
+func (s *Solver) runStage(num uint8, t float64, in vec.Field) {
+	s.st.num, s.st.t, s.st.in = num, t, in
 	s.fillGhost(in)
 	s.applySparse(t)
 	if len(s.otherSrcs) == 0 {
 		s.st.doField, s.st.doTorque = true, true
-		s.pool.Run(len(s.bands), pass)
+		s.pool.Run(len(s.bands), s.passRK4)
 		return
 	}
 	s.st.doField, s.st.doTorque = true, false
-	s.pool.Run(len(s.bands), pass)
+	s.pool.Run(len(s.bands), s.passRK4)
 	for _, src := range s.otherSrcs {
 		src.AddTo(t, s.b)
 	}
 	s.st.doField, s.st.doTorque = false, true
-	s.pool.Run(len(s.bands), pass)
+	s.pool.Run(len(s.bands), s.passRK4)
 }
 
 // applySparse rebuilds the sparse-source overlay for one stage time:
@@ -298,7 +287,7 @@ func (s *Solver) rk4Band(bi int) {
 	if st.doTorque {
 		band := s.bands[bi]
 		runs := s.runs.RowRuns(band.J0, band.J1)
-		dt := st.dt
+		dt := s.Dt
 		switch st.num {
 		case 1: // k1 from M; mtmp = M + dt/2·k1
 			for _, r := range runs {
@@ -334,115 +323,6 @@ func (s *Solver) rk4Band(bi int) {
 						MAdd(dt/3, s.k3[c]).
 						MAdd(dt/6, k4).
 						Normalized()
-				}
-			}
-		}
-	}
-	if s.timeBands {
-		mBandSeconds.Observe(time.Since(t0).Seconds())
-	}
-}
-
-// heunBand is the fused Heun (predictor-corrector) kernel for one band.
-func (s *Solver) heunBand(bi int) {
-	var t0 time.Time
-	if s.timeBands {
-		t0 = time.Now()
-	}
-	st := &s.st
-	if st.doField {
-		s.fieldBand(bi, st.t, st.in)
-	}
-	if st.doTorque {
-		band := s.bands[bi]
-		runs := s.runs.RowRuns(band.J0, band.J1)
-		dt := st.dt
-		switch st.num {
-		case 1: // k1 from M; mtmp = M + dt·k1 (predictor)
-			for _, r := range runs {
-				for c := int(r.Start); c < int(r.End); c++ {
-					k := s.torqueCell(s.M[c], s.b[c], c)
-					s.k1[c] = k
-					s.mtmp[c] = s.M[c].MAdd(dt, k)
-				}
-			}
-		case 2: // k2 from mtmp (in registers); corrector + renormalize
-			for _, r := range runs {
-				for c := int(r.Start); c < int(r.End); c++ {
-					k2 := s.torqueCell(s.mtmp[c], s.b[c], c)
-					s.M[c] = s.M[c].MAdd(dt/2, s.k1[c]).MAdd(dt/2, k2).Normalized()
-				}
-			}
-		}
-	}
-	if s.timeBands {
-		mBandSeconds.Observe(time.Since(t0).Seconds())
-	}
-}
-
-// bs23Band is the fused Bogacki–Shampine (RK23) kernel for one band,
-// used by RunAdaptive. Stage 4 folds the embedded error estimate into
-// per-band partials (s.errPart) merged after the barrier in fixed band
-// order; stage 5 commits an accepted attempt.
-func (s *Solver) bs23Band(bi int) {
-	var t0 time.Time
-	if s.timeBands {
-		t0 = time.Now()
-	}
-	st := &s.st
-	if st.doField {
-		s.fieldBand(bi, st.t, st.in)
-	}
-	if st.doTorque {
-		band := s.bands[bi]
-		runs := s.runs.RowRuns(band.J0, band.J1)
-		dt := st.dt
-		switch st.num {
-		case 1: // k1 from M; mtmp = M + dt/2·k1
-			for _, r := range runs {
-				for c := int(r.Start); c < int(r.End); c++ {
-					k := s.torqueCell(s.M[c], s.b[c], c)
-					s.k1[c] = k
-					s.mtmp[c] = s.M[c].MAdd(dt/2, k)
-				}
-			}
-		case 2: // k2 from mtmp; mtmp2 = M + 3dt/4·k2
-			for _, r := range runs {
-				for c := int(r.Start); c < int(r.End); c++ {
-					k := s.torqueCell(s.mtmp[c], s.b[c], c)
-					s.k2[c] = k
-					s.mtmp2[c] = s.M[c].MAdd(3*dt/4, k)
-				}
-			}
-		case 3: // k3 from mtmp2; mtmp = y3 = M + dt(2/9·k1 + 1/3·k2 + 4/9·k3)
-			for _, r := range runs {
-				for c := int(r.Start); c < int(r.End); c++ {
-					k := s.torqueCell(s.mtmp2[c], s.b[c], c)
-					s.k3[c] = k
-					s.mtmp[c] = s.M[c].
-						MAdd(2*dt/9, s.k1[c]).
-						MAdd(dt/3, s.k2[c]).
-						MAdd(4*dt/9, k)
-				}
-			}
-		case 4: // k4 from y3 (in registers); per-band ∞-norm error partial
-			worst := 0.0
-			for _, r := range runs {
-				for c := int(r.Start); c < int(r.End); c++ {
-					k4 := s.torqueCell(s.mtmp[c], s.b[c], c)
-					ex := (-5.0/72)*s.k1[c].X + (1.0/12)*s.k2[c].X + (1.0/9)*s.k3[c].X - (1.0/8)*k4.X
-					ey := (-5.0/72)*s.k1[c].Y + (1.0/12)*s.k2[c].Y + (1.0/9)*s.k3[c].Y - (1.0/8)*k4.Y
-					ez := (-5.0/72)*s.k1[c].Z + (1.0/12)*s.k2[c].Z + (1.0/9)*s.k3[c].Z - (1.0/8)*k4.Z
-					if e := ex*ex + ey*ey + ez*ez; e > worst {
-						worst = e
-					}
-				}
-			}
-			s.errPart[bi] = worst
-		case 5: // accept: M = normalize(y3)
-			for _, r := range runs {
-				for c := int(r.Start); c < int(r.End); c++ {
-					s.M[c] = s.mtmp[c].Normalized()
 				}
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // the fused stepper handles specially: an antenna (sparse overlay), a
 // thermal field (per-cell source), a non-uniform damping profile and a
 // notch cut out of the region so the run geometry is non-trivial.
-func parallelTestSolver(t *testing.T, workers int, scheme Scheme) *Solver {
+func parallelTestSolver(t *testing.T, workers int) *Solver {
 	t.Helper()
 	mesh := grid.MustMesh(40, 16, 5e-9, 5e-9, 1e-9)
 	region := grid.FullRegion(mesh)
@@ -29,7 +29,6 @@ func parallelTestSolver(t *testing.T, workers int, scheme Scheme) *Solver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Scheme = scheme
 	s.TiltM(0.02)
 	s.AddAbsorberTowards(mesh.SizeX(), mesh.SizeY()/2, 80e-9, 0.5)
 
@@ -56,58 +55,24 @@ func parallelTestSolver(t *testing.T, workers int, scheme Scheme) *Solver {
 // for every worker count (ISSUE 3 acceptance criterion). Exact float64
 // equality, no tolerance.
 func TestWorkerCountInvariance(t *testing.T) {
-	for _, scheme := range []Scheme{RK4, Heun} {
-		base := parallelTestSolver(t, 1, scheme)
+	base := parallelTestSolver(t, 1)
+	for step := 0; step < 40; step++ {
+		base.Step()
+	}
+	for _, workers := range []int{2, 3, 8} {
+		s := parallelTestSolver(t, workers)
 		for step := 0; step < 40; step++ {
-			base.Step()
-		}
-		for _, workers := range []int{2, 3, 8} {
-			s := parallelTestSolver(t, workers, scheme)
-			for step := 0; step < 40; step++ {
-				s.Step()
-			}
-			s.Close()
-			for c := range base.M {
-				if base.M[c] != s.M[c] {
-					t.Fatalf("%v: cell %d diverged with %d workers: %v vs %v",
-						scheme, c, workers, base.M[c], s.M[c])
-				}
-			}
-			if base.Time != s.Time {
-				t.Fatalf("%v: time diverged: %g vs %g", scheme, base.Time, s.Time)
-			}
-		}
-	}
-}
-
-// TestWorkerCountInvarianceAdaptive extends the bit-identity pin to the
-// adaptive stepper: the ∞-norm error reduction is merged from fixed
-// per-band partials, so accept/reject decisions and step sizes must
-// match exactly too.
-func TestWorkerCountInvarianceAdaptive(t *testing.T) {
-	base := parallelTestSolver(t, 1, RK4)
-	a1, r1, err := base.RunAdaptive(30*base.Dt, AdaptiveConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		s := parallelTestSolver(t, workers, RK4)
-		a2, r2, err := s.RunAdaptive(30*s.Dt, AdaptiveConfig{})
-		if err != nil {
-			t.Fatal(err)
+			s.Step()
 		}
 		s.Close()
-		if a1 != a2 || r1 != r2 {
-			t.Fatalf("step counts diverged with %d workers: %d/%d vs %d/%d", workers, a1, r1, a2, r2)
-		}
-		if base.Dt != s.Dt || base.Time != s.Time {
-			t.Fatalf("dt/time diverged with %d workers", workers)
-		}
 		for c := range base.M {
 			if base.M[c] != s.M[c] {
-				t.Fatalf("adaptive: cell %d diverged with %d workers: %v vs %v",
+				t.Fatalf("cell %d diverged with %d workers: %v vs %v",
 					c, workers, base.M[c], s.M[c])
 			}
+		}
+		if base.Time != s.Time {
+			t.Fatalf("time diverged: %g vs %g", base.Time, s.Time)
 		}
 	}
 }
@@ -146,7 +111,7 @@ func TestOneRowGridWithWorkers(t *testing.T) {
 // group and prebuilt kernel closures).
 func TestStepAllocates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		s := parallelTestSolver(t, workers, RK4)
+		s := parallelTestSolver(t, workers)
 		s.Step() // warm up: builds prep state lazily
 		allocs := testing.AllocsPerRun(10, func() { s.Step() })
 		s.Close()
@@ -161,7 +126,7 @@ func TestStepAllocates(t *testing.T) {
 // leak pools (Close after each switch is the owner's job — SetWorkers
 // replaces the pool itself).
 func TestSetWorkersLifecycle(t *testing.T) {
-	s := parallelTestSolver(t, 1, RK4)
+	s := parallelTestSolver(t, 1)
 	for step := 0; step < 5; step++ {
 		s.Step()
 	}

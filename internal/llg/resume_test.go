@@ -47,13 +47,13 @@ func requireIdentical(t *testing.T, label string, want, got *Solver) {
 // worker count after the resume, since trajectories are worker-invariant.
 func TestRunStepsResumeBitIdentical(t *testing.T) {
 	const total, k = 300, 127
-	base := parallelTestSolver(t, 1, RK4)
+	base := parallelTestSolver(t, 1)
 	defer base.Close()
 	if err := base.RunSteps(nil, total, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	first := parallelTestSolver(t, 2, RK4)
+	first := parallelTestSolver(t, 2)
 	if err := first.RunSteps(nil, k, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRunStepsResumeBitIdentical(t *testing.T) {
 		t.Fatalf("snapshot at step %d, want %d", snap.steps, k)
 	}
 
-	resumed := parallelTestSolver(t, 4, RK4)
+	resumed := parallelTestSolver(t, 4)
 	defer resumed.Close()
 	if err := resumed.Restore(snap.m, snap.time, snap.steps, snap.dt); err != nil {
 		t.Fatal(err)
@@ -72,57 +72,6 @@ func TestRunStepsResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "fixed-step resume", base, resumed)
-}
-
-// TestRunAdaptiveUntilResumeBitIdentical is the adaptive-dt counterpart:
-// stopping the RK23 loop from the each callback (which fires after the
-// step-size controller has proposed the next dt), checkpointing, and
-// resuming with the same absolute end time must replay the remaining
-// accept/reject sequence exactly.
-func TestRunAdaptiveUntilResumeBitIdentical(t *testing.T) {
-	const stopAt = 25
-
-	base := parallelTestSolver(t, 1, RK4)
-	defer base.Close()
-	// Explicit step bounds: the AdaptiveConfig defaults derive from the
-	// solver's current (adapted) Dt, so a resume with defaulted bounds
-	// would clamp the controller differently and diverge.
-	cfg := AdaptiveConfig{MaxErr: 1e-6, MinDt: base.Dt / 100, MaxDt: 10 * base.Dt}
-	end := base.Time + 250*base.Dt
-	baseAcc, _, err := base.RunAdaptiveUntil(end, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseAcc <= stopAt {
-		t.Fatalf("base run accepted only %d steps, need > %d", baseAcc, stopAt)
-	}
-
-	first := parallelTestSolver(t, 2, RK4)
-	firstAcc, _, err := first.RunAdaptiveUntil(end, cfg, func(step int) bool { return step < stopAt })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if firstAcc != stopAt {
-		t.Fatalf("stopped after %d accepted steps, want %d", firstAcc, stopAt)
-	}
-	snap := capture(first)
-	first.Close()
-
-	resumed := parallelTestSolver(t, 4, RK4)
-	defer resumed.Close()
-	if err := resumed.Restore(snap.m, snap.time, snap.steps, snap.dt); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := resumed.RunAdaptiveUntil(end, cfg, nil); err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "adaptive resume", base, resumed)
-
-	// A second resume at the already-reached end time is a no-op.
-	acc, rej, err := resumed.RunAdaptiveUntil(end, cfg, nil)
-	if err != nil || acc != 0 || rej != 0 {
-		t.Fatalf("resume at end time: acc=%d rej=%d err=%v, want all zero", acc, rej, err)
-	}
 }
 
 // TestRestoreValidation pins the Restore error cases.

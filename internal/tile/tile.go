@@ -13,9 +13,9 @@
 //     scheduling, and per-cell arithmetic is band-independent, so
 //     magnetization trajectories are bit-for-bit identical for any
 //     worker count.
-//   - Reductions (max torque error, energy) are computed as per-band or
-//     per-row partials and merged after the barrier in fixed index order
-//     (MaxFloat64s, SumFloat64s), keeping them deterministic too.
+//   - Reductions (energy) are computed as per-band or per-row partials
+//     and merged after the barrier in fixed index order (SumFloat64s),
+//     keeping them deterministic too.
 //
 // A Pool's goroutines are persistent: the hot stepping loop enqueues
 // plain band indices on a channel and parks on a reusable sync.WaitGroup,
@@ -155,24 +155,10 @@ func (p *Pool) Close() {
 	p.closed.Do(func() { close(p.work) })
 }
 
-// MaxFloat64s merges per-band maxima in fixed index order and returns
-// the overall maximum, or 0 for an empty slice. Floating-point max is
-// associative, but merging in index order keeps the convention uniform
-// with SumFloat64s.
-func MaxFloat64s(partials []float64) float64 {
-	max := 0.0
-	for _, v := range partials {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // SumFloat64s merges per-band (or per-row) partial sums in fixed index
-// order. Unlike max, floating-point addition is not associative: summing
-// fixed partials in index order is what makes banded reductions
-// bit-identical for every worker count.
+// order. Floating-point addition is not associative: summing fixed
+// partials in index order is what makes banded reductions bit-identical
+// for every worker count.
 func SumFloat64s(partials []float64) float64 {
 	sum := 0.0
 	for _, v := range partials {

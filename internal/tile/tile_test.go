@@ -125,12 +125,6 @@ func TestPoolCloseIdempotent(t *testing.T) {
 }
 
 func TestMergeHelpers(t *testing.T) {
-	if got := MaxFloat64s(nil); got != 0 {
-		t.Errorf("MaxFloat64s(nil) = %g", got)
-	}
-	if got := MaxFloat64s([]float64{0.5, 2.25, 1}); got != 2.25 {
-		t.Errorf("MaxFloat64s = %g, want 2.25", got)
-	}
 	if got := SumFloat64s(nil); got != 0 {
 		t.Errorf("SumFloat64s(nil) = %g", got)
 	}

@@ -12,7 +12,6 @@ import (
 	"spinwave/internal/energy"
 	"spinwave/internal/ladder"
 	"spinwave/internal/layout"
-	"spinwave/internal/llg"
 	"spinwave/internal/material"
 	"spinwave/internal/measure"
 	"spinwave/internal/mumax"
@@ -72,14 +71,6 @@ const (
 	NOR = core.NOR
 )
 
-// Integration schemes for WithScheme.
-const (
-	// SchemeRK4 is the classical 4th-order Runge–Kutta integrator.
-	SchemeRK4 = llg.RK4
-	// SchemeHeun is the 2nd-order Heun integrator (faster per step).
-	SchemeHeun = llg.Heun
-)
-
 // PaperSpec returns the paper's §IV-A dimensions (λ=55 nm, w=50 nm,
 // d1..d4 = 330/880/220/55 nm).
 func PaperSpec() Spec { return layout.PaperSpec() }
@@ -118,8 +109,6 @@ var (
 	WithSpec = core.WithSpec
 	// WithMaterial sets the micromagnetic film material (default FeCoB).
 	WithMaterial = core.WithMaterial
-	// WithScheme selects the LLG integrator (SchemeRK4 or SchemeHeun).
-	WithScheme = core.WithScheme
 	// WithWorkers runs each transient's LLG stepping kernels on a
 	// persistent pool of that many goroutines, banded over mesh rows;
 	// trajectories are bit-identical for any worker count.
@@ -154,7 +143,7 @@ func NewBehavioral(kind GateKind, spec Spec, mat Material, opts ...BehavioralOpt
 }
 
 // NewMicromagnetic builds the full-simulation backend for a gate,
-// configured by WithSpec/WithMaterial/WithScheme/... options.
+// configured by WithSpec/WithMaterial/WithWorkers/... options.
 func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, error) {
 	return core.NewMicromagnetic(kind, opts...)
 }

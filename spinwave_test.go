@@ -264,7 +264,7 @@ func TestFunctionalOptionsFacade(t *testing.T) {
 		t.Fatalf("option change not reflected in fingerprints: %q vs %q", fd, fl)
 	}
 	// Micromagnetic options-form construction (no run).
-	if _, err := NewMicromagnetic(XOR, WithScheme(SchemeHeun), WithWorkers(2)); err != nil {
+	if _, err := NewMicromagnetic(XOR, WithWorkers(2)); err != nil {
 		t.Fatal(err)
 	}
 	// An explicitly zero spec or material fails validation (an error,

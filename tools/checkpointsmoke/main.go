@@ -5,14 +5,16 @@
 // moment the first manifest commits — a crash with no warning, the
 // failure mode checkpoints exist for. A third run with -resume must
 // continue from the newest snapshot and land on readouts byte-identical
-// to the golden run's.
+// to the golden run's. The resumed run carries the health monitor
+// (-health): its journal must record a healthy verdict, and monitoring
+// must not alter the trajectory.
 //
 //	go run ./tools/checkpointsmoke -journal checkpoint.jsonl
 //
 // The resumed run's journal is left behind for journalcheck and for the
-// checkpoint.resume grep in the checkpoint-smoke make target; the
-// resumed run's manifest is copied to -keep-manifest for CI artifact
-// upload.
+// checkpoint.resume and verdict greps in the checkpoint-smoke make
+// target; the resumed run's manifest is copied to -keep-manifest for CI
+// artifact upload.
 package main
 
 import (
@@ -102,11 +104,13 @@ func run(journalPath, keepManifest string, dtScale float64, timeout time.Duratio
 	}
 	log.Printf("killed checkpointed run mid-transient (SIGKILL), %d manifest(s) on disk", len(names))
 
-	// Resume: must pick up the newest valid snapshot and finish with the
-	// golden readouts exactly.
+	// Resume under the health monitor: must pick up the newest valid
+	// snapshot and finish with the golden readouts exactly. swsim -health
+	// exits non-zero on a violated verdict; the make target then requires
+	// the journaled verdict to be healthy.
 	resumed := filepath.Join(tmp, "resumed.json")
 	cmd = exec.Command(bin, append(common,
-		"-checkpoint", ckDir, "-checkpoint-every", "200", "-resume",
+		"-checkpoint", ckDir, "-checkpoint-every", "200", "-resume", "-health",
 		"-readout-json", resumed, "-journal", journalPath)...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
