@@ -233,3 +233,27 @@ func TestCheckpointDomainMismatch(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointWholeFilmAntiCase: XOR 10 steps the half mesh, so a
+// whole-film checkpoint of it is refused on resume with the mesh-size
+// error, which names the half mesh the run steps.
+func TestCheckpointWholeFilmAntiCase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	inputs := []bool{true, false}
+	dir := t.TempDir()
+	base := checkpointedXOR(t, checkpoint.Config{})
+	if !base.HalfDomain(inputs) {
+		t.Fatal("XOR 10 does not step the half mesh")
+	}
+	total := int(base.Duration() / base.Dt())
+	w := fullFilm(checkpointedXOR(t, checkpoint.Config{Dir: dir, StopAtStep: total / 10}))
+	if _, err := w.Run(inputs); !errors.Is(err, checkpoint.ErrPaused) {
+		t.Fatalf("whole-film segment: %v", err)
+	}
+	_, err := checkpointedXOR(t, checkpoint.Config{Dir: dir, Resume: true}).Run(inputs)
+	if err == nil || !strings.Contains(err.Error(), "the mirror half of the film") {
+		t.Fatalf("whole-film checkpoint of 10 resumed: %v", err)
+	}
+}

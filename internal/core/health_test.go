@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"spinwave/internal/checkpoint"
 	"spinwave/internal/health"
 	"spinwave/internal/journal"
 	"spinwave/internal/layout"
@@ -139,6 +141,72 @@ func TestGridScaleRule(t *testing.T) {
 		if fired := rules(from); len(fired) > 0 {
 			t.Errorf("%s table at the default step fired %v", kind, fired)
 		}
+	}
+}
+
+// TestAntiHalfObservers: XOR 10 steps the half mesh, where the output
+// below the axis reads its images negated. The flight recorder's series
+// and live lock-in of both outputs, and the probe series a checkpoint
+// saves, equal the whole-film run's.
+func TestAntiHalfObservers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	in := []bool{true, false}
+	m, err := NewMicromagnetic(XOR, WithProbes(probe.Config{Enabled: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, probes, err := m.newSolver(in, nil, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if probes["O1"].Negate == probes["O2"].Negate {
+		t.Fatalf("10 on the half mesh: O1 negated %v, O2 negated %v; want one of them", probes["O1"].Negate, probes["O2"].Negate)
+	}
+	snap := func(m *Micromagnetic) probe.Snapshot {
+		runID := journal.NewRunID()
+		if _, err := m.RunContext(journal.WithRunID(context.Background(), runID), in); err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := probe.Default().Get(runID)
+		if !ok {
+			t.Fatal("no flight recorder published")
+		}
+		return rec.Snapshot(runID)
+	}
+	half, full := snap(m), snap(fullFilm(m))
+	if len(half.Series) != 2 || len(half.Series[0].MX) == 0 {
+		t.Fatalf("half-mesh recorder holds %d series", len(half.Series))
+	}
+	if !reflect.DeepEqual(half.Series, full.Series) {
+		t.Fatal("half-mesh flight series differ from the whole film's")
+	}
+	if !reflect.DeepEqual(half.Spectral, full.Spectral) {
+		t.Fatalf("live lock-in: half mesh %+v, whole film %+v", half.Spectral, full.Spectral)
+	}
+
+	saved := func(whole bool) []checkpoint.ProbeState {
+		dir := t.TempDir()
+		c, err := NewMicromagnetic(XOR, WithCheckpoint(checkpoint.Config{Dir: dir, StopAtStep: int(m.Duration()/m.Dt()) / 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if whole {
+			c = fullFilm(c)
+		}
+		if _, err := c.Run(in); !errors.Is(err, checkpoint.ErrPaused) {
+			t.Fatalf("segment run: %v", err)
+		}
+		st, err := checkpoint.Latest(dir)
+		if err != nil || st == nil {
+			t.Fatalf("checkpoint %v, %v", st, err)
+		}
+		return st.Manifest.Probes
+	}
+	if h, f := saved(false), saved(true); !reflect.DeepEqual(h, f) {
+		t.Fatal("half-mesh checkpoint probe series differ from the whole film's")
 	}
 }
 

@@ -350,8 +350,10 @@ func (m *Micromagnetic) nodeCells(n layout.Node, radius float64) []int {
 // mute are left out entirely (used by calibration runs). With half set
 // the solver steps the mirror's half mesh (see halfDomain): the antennas
 // keep their cells at or above the axis, and each probe reads its
-// cells' images there.
-func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool, half bool) (*llg.Solver, map[string]*detect.Probe, error) {
+// cells' images there. With negate also set the drive is antisymmetric:
+// the ghost row holds the image rotated by π about z, and a probe below
+// the axis reads its images negated.
+func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool, half, negate bool) (*llg.Solver, map[string]*detect.Probe, error) {
 	names := m.kind.InputNames()
 	if err := checkInputs(m.kind, inputs); err != nil {
 		return nil, nil, err
@@ -369,7 +371,7 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool, half bool
 	copy(s.Alpha, m.alpha[off:])
 	s.InvalidatePrep()
 	if half {
-		s.SetMirrorBoundary()
+		s.SetMirrorBoundary(negate)
 	}
 
 	for i, name := range names {
@@ -407,22 +409,44 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool, half bool
 	// Output probes.
 	probes := make(map[string]*detect.Probe, len(m.outCells))
 	for name, cells := range m.outCells {
+		neg := false
 		if half {
-			cells = m.mir.probeCells(cells)
+			cells, neg = m.mir.probeCells(cells, negate)
 		}
 		p, err := detect.NewProbe(name, cells)
 		if err != nil {
 			return nil, nil, err
 		}
+		p.Negate = neg
 		probes[name] = p
 	}
 	return s, probes, nil
 }
 
-// halfDomain reports whether a drive is mirror-symmetric on a backend
-// with an exact mirror, so its run steps only the half mesh.
-func (m *Micromagnetic) halfDomain(inputs []bool, mute map[string]bool) bool {
-	return m.mir != nil && len(inputs) == len(m.mir.input) && m.mir.symmetric(inputs, m.kind.InputNames(), mute)
+// halfDomain reports whether a run steps only the half mesh of a
+// backend with an exact mirror, and with which ghost sign: a
+// mirror-symmetric drive keeps the ghost row's sign, and a
+// mirror-antisymmetric one (negate set) is the complement of its own
+// image, so its image cells hold (−mx, −my, mz). The antisymmetric run
+// also needs the exact complement, and no output may straddle the axis:
+// such an output's cells read part direct and part negated.
+func (m *Micromagnetic) halfDomain(inputs []bool, mute map[string]bool) (half, negate bool) {
+	if m.mir == nil || len(inputs) != len(m.mir.input) {
+		return false, false
+	}
+	names := m.kind.InputNames()
+	if m.mir.symmetric(inputs, names, mute) {
+		return true, false
+	}
+	if !m.ComplementExact() || !m.mir.antisymmetric(inputs, names, mute) {
+		return false, false
+	}
+	for _, cells := range m.outCells {
+		if m.mir.straddles(cells) {
+			return false, false
+		}
+	}
+	return true, true
 }
 
 // Run implements Backend: a full transient simulation per case.
@@ -488,8 +512,12 @@ func (m *Micromagnetic) Orbit(inputs []bool) [][]bool {
 }
 
 // HalfDomain implements Symmetric: a mirror-symmetric case (I1 = I2,
-// and I4 = I5 on MAJ5) steps only the half mesh.
-func (m *Micromagnetic) HalfDomain(inputs []bool) bool { return m.halfDomain(inputs, nil) }
+// and I4 = I5 on MAJ5) steps only the half mesh, and so does an
+// antisymmetric one (XOR with I1 ≠ I2) when the complement is exact.
+func (m *Micromagnetic) HalfDomain(inputs []bool) bool {
+	half, _ := m.halfDomain(inputs, nil)
+	return half
+}
 
 // RunOrbit implements Symmetric: it runs case c once and derives the
 // rest of Orbit(c). ¬c's readouts are the lock-in of the same probes'
@@ -678,15 +706,15 @@ func (m *Micromagnetic) newRecorder(s *llg.Solver, probes map[string]*detect.Pro
 	sort.Strings(names)
 	points := make([]probe.Point, 0, len(names))
 	for _, name := range names {
-		points = append(points, probe.Point{Name: name, Cells: probes[name].Cells})
+		points = append(points, probe.Point{Name: name, Cells: probes[name].Cells, Negate: probes[name].Negate})
 	}
 	return probe.NewRecorder(pc, s.Eval, points)
 }
 
 // run simulates one case and locks in on its output probes; a
-// mirror-symmetric drive steps only the half mesh. With complement set
-// it also returns the lock-in of the negated probe series: the readouts
-// of the complemented case (see RunOrbit).
+// mirror-symmetric or antisymmetric drive steps only the half mesh.
+// With complement set it also returns the lock-in of the negated probe
+// series: the readouts of the complemented case (see RunOrbit).
 func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]bool, complement bool) (out, notOut map[string]detect.Readout, err error) {
 	// One run ID correlates this run's journal events, span labels and
 	// log lines; the engine propagates its eval ID down via the context.
@@ -696,7 +724,7 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 	}
 	j := journal.Default()
 	gateL, runL := obs.L("gate", m.kind.String()), obs.L("run", runID)
-	half := m.halfDomain(inputs, mute)
+	half, negate := m.halfDomain(inputs, mute)
 	if j.Enabled() {
 		fields := []journal.Field{
 			journal.F("gate", m.kind.String()),
@@ -719,7 +747,7 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 	}
 
 	setup := obs.StartSpan("micromag.setup", gateL, runL)
-	s, probes, err := m.newSolver(inputs, mute, half)
+	s, probes, err := m.newSolver(inputs, mute, half, negate)
 	setup.End()
 	if err != nil {
 		return fail(err)
@@ -886,7 +914,7 @@ func (m *Micromagnetic) run(ctx context.Context, inputs []bool, mute map[string]
 // magnetization field along with the mesh and material region — the raw
 // material for the Figure 5 panels.
 func (m *Micromagnetic) Snapshot(inputs []bool) (vec.Field, grid.Mesh, grid.Region, error) {
-	s, _, err := m.newSolver(inputs, nil, false)
+	s, _, err := m.newSolver(inputs, nil, false, false)
 	if err != nil {
 		return nil, grid.Mesh{}, nil, err
 	}

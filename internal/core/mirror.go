@@ -153,6 +153,33 @@ func (mr *mirror) symmetric(inputs []bool, names []string, mute map[string]bool)
 	return true
 }
 
+// antisymmetric reports whether a drive is the complement of its own
+// mirror image: every input has the complement of its partner's level
+// and the same muting. An unmuted input on the axis, its own partner,
+// never qualifies.
+func (mr *mirror) antisymmetric(inputs []bool, names []string, mute map[string]bool) bool {
+	for k, p := range mr.input {
+		if mute[names[k]] != mute[names[p]] || !mute[names[k]] && inputs[k] == inputs[p] {
+			return false
+		}
+	}
+	return true
+}
+
+// straddles reports whether cells lie both below the axis and at or
+// above it.
+func (mr *mirror) straddles(cells []int) bool {
+	var below, above bool
+	for _, c := range cells {
+		if mr.row(c) < mr.axis {
+			below = true
+		} else {
+			above = true
+		}
+	}
+	return below && above
+}
+
 // swapInputs returns the mirror image of an input case: every input
 // takes its partner's level.
 func (mr *mirror) swapInputs(inputs []bool) []bool {
@@ -189,14 +216,17 @@ func (mr *mirror) sourceCells(cells []int) []int {
 
 // probeCells returns the half-mesh index of every cell, a cell below the
 // axis read at its image: the same values in the same order as the full
-// mesh holds on a mirror-symmetric run.
-func (mr *mirror) probeCells(cells []int) []int {
-	out := make([]int, len(cells))
+// mesh holds on a mirror-symmetric run. On an antisymmetric run (negate
+// set) the image of a cell holds its mx and my negated, so a probe whose
+// cells lie below the axis reports negated series; the caller has made
+// sure no probe straddles the axis.
+func (mr *mirror) probeCells(cells []int, negate bool) (half []int, negated bool) {
+	half = make([]int, len(cells))
 	for i, c := range cells {
 		if mr.row(c) < mr.axis {
-			c = mr.reflect(c)
+			c, negated = mr.reflect(c), negate
 		}
-		out[i] = c - mr.off
+		half[i] = c - mr.off
 	}
-	return out
+	return half, negated
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
 	"spinwave/internal/detect"
+	"spinwave/internal/layout"
 	"spinwave/internal/material"
 	"spinwave/internal/vec"
 )
@@ -119,6 +121,132 @@ func TestHalfDomainMatchesFullFilm(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAntiHalfMatchesFullFilm: XOR 01 is the complement of its own
+// mirror image, so it steps the half mesh with a negated ghost row. Its
+// orbit {01, 10} reads exactly what direct whole-film runs of 01 and 10
+// read, and its final field equals the whole-film run's bit for bit at
+// and above the axis; below it the whole film holds every image rotated
+// by π about z.
+func TestAntiHalfMatchesFullFilm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		spec layout.Spec
+	}{{"reduced", layout.ReducedSpec()}, {"paper-micromag", layout.PaperMicromagSpec()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewMicromagnetic(XOR, WithSpec(tc.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := []bool{false, true}
+			if half, negate := m.halfDomain(in, nil); !half || !negate {
+				t.Fatalf("01: half %v, negated ghost %v; want both", half, negate)
+			}
+			full := fullFilm(m)
+			res, err := m.RunOrbit(ctx, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orbit := m.Orbit(in)
+			if len(res) != 2 || len(orbit) != 2 {
+				t.Fatalf("orbit of 01: %d cases, %d readouts; want 2", len(orbit), len(res))
+			}
+			for k, c := range orbit {
+				direct, err := full.RunContext(ctx, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res[k], direct) {
+					t.Fatalf("%s: half mesh %+v, whole film %+v", inputString(c), res[k], direct)
+				}
+			}
+
+			s, _, err := m.newSolver(in, nil, true, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.Run(m.duration, nil)
+			mf, mesh, region, err := m.Snapshot(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mr := m.mir
+			for c, on := range region {
+				if !on {
+					continue
+				}
+				i, j := mesh.Coord(c)
+				if j < mr.axis {
+					if img := mf[mr.reflect(c)]; mf[c] != vec.V(-img.X, -img.Y, img.Z) {
+						t.Fatalf("cell (%d,%d) holds %v, its image %v", i, j, mf[c], img)
+					}
+					continue
+				}
+				a, b := mf[c], s.M[c-mr.off]
+				for _, v := range [3][2]float64{{a.X, b.X}, {a.Y, b.Y}, {a.Z, b.Z}} {
+					if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+						t.Fatalf("cell (%d,%d): whole film %v, half mesh %v", i, j, a, b)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAntiHalfEligibility: only a drive that is the complement of its
+// mirror image steps the half mesh with a negated ghost, and only when
+// the complement is exact and no output straddles the axis. MAJ3 010
+// (I3 sits on the axis), a tilted easy axis, a single-port run and an
+// output across the axis all keep the whole film.
+func TestAntiHalfEligibility(t *testing.T) {
+	xor, err := NewMicromagnetic(XOR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		in           []bool
+		half, negate bool
+	}{
+		{[]bool{false, false}, true, false},
+		{[]bool{false, true}, true, true},
+		{[]bool{true, false}, true, true},
+		{[]bool{true, true}, true, false},
+	} {
+		if half, negate := xor.halfDomain(tc.in, nil); half != tc.half || negate != tc.negate {
+			t.Errorf("XOR %s: half %v, negated ghost %v; want %v, %v", inputString(tc.in), half, negate, tc.half, tc.negate)
+		}
+	}
+	if half, _ := xor.halfDomain([]bool{false, false}, map[string]bool{"I2": true}); half {
+		t.Error("RunSingle(I1) steps the half mesh")
+	}
+	across := *xor
+	across.outCells = map[string][]int{"O1": {xor.mir.reflect(xor.outCells["O1"][0]), xor.outCells["O1"][0]}, "O2": xor.outCells["O2"]}
+	if across.HalfDomain([]bool{false, true}) || !across.HalfDomain([]bool{true, true}) {
+		t.Error("an output across the axis: want 01 on the whole film and 11 on the half mesh")
+	}
+
+	maj3, err := NewMicromagnetic(MAJ3, WithI3PhaseTrim(reducedMAJ3Trim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maj3.HalfDomain([]bool{false, true, false}) {
+		t.Error("MAJ3 010 steps the half mesh")
+	}
+	mat := material.FeCoB()
+	mat.AnisU = vec.V(0.05, 0, 1).Normalized()
+	tilted, err := NewMicromagnetic(XOR, WithMaterial(mat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tilted.MirrorExact() || tilted.HalfDomain([]bool{false, true}) || !tilted.HalfDomain([]bool{true, true}) {
+		t.Error("tilted easy axis: want 01 on the whole film and 11 on the half mesh")
 	}
 }
 

@@ -18,6 +18,11 @@ import (
 type Probe struct {
 	Name  string
 	Cells []int
+	// Negate records the average with mx and my negated: the probe reads
+	// the images of its cells on a run whose image cells hold the
+	// magnetization rotated by π about z (a mirror-antisymmetric run on
+	// the half mesh).
+	Negate bool
 
 	times []float64
 	mx    []float64
@@ -36,6 +41,9 @@ func NewProbe(name string, cells []int) (*Probe, error) {
 // Sample appends the current average magnetization over the probe cells.
 func (p *Probe) Sample(t float64, m vec.Field) {
 	avg := m.Average(p.Cells)
+	if p.Negate {
+		avg.X, avg.Y = -avg.X, -avg.Y
+	}
 	p.times = append(p.times, t)
 	p.mx = append(p.mx, avg.X)
 	p.my = append(p.my, avg.Y)
@@ -88,7 +96,7 @@ func (p *Probe) MZ() []float64 { return p.mz }
 // the trace the same probe records on the run whose magnetization is
 // this run's rotated by π about z.
 func (p *Probe) Mirror() *Probe {
-	q := &Probe{Name: p.Name, Cells: p.Cells,
+	q := &Probe{Name: p.Name, Cells: p.Cells, Negate: p.Negate,
 		times: append([]float64(nil), p.times...),
 		mx:    make([]float64, len(p.mx)),
 		my:    make([]float64, len(p.my)),

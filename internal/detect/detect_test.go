@@ -112,6 +112,24 @@ func TestProbeResetAndAccessors(t *testing.T) {
 	}
 }
 
+// TestNegatedProbe: a probe with Negate set records the plain probe's
+// mx and my negated and its mz unchanged, and its Mirror keeps the flag.
+func TestNegatedProbe(t *testing.T) {
+	m := vec.Field{vec.V(0.1, -0.2, 0.9), vec.V(0.3, 0.05, 0.8)}
+	plain, _ := NewProbe("p", []int{0, 1})
+	neg, _ := NewProbe("p", []int{0, 1})
+	neg.Negate = true
+	plain.Sample(0, m)
+	neg.Sample(0, m)
+	if neg.MX()[0] != -plain.MX()[0] || neg.MY()[0] != -plain.MY()[0] || neg.MZ()[0] != plain.MZ()[0] {
+		t.Errorf("negated sample (%g, %g, %g), plain (%g, %g, %g)",
+			neg.MX()[0], neg.MY()[0], neg.MZ()[0], plain.MX()[0], plain.MY()[0], plain.MZ()[0])
+	}
+	if !neg.Mirror().Negate {
+		t.Error("Mirror dropped Negate")
+	}
+}
+
 func TestPhaseDetector(t *testing.T) {
 	d := PhaseDetector{RefPhase: 0.3}
 	if d.Detect(Readout{Phase: 0.3}) {

@@ -176,8 +176,8 @@ func TestEvalBatchLoneComplementMiss(t *testing.T) {
 func TestEvalBatchPairCancelled(t *testing.T) {
 	m := micromagFor(t, core.XOR)
 	e := New(WithWorkers(1))
-	// The pair's whole-film run steps for about 0.1 s; the deadline
-	// lands about a third of the way in.
+	// The pair's one run steps the half film for about 0.1 s; the
+	// deadline lands about a third of the way in.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	pair := [][]bool{{false, true}, {true, false}}

@@ -281,7 +281,7 @@ func TestMicromagCancellationMidIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(WithWorkers(1))
-	// The whole-film case steps for about 0.1 s; the deadline lands
+	// The case steps the half film for about 0.1 s; the deadline lands
 	// about a third of the way in.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()

@@ -91,9 +91,9 @@ type Solver struct {
 	srcCellsBand [][]int // srcCells split by band
 	timeBands    bool
 
-	// mirror marks row 0 as a ghost row of the mirror boundary at row 1
-	// (SetMirrorBoundary).
-	mirror bool
+	// mirror marks row 0 as a ghost row of the mirror boundary at row 1,
+	// and negateGhost negates its mx and my (SetMirrorBoundary).
+	mirror, negateGhost bool
 
 	// Prebuilt pass closures and in-flight stage parameters; reusing
 	// them keeps the steady-state stepping loop allocation-free.

@@ -94,20 +94,24 @@ func (s *Solver) Close() {
 }
 
 // SetMirrorBoundary makes row 1 of the mesh a mirror axis: row 0 is a
-// ghost row that holds row 2's values, refilled before every stage and
-// after every step, and is never stepped itself. The solver then
-// computes, cell for cell and bit for bit, the rows at and above the
-// axis of a solve on the mesh mirrored about row 1, provided the drive
-// and damping of that solve are mirror-symmetric and its field sums a
-// cell's two vertical exchange neighbors as one commutative pair
-// (mag.Evaluator.FieldRows does). The mesh needs at least 3 rows.
-func (s *Solver) SetMirrorBoundary() {
-	s.mirror = true
+// ghost row that holds row 2's values, with mx and my negated when
+// negate is set, refilled before every stage and after every step, and
+// is never stepped itself. The solver then computes, cell for cell and
+// bit for bit, the rows at and above the axis of a solve on the mesh
+// mirrored about row 1, provided its field sums a cell's two vertical
+// exchange neighbors as one commutative pair (mag.Evaluator.FieldRows
+// does) and the damping of that solve is mirror-symmetric. Its drive
+// must be mirror-symmetric, or with negate mirror-antisymmetric: the
+// image of every source field is that field rotated by π about z, so
+// the image cell holds (−mx, −my, mz). The mesh needs at least 3 rows.
+func (s *Solver) SetMirrorBoundary(negate bool) {
+	s.mirror, s.negateGhost = true, negate
 	s.prepared = false
 	s.fillGhost(s.M)
 }
 
-// fillGhost copies row 2 of f into the ghost row 0 of a mirror boundary.
+// fillGhost copies row 2 of f into the ghost row 0 of a mirror boundary,
+// rotated by π about z for an antisymmetric one.
 func (s *Solver) fillGhost(f vec.Field) {
 	if !s.mirror {
 		return
@@ -115,7 +119,11 @@ func (s *Solver) fillGhost(f vec.Field) {
 	nx := s.Mesh.Nx
 	for i := 0; i < nx; i++ {
 		if s.Region[i] {
-			f[i] = f[2*nx+i]
+			v := f[2*nx+i]
+			if s.negateGhost {
+				v.X, v.Y = -v.X, -v.Y
+			}
+			f[i] = v
 		}
 	}
 }

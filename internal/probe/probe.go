@@ -71,9 +71,12 @@ func (c Config) WithDefaults() Config {
 }
 
 // Point names a cell set to probe — a single detector cell or a region.
+// Negate records the average with mx and my negated, as detect.Probe
+// does for a probe that reads the images of its cells.
 type Point struct {
-	Name  string
-	Cells []int
+	Name   string
+	Cells  []int
+	Negate bool
 }
 
 // ring is a fixed-capacity float64 ring buffer (overwrite-oldest).
@@ -110,6 +113,7 @@ func (r *ring) slice() []float64 {
 type series struct {
 	name       string
 	cells      []int
+	negate     bool
 	t, x, y, z ring
 }
 
@@ -149,12 +153,13 @@ func NewRecorder(cfg Config, ev *mag.Evaluator, points []Point) (*Recorder, erro
 		}
 		r.index[p.Name] = len(r.series)
 		r.series = append(r.series, &series{
-			name:  p.Name,
-			cells: p.Cells,
-			t:     newRing(cfg.Capacity),
-			x:     newRing(cfg.Capacity),
-			y:     newRing(cfg.Capacity),
-			z:     newRing(cfg.Capacity),
+			name:   p.Name,
+			cells:  p.Cells,
+			negate: p.Negate,
+			t:      newRing(cfg.Capacity),
+			x:      newRing(cfg.Capacity),
+			y:      newRing(cfg.Capacity),
+			z:      newRing(cfg.Capacity),
 		})
 	}
 	if ev != nil && cfg.EnergyEvery > 0 {
@@ -182,6 +187,9 @@ func (r *Recorder) ObserveStep(step int, t float64, m vec.Field) {
 	if onSeries {
 		for _, s := range r.series {
 			avg := m.Average(s.cells)
+			if s.negate {
+				avg.X, avg.Y = -avg.X, -avg.Y
+			}
 			s.t.push(t)
 			s.x.push(avg.X)
 			s.y.push(avg.Y)

@@ -81,6 +81,22 @@ func TestRecorderSeries(t *testing.T) {
 	}
 }
 
+// TestRecorderNegatedPoint: a point with Negate set records the plain
+// point's mx and my negated and its mz unchanged.
+func TestRecorderNegatedPoint(t *testing.T) {
+	r, err := NewRecorder(Config{Stride: 1, EnergyEvery: -1}, nil,
+		[]Point{{Name: "plain", Cells: []int{0, 1}}, {Name: "neg", Cells: []int{0, 1}, Negate: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ObserveStep(0, 0, vec.Field{vec.V(0.1, -0.2, 0.9), vec.V(0.3, 0.05, 0.8)})
+	p, _ := r.Series("plain")
+	n, _ := r.Series("neg")
+	if n.MX[0] != -p.MX[0] || n.MY[0] != -p.MY[0] || n.MZ[0] != p.MZ[0] {
+		t.Errorf("negated point (%g, %g, %g), plain (%g, %g, %g)", n.MX[0], n.MY[0], n.MZ[0], p.MX[0], p.MY[0], p.MZ[0])
+	}
+}
+
 // TestRecorderEnergy checks the coarser energy cadence and the budget
 // export path against the evaluator's total energy.
 func TestRecorderEnergy(t *testing.T) {

@@ -313,7 +313,7 @@ func TestMicromagRunContextAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The whole-film case steps for about 0.1 s; the deadline lands
+	// The case steps the half film for about 0.1 s; the deadline lands
 	// about a third of the way in.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
